@@ -13,7 +13,8 @@ Examples::
     pq identities --seed 0 --trials 50
     pq identities --only heine
 
-Exit codes: 0 success, 1 identity-suite failure, 2 usage or parse error.
+Exit codes: 0 success, 1 identity-suite failure, 2 usage, parse, domain
+or overflow error.
 Rationals are written as "num/den" or "int" everywhere, on input and in
 JSON output.
 """
@@ -51,6 +52,16 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tail-tol", type=float, default=1e-12, metavar="EPS")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pq",
@@ -86,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ident = sub.add_parser("identities", help="run the seeded identity suite")
     p_ident.add_argument("--seed", type=int, default=0)
-    p_ident.add_argument("--trials", type=int, default=50)
+    p_ident.add_argument("--trials", type=_positive_int, default=50)
     p_ident.add_argument(
         "--only",
         action="append",
@@ -264,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PqError, ValueError, ZeroDivisionError) as exc:
+    except (PqError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

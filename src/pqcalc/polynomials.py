@@ -123,10 +123,17 @@ def eval_poly(f: Polynomial, x: object) -> object:
             acc = acc * x + float(c)
         return acc
     x = rat(x)
-    acc = rat(0)
+    # Horner on ints over the common denominator den * xd^deg; scale carries
+    # xd^(deg-i).  The lcm argument is a list because CPython packs a
+    # *generator by resizing a tuple, which leaves one tuple per call on its
+    # free lists and grows the resident size with every evaluation.
+    xn, xd = x.numerator, x.denominator
+    den = math.lcm(*[c.denominator for c in f.coeffs])
+    num, scale = 0, 1
     for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
+        num = num * xn + c.numerator * (den // c.denominator) * scale
+        scale *= xd
+    return Rat(num * xd, den * scale)
 
 
 def pq_derive_poly(f: Polynomial, params: PqParams) -> Polynomial:

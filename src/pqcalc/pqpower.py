@@ -61,14 +61,16 @@ def pq_power_value(first: object, second: object, n: int, params: PqParams) -> R
         raise NegativeArgumentError(f"need n >= 0, got {n}")
     u, v = rat(first), rat(second)
     p, q = params.p, params.q
-    out = rat(1)
-    pj = rat(1)
-    qj = rat(1)
+    pd, qd = p.denominator, q.denominator
+    a, b = u.numerator * v.denominator, v.numerator * u.denominator
+    big_p, big_q = p.numerator * qd, q.numerator * pd
+    # factor j is (a*P^j - b*Q^j) / (ud*vd*(pd*qd)^j); normalise once at the end
+    num, den = 1, (u.denominator * v.denominator) ** n * (pd * qd) ** (n * (n - 1) // 2)
     for _ in range(n):
-        out *= pj * u - qj * v
-        pj *= p
-        qj *= q
-    return out
+        num *= a - b
+        a *= big_p
+        b *= big_q
+    return Rat(num, den)
 
 
 def _inverted(e: PqPowerExpr) -> PqPowerExpr:
@@ -102,18 +104,23 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
     if e.n < 0:
         raise NegativeArgumentError("negative powers are not polynomials")
     p, q = e.params.p, e.params.q
-    out = Polynomial([1])
-    pj = rat(1)
-    qj = rat(1)
+    pd, qd = p.denominator, q.denominator
+    big_p, big_q = p.numerator * qd, q.numerator * pd
+    # factor j is the integer linear factor over gd*ad*(pd*qd)^j:
+    #   forward  c1*P^j x - c0*Q^j,   reversed  c0*P^j - c1*Q^j x
+    c0 = e.a.numerator * e.gamma.denominator
+    c1 = e.gamma.numerator * e.a.denominator
+    if e.orientation is Orientation.X_MINUS_A:
+        lo, hi, lo_step, hi_step = -c0, c1, big_q, big_p
+    else:
+        lo, hi, lo_step, hi_step = c0, -c1, big_p, big_q
+    out = [1]
     for _ in range(e.n):
-        if e.orientation is Orientation.X_MINUS_A:
-            factor = Polynomial([-qj * e.a, pj * e.gamma])
-        else:
-            factor = Polynomial([pj * e.a, -qj * e.gamma])
-        out = out * factor
-        pj *= p
-        qj *= q
-    return out
+        out = [lo * c + hi * d for c, d in zip(out + [0], [0] + out)]
+        lo *= lo_step
+        hi *= hi_step
+    den = (e.a.denominator * e.gamma.denominator) ** e.n * (pd * qd) ** (e.n * (e.n - 1) // 2)
+    return Polynomial([Rat(c, den) for c in out])
 
 
 def expand_pq_power(a: object, n: int, params: PqParams) -> Polynomial:

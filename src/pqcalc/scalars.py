@@ -7,6 +7,12 @@ both keep values in lowest terms with a positive denominator, parse the
 same ``"num/den"`` literals and print them back identically, so the
 choice is invisible to callers.
 
+The hot exact kernels (``bracket`` here, Horner in ``polynomials``,
+``pq_power_value`` and ``expand_expr`` in ``pqpower``) work fraction-free:
+they read ``numerator``/``denominator`` (which both backends provide),
+carry integer numerators over one common denominator, and normalise once
+per result instead of after every multiply.
+
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
 :class:`FloatScalar` with explicit tolerances.
@@ -39,6 +45,8 @@ def rat(value: object) -> Rat:
     Floats are rejected on purpose: silently binarising 0.1 would poison
     exact identity checks.
     """
+    if type(value) is Rat:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to exact rational; pass a string like '1/10'")
     return Rat(value)
@@ -121,9 +129,17 @@ def bracket(n: int, params: PqParams) -> Rat:
 
     For n >= 1 this equals the sum p^{n-1} + p^{n-2} q + ... + q^{n-1};
     negative n is allowed because p and q are nonzero.
+
+    For n >= 1, with A = pn*qd and B = qn*pd (p = pn/pd, q = qn/qd),
+    [n] = ((A^n - B^n) / (A - B)) / (pd*qd)^(n-1), where the first quotient
+    is an exact integer division.
     """
     p, q = params.p, params.q
-    return (p**n - q**n) / (p - q)
+    if n < 1:
+        return (p**n - q**n) / (p - q)
+    pd, qd = p.denominator, q.denominator
+    big_a, big_b = p.numerator * qd, q.numerator * pd
+    return Rat((big_a**n - big_b**n) // (big_a - big_b), (pd * qd) ** (n - 1))
 
 
 def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:

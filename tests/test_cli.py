@@ -47,6 +47,11 @@ class TestBracketCommand:
         code, _, err = run_cli(capsys, "bracket", "3", "--p", "2", "--q", "2")
         assert code == 2
 
+    def test_real_exponent_overflow_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "bracket", "2000.5", "--p", "2", "--q", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestDeriveCommand:
     def test_polynomial(self, capsys):
@@ -152,6 +157,11 @@ class TestIntegrateCommand:
         code, _, err = run_cli(capsys, "integrate", "poly:0,1", "2", "1")
         assert code == 2
 
+    def test_bound_overflow_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "integrate", "poly:0,1", "0", "1e400")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_unknown_spec_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "tan", "0", "1")
         assert code == 2
@@ -200,3 +210,12 @@ class TestIdentitiesCommand:
         code, _, err = run_cli(capsys, "identities", "--only", "nope")
         assert code == 2
         assert "no identity label" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", "--trials", trials, "--only", "linearity"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--trials" in captured.err
