@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -39,6 +40,19 @@ from .polynomials import NumericFn, Polynomial, pq_derive_poly_k
 from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
 from .scalars import PqParams, bracket, bracket_alpha, rat, rat_str
 from .taylor import taylor_expand, taylor_expand_reversed
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token starting with "-" and a digit as a value.
+
+    argparse alone admits only "-2" and "-2.5" as negative numbers, so
+    "--q -1/2" and a positional "-1/2" or "-1/2,1" would be taken for
+    unknown options.  No option of pq starts with a digit.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +77,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pq",
         description="Exact and numeric (p,q)-calculus: brackets, derivatives, "
         "power-basis expansions and lattice integrals.",
@@ -173,7 +187,7 @@ def _parse_fn_spec(spec: str) -> NumericFn:
     if spec == "recip":
         return NumericFn(lambda x: 1.0 / x)
     if spec == "log":
-        return NumericFn(lambda x: math.log(x))
+        return NumericFn(math.log)
     if spec.startswith("powneg:"):
         text = spec[len("powneg:"):]
         try:

@@ -8,6 +8,11 @@ after ``divergence_window`` consecutive non-decreasing term magnitudes and
 is reported as a status, never raised, so failure cases (1/x being the
 canonical one) can be demonstrated rather than crashed on.
 
+A term is float work only: one generator, :func:`lattice_terms`, walks
+either direction and calls the integrand's plain ``fn``, and a polynomial
+integrand arrives with its coefficients already floated
+(:meth:`NumericFn.from_polynomial`).
+
 The |q/p| = 1 regime has no defined lattice and is rejected outright.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
@@ -128,56 +134,48 @@ def _sum_series(terms: Iterator[float], policy: TruncationPolicy) -> tuple[float
     return total, count, last_mag, IntegralStatus.MAX_TERMS_REACHED
 
 
+def _worse(a: IntegralStatus, b: IntegralStatus) -> IntegralStatus:
+    """The more severe of two statuses; the first one on a tie."""
+    return a if _SEVERITY[a] >= _SEVERITY[b] else b
+
+
 def _combine(a: IntegralResult, b: IntegralResult, value: float) -> IntegralResult:
-    status = a.status if _SEVERITY[a.status] >= _SEVERITY[b.status] else b.status
     return IntegralResult(
         value=value,
         terms_used=a.terms_used + b.terms_used,
         tail_estimate=a.tail_estimate + b.tail_estimate,
         regime=a.regime,
-        status=status,
+        status=_worse(a.status, b.status),
     )
 
 
-def zero_to_terms(f: NumericFn, a: float, params: PqParams) -> Iterator[float]:
-    """Terms of the series for the integral of f over [0, a].
+def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> Iterator[float]:
+    """Terms of the series for the integral of f over [0, a] or [a, infinity).
 
     Regime |q/p| < 1:  (p-q) a sum_k (q^k / p^{k+1}) f(a q^k / p^{k+1})
     Regime |q/p| > 1:  the same with p and q exchanged
 
-    so the lattice always marches geometrically towards 0.  At p = 1 the
-    first form is termwise the classical Jackson sum (1-q) a q^k f(a q^k).
+    so the [0, a] lattice always marches geometrically towards 0.  At p = 1
+    it is termwise the classical Jackson sum (1-q) a q^k f(a q^k).  The
+    [a, infinity) series keeps the prefactor on the reciprocal lattice,
+    a (p/q)^k / q (respectively a (q/p)^k / p), and together the two tile
+    exactly the bilateral lattice of the improper integral.
     """
     p, q = params.as_floats()
-    if _require_lattice(params) is Regime.RATIO_LT_ONE:
-        pre, num, den = (p - q) * a, q, p
-    else:
-        pre, num, den = (q - p) * a, p, q
+    lt1 = _require_lattice(params) is Regime.RATIO_LT_ONE
+    pre = (p - q) * a if lt1 else (q - p) * a
+    num, den = (q, p) if lt1 == to_zero else (p, q)
     ratio = num / den
     w = 1.0 / den
+    fn = f.fn
     while True:
-        yield pre * w * f(a * w)
+        yield pre * w * fn(a * w)
         w *= ratio
 
 
-def to_infinity_terms(f: NumericFn, a: float, params: PqParams) -> Iterator[float]:
-    """Terms of the series for the integral of f over [a, infinity).
-
-    Same prefactor as :func:`zero_to_terms` with the reciprocal lattice:
-    the sample points a (p/q)^k / q (respectively a (q/p)^k / p) grow away
-    from zero, and together with the [0, a] lattice they tile exactly the
-    bilateral lattice of the improper integral.
-    """
-    p, q = params.as_floats()
-    if _require_lattice(params) is Regime.RATIO_LT_ONE:
-        pre, num, den = (p - q) * a, p, q
-    else:
-        pre, num, den = (q - p) * a, q, p
-    ratio = num / den
-    w = 1.0 / den
-    while True:
-        yield pre * w * f(a * w)
-        w *= ratio
+# the one-sided names that callers import
+zero_to_terms = partial(lattice_terms, to_zero=True)
+to_infinity_terms = partial(lattice_terms, to_zero=False)
 
 
 def integral_zero_to(
@@ -253,11 +251,12 @@ def integral_riemann_stieltjes(
     policy = policy or DEFAULT_POLICY
     p, q = params.as_floats()
     ratio = q / p
+    fn, gn = f.fn, g.fn
 
     def terms() -> Iterator[float]:
         rk = 1.0
         while True:
-            yield f(x * rk / p) * (g(x * rk) - g(x * rk * ratio))
+            yield fn(x * rk / p) * (gn(x * rk) - gn(x * rk * ratio))
             rk *= ratio
 
     value, count, tail, status = _sum_series(terms(), policy)
@@ -361,5 +360,4 @@ def integrate_by_parts(
     right = _integral_any(right_int, a, b, params, policy)
     lhs = left.value
     rhs = f(b) * g(b) - f(a) * g(a) - right.value
-    status = left.status if _SEVERITY[left.status] >= _SEVERITY[right.status] else right.status
-    return GapReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), status=status)
+    return GapReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), status=_worse(left.status, right.status))

@@ -175,8 +175,17 @@ class NumericFn:
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NumericFn":
+        """Float Horner over coefficients floated once, bit for bit eval_poly's float branch."""
         d0 = float(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0
-        return cls(fn=lambda x: eval_poly(f, float(x)), deriv_at_zero=d0)
+        cs = [float(c) for c in reversed(f.coeffs)]
+
+        def horner(x: float) -> float:
+            acc = 0.0
+            for c in cs:
+                acc = acc * x + c
+            return acc
+
+        return cls(fn=horner, deriv_at_zero=d0)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)

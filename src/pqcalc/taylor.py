@@ -117,10 +117,10 @@ def connect_monomial(n: int, a: object, params: PqParams) -> tuple[Rat, ...]:
         raise OutOfRangeError(f"need n >= 0, got {n}")
     a = rat(a)
     p = params.p
-    return tuple(
+    return tuple([
         p ** (-comb(k, 2)) * pq_binomial(n, k, params) * (a * p**-k) ** (n - k)
         for k in range(n + 1)
-    )
+    ])
 
 
 def connect_monomial_reversed(n: int, a: object, params: PqParams) -> tuple[Rat, ...]:
@@ -129,10 +129,10 @@ def connect_monomial_reversed(n: int, a: object, params: PqParams) -> tuple[Rat,
         raise OutOfRangeError(f"need n >= 0, got {n}")
     a = rat(a)
     q = params.q
-    return tuple(
+    return tuple([
         (-1) ** k * q ** (-comb(k, 2)) * pq_binomial(n, k, params) * (a * q**-k) ** (n - k)
         for k in range(n + 1)
-    )
+    ])
 
 
 def connect_power_to_power(
@@ -153,10 +153,12 @@ def connect_power_to_power(
         first, second = a, b
     else:
         first, second = b, a
-    return tuple(
+    # a list, not a generator: CPython builds tuple(<generator>) by resizing,
+    # which parks one tuple per call on its free lists
+    return tuple([
         pq_binomial(n, k, params) * pq_power_value(first, second, n - k, params)
         for k in range(n + 1)
-    )
+    ])
 
 
 def q_binomial_reduction_check(a: object, b: object, n: int, q: object) -> bool:

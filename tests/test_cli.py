@@ -47,6 +47,10 @@ class TestBracketCommand:
         code, _, err = run_cli(capsys, "bracket", "3", "--p", "2", "--q", "2")
         assert code == 2
 
+    def test_negative_rational_option_value(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "3", "--q", "-1/2")
+        assert (code, out) == (0, "3/4")
+
     def test_real_exponent_overflow_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "bracket", "2000.5", "--p", "2", "--q", "1")
         assert (code, out) == (2, "")
@@ -57,6 +61,10 @@ class TestDeriveCommand:
     def test_polynomial(self, capsys):
         code, out, _ = run_cli(capsys, "derive", "0,0,1", "--p", "2", "--q", "1")
         assert (code, out) == (0, "0,3")
+
+    def test_negative_leading_coefficient(self, capsys):
+        code, out, _ = run_cli(capsys, "derive", "-1/2,1")
+        assert (code, out) == (0, "1")
 
     def test_constant(self, capsys):
         code, out, _ = run_cli(capsys, "derive", "5")
@@ -102,6 +110,12 @@ class TestTaylorCommand:
         payload = json.loads(out)
         assert payload["coeffs"] == ["7/3"]
         assert payload["exact"] is True
+
+    def test_negative_rational_point(self, capsys):
+        code, out, _ = run_cli(capsys, "taylor", "0,0,1", "-1/2", "--json")
+        assert code == 0
+        assert json.loads(out)["a"] == "-1/2"
+        assert json.loads(out)["exact"] is True
 
     def test_reversed_orientation(self, capsys):
         code, out, _ = run_cli(capsys, "taylor", "0,1", "1", "--reversed", "--json")

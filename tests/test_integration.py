@@ -1,14 +1,18 @@
 """Lattice integrals, convergence policy, and the two-sided identities."""
 
 import math
+import random
 from itertools import islice
 
 import pytest
 
+from pqcalc.cli import main
 from pqcalc.errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from pqcalc.integration import (
+    DEFAULT_POLICY,
     IntegralStatus,
     TruncationPolicy,
+    _sum_series,
     antiderive_poly,
     check_convergence_hypothesis,
     integral,
@@ -21,8 +25,8 @@ from pqcalc.integration import (
     to_infinity_terms,
     zero_to_terms,
 )
-from pqcalc.polynomials import NumericFn, Polynomial, pq_derive_poly
-from pqcalc.scalars import PqParams, bracket, rat
+from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
+from pqcalc.scalars import PqParams, Regime, bracket, rat
 
 P1H = PqParams(1, rat("1/2"))  # Jackson regime, |q/p| < 1
 P21 = PqParams(2, 1)
@@ -321,3 +325,103 @@ class TestResultSerialization:
         result = integral_zero_to(NumericFn(lambda x: x), 1.0, P1H, policy)
         assert result.status is IntegralStatus.CONVERGED
         assert result.tail_estimate <= policy.tail_tol
+
+
+def _random_poly(rng, degree):
+    return Polynomial(rat(rng.randint(-30, 30)) / rng.randint(1, 12) for _ in range(degree + 1))
+
+
+class TestFloatHorner:
+    """from_polynomial floats the coefficients once and must stay eval_poly's twin."""
+
+    POINTS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.37, 2.75, -13.5, 1e-9, 3e5)
+
+    def test_matches_eval_poly_bit_for_bit(self):
+        rng = random.Random(4)
+        polys = [Polynomial.zero(), Polynomial([rat("-7/3")])]
+        polys += [_random_poly(rng, rng.randint(1, 9)) for _ in range(60)]
+        for poly in polys:
+            f = NumericFn.from_polynomial(poly)
+            points = self.POINTS + tuple(rng.uniform(-4.0, 4.0) for _ in range(10))
+            for x in points:
+                expected = eval_poly(poly, x)
+                assert math.copysign(1.0, f(x)) == math.copysign(1.0, expected)
+                assert f(x) == expected, (poly, x)
+
+    def test_deriv_at_zero_is_the_linear_coefficient(self):
+        assert NumericFn.from_polynomial(Polynomial.zero()).deriv_at_zero == 0.0
+        assert NumericFn.from_polynomial(Polynomial([5])).deriv_at_zero == 0.0
+        poly = Polynomial([1, rat("-2/3"), 4])
+        assert NumericFn.from_polynomial(poly).deriv_at_zero == float(rat("-2/3"))
+
+    def test_overflowing_coefficient_fails_at_build(self, capsys):
+        with pytest.raises(OverflowError):
+            NumericFn.from_polynomial(Polynomial([rat(10) ** 400]))
+        assert main(["integrate", "poly:1e400", "0", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def _naive_terms(f, a, params, to_zero):
+    """The lattice terms as the two per-direction generators wrote them, calling f(x)."""
+    p, q = params.as_floats()
+    if params.regime is Regime.RATIO_LT_ONE:
+        pre, num, den = ((p - q) * a, q, p) if to_zero else ((p - q) * a, p, q)
+    else:
+        pre, num, den = ((q - p) * a, p, q) if to_zero else ((q - p) * a, q, p)
+    ratio = num / den
+    w = 1.0 / den
+    while True:
+        yield pre * w * f(a * w)
+        w *= ratio
+
+
+def _naive_sum(f, a, params, to_zero):
+    return _sum_series(_naive_terms(f, a, params, to_zero), DEFAULT_POLICY)
+
+
+def _naive_pair(first, second, value):
+    worst = max(first[3], second[3], key=[*IntegralStatus].index)  # listed mildest first
+    return value, first[1] + second[1], first[2] + second[2], worst
+
+
+def _fields(result):
+    return result.value, result.terms_used, result.tail_estimate, result.status
+
+
+# positive coefficients: |x f(x)| falls monotonically towards 0, so [0, b] sums converge
+LATTICE_POLY = Polynomial([rat("3/7"), rat("5/2"), 0, rat("11/9"), rat("1/4")])
+
+
+class TestLatticeAgainstNaiveSums:
+    """Every integral equals, bit for bit, the naive generator fed to _sum_series.
+
+    The naive polynomial integrand runs eval_poly's float branch per point;
+    the tested one is NumericFn.from_polynomial, whose coefficients are
+    floated once.
+    """
+
+    INTEGRANDS = {
+        "poly": (
+            NumericFn.from_polynomial(LATTICE_POLY),
+            NumericFn(lambda x: eval_poly(LATTICE_POLY, float(x))),
+        ),
+        "powneg": (NumericFn(lambda x: x**-1.5),) * 2,
+        "log": (NumericFn(math.log),) * 2,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", ["1/2", "9/10", "99/100"])
+    def test_grid(self, ratio, lt1, kind):
+        r = rat(ratio)
+        params = PqParams(1, r) if lt1 else PqParams(r, 1)
+        f, naive = self.INTEGRANDS[kind]
+        a, b = 0.75, 2.5
+        assert _fields(integral_zero_to(f, b, params)) == _naive_sum(naive, b, params, True)
+        upper, lower = _naive_sum(naive, b, params, True), _naive_sum(naive, a, params, True)
+        assert _fields(integral(f, a, b, params)) == _naive_pair(upper, lower, upper[0] - lower[0])
+        assert _fields(integral_to_infinity(f, a, params)) == _naive_sum(naive, a, params, False)
+        down, up = _naive_sum(naive, 1.0, params, True), _naive_sum(naive, 1.0, params, False)
+        assert _fields(integral_improper(f, params)) == _naive_pair(down, up, down[0] + up[0])
