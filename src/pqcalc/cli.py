@@ -26,20 +26,16 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import PqError
-from .identities import CHECKS, run_suite
-from .integration import (
-    TruncationPolicy,
-    integral,
-    integral_improper,
-    integral_to_infinity,
-)
-from .polynomials import NumericFn, Polynomial, pq_derive_poly_k
-from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
 from .scalars import PqParams, bracket, bracket_alpha, rat, rat_str
-from .taylor import taylor_expand, taylor_expand_reversed
+
+if TYPE_CHECKING:
+    from .polynomials import NumericFn
+
+# Each command imports its own layers inside its function, so a cold
+# ``pq bracket`` never compiles the suite, the integrals or the power basis.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,6 +147,9 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    from .polynomials import Polynomial, pq_derive_poly_k
+    from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
+
     params = _params(args)
     if args.k < 0:
         raise ValueError(f"--k must be >= 0, got {args.k}")
@@ -170,6 +169,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
+    from .polynomials import Polynomial
+    from .taylor import taylor_expand, taylor_expand_reversed
+
     params = _params(args)
     f = Polynomial.from_string(args.poly)
     a = rat(args.a)
@@ -182,6 +184,8 @@ def cmd_taylor(args: argparse.Namespace) -> int:
 
 
 def _parse_fn_spec(spec: str) -> NumericFn:
+    from .polynomials import NumericFn, Polynomial
+
     if spec.startswith("poly:"):
         return NumericFn.from_polynomial(Polynomial.from_string(spec[len("poly:"):]))
     if spec == "recip":
@@ -199,6 +203,8 @@ def _parse_fn_spec(spec: str) -> NumericFn:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    from .integration import TruncationPolicy, integral, integral_improper, integral_to_infinity
+
     params = _params(args)
     policy = TruncationPolicy(max_terms=args.max_terms, tail_tol=args.tail_tol)
     f = _parse_fn_spec(args.fn)
@@ -222,6 +228,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def _select_labels(queries: Optional[list[str]]) -> Optional[list[str]]:
+    from .identities import CHECKS
+
     if not queries:
         return None
     selected = []
@@ -236,6 +244,8 @@ def _select_labels(queries: Optional[list[str]]) -> Optional[list[str]]:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
+    from .identities import run_suite
+
     labels = _select_labels(args.only)
     results = run_suite(
         seed=args.seed,

@@ -27,33 +27,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from .polynomials import NumericFn, Polynomial, pq_derive_fn
-from .scalars import PqParams, Regime, bracket, rat
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stopping rules for all series evaluations.
-
-    ``tail_tol`` is absolute on the term magnitude; the tail estimate of a
-    converged sum is the last included term, which bounds the true tail up
-    to the geometric factor that made the series converge in the first
-    place.
-    """
-
-    max_terms: int = 10_000
-    tail_tol: float = 1e-12
-    divergence_window: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be > 0")
-        if self.divergence_window < 2:
-            raise ValueError("divergence_window must be >= 2")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+from .scalars import DEFAULT_POLICY, PqParams, Regime, TruncationPolicy, bracket, rat
 
 
 class IntegralStatus(enum.Enum):

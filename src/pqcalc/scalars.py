@@ -15,7 +15,8 @@ per result instead of after every multiply.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
-:class:`FloatScalar` with explicit tolerances.
+:class:`FloatScalar` with explicit tolerances and summed under the
+stopping rules of :class:`TruncationPolicy`.
 """
 
 from __future__ import annotations
@@ -122,6 +123,32 @@ class FloatScalar:
 
     def __float__(self) -> float:
         return self.value
+
+
+@dataclass(frozen=True)
+class TruncationPolicy:
+    """Stopping rules for all series evaluations.
+
+    ``tail_tol`` is absolute on the term magnitude; the tail estimate of a
+    converged sum is the last included term, which bounds the true tail up
+    to the geometric factor that made the series converge in the first
+    place.
+    """
+
+    max_terms: int = 10_000
+    tail_tol: float = 1e-12
+    divergence_window: int = 8
+
+    def __post_init__(self) -> None:
+        if self.max_terms < 1:
+            raise ValueError("max_terms must be >= 1")
+        if not self.tail_tol > 0:
+            raise ValueError("tail_tol must be > 0")
+        if self.divergence_window < 2:
+            raise ValueError("divergence_window must be >= 2")
+
+
+DEFAULT_POLICY = TruncationPolicy()
 
 
 def bracket(n: int, params: PqParams) -> Rat:

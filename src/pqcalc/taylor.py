@@ -28,10 +28,9 @@ from math import comb
 from typing import Optional
 
 from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
-from .integration import DEFAULT_POLICY, TruncationPolicy
 from .polynomials import Polynomial, eval_poly, pq_derive_poly
 from .pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from .scalars import PqParams, Rat, bracket, pq_binomial, rat, rat_str
+from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, pq_binomial, rat, rat_str
 
 
 @dataclass(frozen=True)

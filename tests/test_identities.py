@@ -2,7 +2,7 @@
 
 import pytest
 
-from pqcalc.identities import CHECKS, EXACT_LAW_LABELS, run_suite
+from pqcalc.identities import CHECKS, EXACT_LAW_LABELS, CheckResult, run_suite
 
 
 class TestSuiteHarness:
@@ -45,3 +45,27 @@ class TestSuiteHarness:
         # the p != 1 claim fails its oracle and the suite says so explicitly
         assert any("MISMATCH" in note for note in result.notes)
         assert not any(note.startswith("p=1,") and "MISMATCH" in note for note in result.notes)
+
+
+class TestReplayAlone:
+    """A label draws the same instances in any selection, so a failure replays alone."""
+
+    def test_full_run_matches_each_label_alone(self):
+        full = run_suite(seed=3, trials=4)
+        for result in full:
+            assert run_suite(seed=3, trials=4, only=[result.label]) == [result]
+
+    def test_generator_depends_on_seed_and_label_only(self, monkeypatch):
+        # every check reports the first number its generator draws
+        def first_draw(label):
+            return lambda rng, trials: CheckResult(label, trials, 0, (repr(rng.random()),))
+
+        for label in CHECKS:
+            monkeypatch.setitem(CHECKS, label, first_draw(label))
+        full = {r.label: r for r in run_suite(seed=5, trials=1)}
+        for label in CHECKS:
+            assert run_suite(seed=5, trials=1, only=[label]) == [full[label]]
+        pair = run_suite(seed=5, trials=1, only=["qbin", "der3"])
+        assert run_suite(seed=5, trials=1, only=["der3", "qbin"]) == pair[::-1]
+        assert pair == [full["qbin"], full["der3"]]
+        assert run_suite(seed=6, trials=1, only=["qbin"]) != [full["qbin"]]
