@@ -480,12 +480,8 @@ def _connect_monomial_trial(rng: Random, reverse: bool) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
     n = rng.randint(0, 8)
     a = _rand_rat(rng)
-    if reverse:
-        coeffs = connect_monomial_reversed(n, a, params)
-        expansion = taylor_expand_reversed(Polynomial.monomial(n), a, params)
-    else:
-        coeffs = connect_monomial(n, a, params)
-        expansion = taylor_expand(Polynomial.monomial(n), a, params)
+    coeffs = (connect_monomial_reversed if reverse else connect_monomial)(n, a, params)
+    expansion = (taylor_expand_reversed if reverse else taylor_expand)(Polynomial.monomial(n), a, params)
     padded = expansion.coeffs + (rat(0),) * (len(coeffs) - len(expansion.coeffs))
     return coeffs == padded
 

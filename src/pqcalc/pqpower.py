@@ -10,10 +10,10 @@ The two orientations are NOT sign-flips of each other when p != q
 (the p/q roles interleave oppositely), which is why the orientation is
 an explicit flag instead of a negated gamma.
 
-Negative exponents scale both slots before inverting:
-(x (-) a)^{-n} = 1 / (p^{-n} x (-) q^{-n} a)^n, and symmetrically for
-the reversed orientation.  Evaluation at a zero of the denominator
-product raises :class:`PoleError`; exact arithmetic has no infinities.
+Negative exponents invert a scaled product, (x (-) a)^{-m} =
+1 / (p^{-m} x (-) q^{-m} a)^m, evaluated with factor j times p^m q^m so
+that every n runs one integer loop; a zero of the denominator product
+raises :class:`PoleError`, since exact arithmetic has no infinities.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import NegativeArgumentError, OutOfRangeError, PoleError
 from .polynomials import Polynomial, pq_difference_quotient
@@ -51,62 +52,56 @@ class PqPowerExpr:
         return self.orientation is Orientation.A_MINUS_X
 
 
+def _power_ints(a: int, b: int, d: int, n: int, params: PqParams) -> tuple[int, int]:
+    """(a/d (-) b/d)^n, any integer n, as unreduced (num, den); factor j is (a P^j - b Q^j)/(d S^j).
+
+    For n = -m the slots start at a Q^m and b P^m; den is 0 exactly at a pole.
+    """
+    big_p, big_q, s = params.as_ints()
+    m = abs(n)
+    if n < 0:
+        a, b = a * big_q**m, b * big_p**m
+    num = 1
+    for _ in range(m):
+        num *= a - b
+        a *= big_p
+        b *= big_q
+    if n >= 0:
+        return num, d**n * s ** (n * (n - 1) // 2)
+    return d**m * (big_p * big_q) ** (m * m), num * s ** (m * (m + 1) // 2)
+
+
 def pq_power_value(first: object, second: object, n: int, params: PqParams) -> Rat:
     """The scalar product (first (-) second)^n for n >= 0.
 
-    This is the raw n-factor product with both slots already numbers; the
-    connection formulas use it for values like (a (-) b)^{n-k}.
+    This is the raw n-factor product with both slots already numbers, as in
+    the values (b;q)_{n-k} of the q-binomial check.
     """
     if n < 0:
         raise NegativeArgumentError(f"need n >= 0, got {n}")
     u, v = rat(first), rat(second)
-    p, q = params.p, params.q
-    pd, qd = p.denominator, q.denominator
-    a, b = u.numerator * v.denominator, v.numerator * u.denominator
-    big_p, big_q = p.numerator * qd, q.numerator * pd
-    # factor j is (a*P^j - b*Q^j) / (ud*vd*(pd*qd)^j); normalise once at the end
-    num, den = 1, (u.denominator * v.denominator) ** n * (pd * qd) ** (n * (n - 1) // 2)
-    for _ in range(n):
-        num *= a - b
-        a *= big_p
-        b *= big_q
-    return Rat(num, den)
-
-
-def _inverted(e: PqPowerExpr) -> PqPowerExpr:
-    """Rewrite e with n < 0 as the positive-exponent denominator expression."""
-    m = -e.n
-    p, q = e.params.p, e.params.q
-    if e.orientation is Orientation.X_MINUS_A:
-        return PqPowerExpr(
-            a=q**-m * e.a, n=m, params=e.params, gamma=p**-m * e.gamma, orientation=e.orientation
-        )
-    return PqPowerExpr(
-        a=p**-m * e.a, n=m, params=e.params, gamma=q**-m * e.gamma, orientation=e.orientation
-    )
+    ud, vd = u.denominator, v.denominator
+    return Rat(*_power_ints(u.numerator * vd, v.numerator * ud, ud * vd, n, params))
 
 
 def eval_pq_power(e: PqPowerExpr, x: object) -> Rat:
-    """Exact value of the expression at rational x."""
+    """Exact value of the expression at rational x, with gamma*x and a over one denominator."""
     x = rat(x)
-    if e.n >= 0:
-        if e.orientation is Orientation.X_MINUS_A:
-            return pq_power_value(e.gamma * x, e.a, e.n, e.params)
-        return pq_power_value(e.a, e.gamma * x, e.n, e.params)
-    denom = eval_pq_power(_inverted(e), x)
-    if denom == 0:
+    gx_d = e.gamma.denominator * x.denominator
+    gx, a = e.gamma.numerator * x.numerator * e.a.denominator, e.a.numerator * gx_d
+    first, second = (gx, a) if e.orientation is Orientation.X_MINUS_A else (a, gx)
+    num, den = _power_ints(first, second, gx_d * e.a.denominator, e.n, e.params)
+    if den == 0:
         raise PoleError(f"denominator of {format_power_expr(e)} vanishes at x = {rat_str(x)}")
-    return 1 / denom
+    return Rat(num, den)
 
 
 def expand_expr(e: PqPowerExpr) -> Polynomial:
     """Canonical-basis polynomial equal to the expression (n >= 0 only)."""
     if e.n < 0:
         raise NegativeArgumentError("negative powers are not polynomials")
-    p, q = e.params.p, e.params.q
-    pd, qd = p.denominator, q.denominator
-    big_p, big_q = p.numerator * qd, q.numerator * pd
-    # factor j is the integer linear factor over gd*ad*(pd*qd)^j:
+    big_p, big_q, s = e.params.as_ints()
+    # factor j is the integer linear factor over gd*ad*S^j:
     #   forward  c1*P^j x - c0*Q^j,   reversed  c0*P^j - c1*Q^j x
     c0 = e.a.numerator * e.gamma.denominator
     c1 = e.gamma.numerator * e.a.denominator
@@ -119,7 +114,7 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
         out = [lo * c + hi * d for c, d in zip(out + [0], [0] + out)]
         lo *= lo_step
         hi *= hi_step
-    den = (e.a.denominator * e.gamma.denominator) ** e.n * (pd * qd) ** (e.n * (e.n - 1) // 2)
+    den = (e.a.denominator * e.gamma.denominator) ** e.n * s ** (e.n * (e.n - 1) // 2)
     return Polynomial([Rat(c, den) for c in out])
 
 
@@ -137,15 +132,9 @@ def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
     Valid for every integer n; n = 0 yields coefficient 0 (the residual
     expression is then irrelevant but kept consistent).
     """
-    p, q = e.params.p, e.params.q
-    br = bracket(e.n, e.params)
-    if e.orientation is Orientation.X_MINUS_A:
-        coeff = e.gamma * br
-        residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma=p * e.gamma, orientation=e.orientation)
-    else:
-        coeff = -e.gamma * br
-        residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma=q * e.gamma, orientation=e.orientation)
-    return coeff, residual
+    base, sign = (e.params.p, 1) if e.orientation is Orientation.X_MINUS_A else (e.params.q, -1)
+    residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma=base * e.gamma, orientation=e.orientation)
+    return sign * e.gamma * bracket(e.n, e.params), residual
 
 
 def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
@@ -159,30 +148,23 @@ def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
     return coeff, e
 
 
-def derive_pq_power_k(a: object, n: int, k: int, params: PqParams) -> tuple[Rat, PqPowerExpr]:
-    """Closed form of the k-fold derivative of (x (-) a)^n, 0 <= k <= n.
+def _derive_closed_k(
+    a: object, n: int, k: int, params: PqParams, orientation: Orientation
+) -> tuple[Rat, PqPowerExpr]:
+    """Closed form of the k-fold derivative of (x (-) a)^n or (a (-) x)^n, 0 <= k <= n.
 
-    D^k (x (-) a)^n = p^{k(k-1)/2} [n][n-1]...[n-k+1] (p^k x (-) a)^{n-k}.
+    D^k (x (-) a)^n = p^{k(k-1)/2} [n][n-1]...[n-k+1] (p^k x (-) a)^{n-k}
+    D^k (a (-) x)^n = (-1)^k q^{k(k-1)/2} [n][n-1]...[n-k+1] (a (-) q^k x)^{n-k}
     """
     if k < 0 or k > n:
         raise OutOfRangeError(f"need 0 <= k <= n, got n={n}, k={k}")
-    p = params.p
-    coeff = p ** (k * (k - 1) // 2) * bracket_falling(n, k, params)
-    residual = PqPowerExpr(a, n - k, params, gamma=p**k)
-    return coeff, residual
+    base, sign = (params.p, 1) if orientation is Orientation.X_MINUS_A else (params.q, -1)
+    coeff = sign**k * base ** (k * (k - 1) // 2) * bracket_falling(n, k, params)
+    return coeff, PqPowerExpr(a, n - k, params, gamma=base**k, orientation=orientation)
 
 
-def derive_reversed_k(a: object, n: int, k: int, params: PqParams) -> tuple[Rat, PqPowerExpr]:
-    """Closed form of the k-fold derivative of (a (-) x)^n, 0 <= k <= n.
-
-    D^k (a (-) x)^n = (-1)^k q^{k(k-1)/2} [n][n-1]...[n-k+1] (a (-) q^k x)^{n-k}.
-    """
-    if k < 0 or k > n:
-        raise OutOfRangeError(f"need 0 <= k <= n, got n={n}, k={k}")
-    q = params.q
-    coeff = (-1) ** k * q ** (k * (k - 1) // 2) * bracket_falling(n, k, params)
-    residual = PqPowerExpr(a, n - k, params, gamma=q**k, orientation=Orientation.A_MINUS_X)
-    return coeff, residual
+derive_pq_power_k = partial(_derive_closed_k, orientation=Orientation.X_MINUS_A)
+derive_reversed_k = partial(_derive_closed_k, orientation=Orientation.A_MINUS_X)
 
 
 def additive_law_check(a: object, m: int, n: int, params: PqParams, x: object) -> bool:

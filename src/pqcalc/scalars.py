@@ -7,11 +7,11 @@ both keep values in lowest terms with a positive denominator, parse the
 same ``"num/den"`` literals and print them back identically, so the
 choice is invisible to callers.
 
-The hot exact kernels (``bracket`` here, Horner in ``polynomials``,
-``pq_power_value`` and ``expand_expr`` in ``pqpower``) work fraction-free:
-they read ``numerator``/``denominator`` (which both backends provide),
-carry integer numerators over one common denominator, and normalise once
-per result instead of after every multiply.
+The hot exact kernels (brackets, Horner, the power product at every n,
+``expand_expr``, and the Taylor formulas, reconstruction and connection
+coefficients) work fraction-free: they read ``numerator``/``denominator``
+(which both backends provide), carry integer numerators over one common
+denominator, and normalise once per result instead of after every multiply.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
@@ -101,6 +101,11 @@ class PqParams:
     def as_floats(self) -> tuple[float, float]:
         return float(self.p), float(self.q)
 
+    def as_ints(self) -> tuple[int, int, int]:
+        """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd."""
+        p, q = self.p, self.q
+        return p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
+
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
 
@@ -157,16 +162,20 @@ def bracket(n: int, params: PqParams) -> Rat:
     For n >= 1 this equals the sum p^{n-1} + p^{n-2} q + ... + q^{n-1};
     negative n is allowed because p and q are nonzero.
 
-    For n >= 1, with A = pn*qd and B = qn*pd (p = pn/pd, q = qn/qd),
-    [n] = ((A^n - B^n) / (A - B)) / (pd*qd)^(n-1), where the first quotient
-    is an exact integer division.
+    For n >= 1, with p = P/S and q = Q/S (:meth:`PqParams.as_ints`),
+    [n] = ((P^n - Q^n) / (P - Q)) / S^(n-1), where the first quotient is an
+    exact integer division.
     """
-    p, q = params.p, params.q
     if n < 1:
-        return (p**n - q**n) / (p - q)
-    pd, qd = p.denominator, q.denominator
-    big_a, big_b = p.numerator * qd, q.numerator * pd
-    return Rat((big_a**n - big_b**n) // (big_a - big_b), (pd * qd) ** (n - 1))
+        return (params.p**n - params.q**n) / (params.p - params.q)
+    big_p, big_q, s = params.as_ints()
+    return Rat((big_p**n - big_q**n) // (big_p - big_q), s ** (n - 1))
+
+
+def bracket_numerators(n: int, params: PqParams) -> list[int]:
+    """The table [B_0, ..., B_n] with [k] = B_k / S^(k-1) as in ``bracket``; B_k = 0 only at p = -q."""
+    big_p, big_q, _ = params.as_ints()
+    return [(big_p**k - big_q**k) // (big_p - big_q) for k in range(n + 1)]
 
 
 def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
@@ -181,10 +190,7 @@ def pq_factorial(n: int, params: PqParams) -> Rat:
     """[n]! = [1][2]...[n], with [0]! = 1."""
     if n < 0:
         raise NegativeArgumentError(f"factorial needs n >= 0, got {n}")
-    out = rat(1)
-    for k in range(1, n + 1):
-        out *= bracket(k, params)
-    return out
+    return bracket_falling(n, n, params)
 
 
 def bracket_falling(n: int, k: int, params: PqParams) -> Rat:

@@ -6,9 +6,10 @@ evaluation formulas
     forward  basis (x (-) a)^k:  c_k = p^{-C(k,2)} (D^k f)(a p^{-k}) / [k]!
     reversed basis (a (-) x)^k:  c_k = (-1)^k q^{-C(k,2)} (D^k f)(a q^{-k}) / [k]!
 
-and reconstruction through the expanded basis polynomials returns f
-exactly.  (An independent triangular linear solve lives in the test
-suite as the oracle for these formulas.)
+with one bracket table per call, and Horner's rule in the power basis,
+c_0 + L_0 (c_1 + L_1 (c_2 + ...)) over its linear factors L_j, rebuilds f
+exactly; both are O(N^2) integer work.  (An independent triangular linear
+solve lives in the test suite as the oracle for these formulas.)
 
 Both formulas divide by [k]!, which vanishes at p = -q; that degenerate
 parameter pair is rejected even though the expansion coefficients would
@@ -24,13 +25,15 @@ whether they agree; at p = 1 they provably do (classical Heine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import partial
+from math import comb, lcm
 from typing import Optional
 
 from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
-from .polynomials import Polynomial, eval_poly, pq_derive_poly
+from .polynomials import Polynomial
 from .pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, pq_binomial, rat, rat_str
+from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, bracket_numerators
+from .scalars import pq_binomial, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,24 @@ class PowerBasisExpansion:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def to_polynomial(self, params: PqParams) -> Polynomial:
-        """Reconstruct the canonical-basis polynomial this expansion represents."""
-        out = Polynomial.zero()
-        for k, c in enumerate(self.coeffs):
-            basis = PqPowerExpr(self.a, k, params, orientation=self.orientation)
-            out = out + c * expand_expr(basis)
-        return out
+        """Reconstruct the canonical-basis polynomial, nested from the top coefficient down.
+
+        L_j is (lo lo_step^j + hi hi_step^j x) / (ad S^j); ``out`` stays over ``den * scale``.
+        """
+        cs = self.coeffs
+        big_p, big_q, s = params.as_ints()
+        an, ad = self.a.numerator, self.a.denominator
+        forward = self.orientation is Orientation.X_MINUS_A
+        lo, hi, lo_step, hi_step = (-an, ad, big_q, big_p) if forward else (an, -ad, big_p, big_q)
+        den = lcm(*[c.denominator for c in cs])
+        out, scale = [0], 1
+        for k in reversed(range(len(cs))):
+            out[0] += cs[k].numerator * (den // cs[k].denominator) * scale
+            if k:
+                lo_j, hi_j = lo * lo_step ** (k - 1), hi * hi_step ** (k - 1)
+                out = [lo_j * c + hi_j * d for c, d in zip(out + [0], [0] + out)]
+                scale *= ad * s ** (k - 1)
+        return Polynomial([Rat(c, den * scale) for c in out])
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,24 +90,28 @@ class PowerBasisExpansion:
 def _expand_by_formula(
     f: Polynomial, a: Rat, params: PqParams, orientation: Orientation
 ) -> PowerBasisExpansion:
-    base = params.p if orientation is Orientation.X_MINUS_A else params.q
-    sign = 1 if orientation is Orientation.X_MINUS_A else -1
-    coeffs = []
-    derivative = f
-    factorial = rat(1)
-    base_pow = rat(1)  # base^-k
-    base_tri = rat(1)  # base^-C(k,2)
-    for k in range(len(f.coeffs)):
+    base, sign = (params.p, 1) if orientation is Orientation.X_MINUS_A else (params.q, -1)
+    bn, bd = base.numerator, base.denominator
+    s = params.as_ints()[2]
+    brackets = bracket_numerators(len(f.coeffs) - 1, params)
+    den = lcm(*[c.denominator for c in f.coeffs])
+    # (D^k f)(y) = sum_j d[j] y^j / (den S^(kj + C(k,2))), and [k]! = fact / S^C(k,2)
+    d = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    coeffs, fact = [], 1
+    for k in range(len(d)):
         if k >= 1:
-            br = bracket(k, params)
-            if br == 0:
+            if brackets[k] == 0:
                 raise DegenerateRegimeError(f"[{k}] = 0 at p = -q; expansion formula divides by it")
-            factorial *= br
-            base_tri = base_pow * base_tri  # base^-C(k,2) picks up base^-(k-1)
-            base_pow /= base
-            derivative = pq_derive_poly(derivative, params)
-        value = eval_poly(derivative, a * base_pow)
-        coeffs.append(sign**k * base_tri * value / factorial)
+            fact *= brackets[k]
+            d = [c * br for c, br in zip(d[1:], brackets[1:])]
+        # Horner at y = a base^-k = yn / yd, carried over z = yd S^k
+        yn, z = a.numerator * bd**k, a.denominator * (bn * s) ** k
+        num, scale = 0, 1
+        for c in reversed(d):
+            num = num * yn + c * scale
+            scale *= z
+        e = k * (k - 1) // 2
+        coeffs.append(Rat(sign**k * num * z * bd**e, den * scale * fact * bn**e))
     return PowerBasisExpansion(a=a, orientation=orientation, coeffs=tuple(coeffs))
 
 
@@ -106,32 +125,20 @@ def taylor_expand_reversed(f: Polynomial, a: object, params: PqParams) -> PowerB
     return _expand_by_formula(f, rat(a), params, Orientation.A_MINUS_X)
 
 
-def connect_monomial(n: int, a: object, params: PqParams) -> tuple[Rat, ...]:
-    """Coefficients of x^n over (x (-) a)^k.
+def _connect_monomial(n: int, a: object, params: PqParams, orientation: Orientation) -> tuple[Rat, ...]:
+    """Coefficients of x^n over (x (-) a)^k or (a (-) x)^k.
 
-    c_k = p^{-C(k,2)} binom(n,k) (a p^{-k})^{n-k}, with 0^0 = 1 covering
-    the a = 0, k = n term.
+    x^n = (x (-) 0)^n / p^{C(n,2)} = (-1)^n (0 (-) x)^n / q^{C(n,2)}, so these
+    are the power-to-power coefficients from b = 0, scaled.
     """
-    if n < 0:
-        raise OutOfRangeError(f"need n >= 0, got {n}")
-    a = rat(a)
-    p = params.p
-    return tuple([
-        p ** (-comb(k, 2)) * pq_binomial(n, k, params) * (a * p**-k) ** (n - k)
-        for k in range(n + 1)
-    ])
+    coeffs = connect_power_to_power(0, a, n, params, orientation)
+    base, sign = (params.p, 1) if orientation is Orientation.X_MINUS_A else (params.q, -1)
+    scale = sign**n / base ** (n * (n - 1) // 2)
+    return tuple([scale * c for c in coeffs])
 
 
-def connect_monomial_reversed(n: int, a: object, params: PqParams) -> tuple[Rat, ...]:
-    """Coefficients of x^n over (a (-) x)^k."""
-    if n < 0:
-        raise OutOfRangeError(f"need n >= 0, got {n}")
-    a = rat(a)
-    q = params.q
-    return tuple([
-        (-1) ** k * q ** (-comb(k, 2)) * pq_binomial(n, k, params) * (a * q**-k) ** (n - k)
-        for k in range(n + 1)
-    ])
+connect_monomial = partial(_connect_monomial, orientation=Orientation.X_MINUS_A)
+connect_monomial_reversed = partial(_connect_monomial, orientation=Orientation.A_MINUS_X)
 
 
 def connect_power_to_power(
@@ -142,21 +149,30 @@ def connect_power_to_power(
     Forward:  (x (-) b)^n = sum_k binom(n,k) (a (-) b)^{n-k} (x (-) a)^k
     Reversed: (b (-) x)^n = sum_k binom(n,k) (b (-) a)^{n-k} (a (-) x)^k
 
-    The scalar factors (a (-) b)^{n-k} are themselves (p,q)-power values
-    with the full interleaved product structure.
+    Each scalar factor (a (-) b)^m is the first m factors of one integer product.
     """
     if n < 0:
         raise OutOfRangeError(f"need n >= 0, got {n}")
     a, b = rat(a), rat(b)
-    if orientation is Orientation.X_MINUS_A:
-        first, second = a, b
-    else:
-        first, second = b, a
+    first, second = (a, b) if orientation is Orientation.X_MINUS_A else (b, a)
+    big_p, big_q, s = params.as_ints()
+    # [m]! = fact[m] / S^C(m,2), (first (-) second)^m = prods[m] / (d^m S^C(m,2)), and
+    # binom(n,m) = fact[n] / (fact[m] fact[n-m] S^(m(n-m)))
+    u, v = first.numerator * second.denominator, second.numerator * first.denominator
+    d = first.denominator * second.denominator
+    fact, prods = [1], [1]
+    for br in bracket_numerators(n, params)[1:]:
+        fact.append(fact[-1] * br)
+        prods.append(prods[-1] * (u - v))
+        u *= big_p
+        v *= big_q
+    if fact[n] == 0:  # [2] = p + q = 0, so every binomial of row n >= 2 is 0/0
+        raise DegenerateRegimeError("binomial coefficients are undefined at p = -q for n >= 2")
     # a list, not a generator: CPython builds tuple(<generator>) by resizing,
     # which parks one tuple per call on its free lists
     return tuple([
-        pq_binomial(n, k, params) * pq_power_value(first, second, n - k, params)
-        for k in range(n + 1)
+        Rat(fact[n] * prods[m], fact[n - m] * fact[m] * d**m * s ** (m * (2 * n - m - 1) // 2))
+        for m in reversed(range(n + 1))
     ])
 
 

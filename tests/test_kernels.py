@@ -1,9 +1,12 @@
 """The fraction-free exact kernels against naive Fraction reference code.
 
-``pq_power_value``, ``expand_expr``, exact ``eval_poly`` and ``bracket``
-carry integer numerators over a common denominator and normalise once per
-result.  The references below multiply and add plain ``Fraction`` values
-step by step, so they share no arithmetic with the kernels they judge.
+``pq_power_value``, ``eval_pq_power`` (every integer n), ``expand_expr``,
+exact ``eval_poly``, ``bracket`` and the Taylor layer (the expansion
+formulas, ``PowerBasisExpansion.to_polynomial`` and the connection
+coefficients) carry integer numerators over a common denominator and
+normalise once per result.  The references below multiply and add plain
+``Fraction`` values step by step, so they share no arithmetic with the
+kernels they judge.
 """
 
 import math
@@ -12,9 +15,18 @@ from fractions import Fraction
 
 import pytest
 
+from pqcalc.errors import DegenerateRegimeError, PoleError
 from pqcalc.polynomials import Polynomial, eval_poly
-from pqcalc.pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
+from pqcalc.pqpower import Orientation, PqPowerExpr, eval_pq_power, expand_expr, pq_power_value
 from pqcalc.scalars import PqParams, Rat, bracket, rat
+from pqcalc.taylor import (
+    PowerBasisExpansion,
+    connect_monomial,
+    connect_monomial_reversed,
+    connect_power_to_power,
+    taylor_expand,
+    taylor_expand_reversed,
+)
 
 
 def ref_power_value(u, v, n, p, q):
@@ -51,6 +63,50 @@ def ref_eval(coeffs, x):
 
 def ref_bracket(n, p, q):
     return (p**n - q**n) / (p - q)
+
+
+def ref_factorial(n, p, q):
+    out = Fraction(1)
+    for k in range(1, n + 1):
+        out *= ref_bracket(k, p, q)
+    return out
+
+
+def ref_binomial(n, k, p, q):
+    return ref_factorial(n, p, q) / (ref_factorial(k, p, q) * ref_factorial(n - k, p, q))
+
+
+def ref_poly_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return out
+
+
+def ref_reconstruct(coeffs, a, p, q, orientation):
+    """The O(N^3) way: expand every basis element, scale it and add."""
+    out = []
+    for k, c in enumerate(coeffs):
+        out = ref_poly_add(out, [c * b for b in ref_expand(a, k, p, q, Fraction(1), orientation)])
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_taylor(coeffs, a, p, q, orientation):
+    """c_k = sign^k base^-C(k,2) (D^k f)(a base^-k) / [k]!, one Fraction step at a time."""
+    base, sign = (p, 1) if orientation is Orientation.X_MINUS_A else (q, -1)
+    out, derivative = [], list(coeffs)
+    for k in range(len(coeffs)):
+        if k:
+            derivative = [ref_bracket(i, p, q) * c for i, c in enumerate(derivative) if i]
+        value = ref_eval(derivative, a * base**-k)
+        out.append(sign**k * base ** -(k * (k - 1) // 2) * value / ref_factorial(k, p, q))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def two_digit(rng):
@@ -184,6 +240,180 @@ class TestBracket:
             got = bracket(n, params)
             assert got == ref_bracket(n, p, q)
             assert_lowest_rat(got)
+
+
+class TestNegativePower:
+    """eval_pq_power against the inverted scaled product, poles included."""
+
+    @staticmethod
+    def reference(a, m, p, q, gamma, x, orientation):
+        # (x (-) a)^-m = 1 / (p^-m gx (-) q^-m a)^m, reversed 1 / (p^-m a (-) q^-m gx)^m
+        if orientation is Orientation.X_MINUS_A:
+            return ref_power_value(p**-m * gamma * x, q**-m * a, m, p, q)
+        return ref_power_value(p**-m * a, q**-m * gamma * x, m, p, q)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", param_cases(53, 20))
+    def test_matches_reference(self, p, q, orientation):
+        rng = random.Random(f"{p}/{q}/{orientation.value}/neg")
+        params = PqParams(p, q)
+        poles = 0
+        for m in range(1, 6):
+            a, gamma = two_digit(rng), two_digit(rng)
+            if gamma == 0:
+                gamma = Fraction(1)
+            # the zeros of factor j, plus three ordinary points
+            r = p / q if orientation is Orientation.X_MINUS_A else q / p
+            points = [r ** (m - j) * a / gamma for j in range(m)] + [two_digit(rng) for _ in range(3)]
+            e = PqPowerExpr(a, -m, params, gamma=gamma, orientation=orientation)
+            for x in points:
+                denom = self.reference(a, m, p, q, gamma, x, orientation)
+                if denom == 0:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        eval_pq_power(e, x)
+                    continue
+                got = eval_pq_power(e, x)
+                assert got == 1 / denom
+                assert_lowest_rat(got)
+        assert poles >= 5
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", EDGE_PARAMS)
+    def test_every_n_and_zero_slots(self, p, q, orientation):
+        params = PqParams(p, q)
+        for a, gamma, x in [(0, Fraction(5, 3), Fraction(2, 7)), (Fraction(-2, 7), 0, 3), (0, 1, 0)]:
+            for n in range(-5, 7):
+                e = PqPowerExpr(a, n, params, gamma=gamma, orientation=orientation)
+                if n >= 0:
+                    gx = Fraction(gamma) * x
+                    first, second = (gx, a) if orientation is Orientation.X_MINUS_A else (a, gx)
+                    assert eval_pq_power(e, x) == ref_power_value(first, Fraction(second), n, p, q)
+                    continue
+                denom = self.reference(Fraction(a), -n, p, q, Fraction(gamma), Fraction(x), orientation)
+                if denom == 0:
+                    with pytest.raises(PoleError):
+                        eval_pq_power(e, x)
+                else:
+                    assert eval_pq_power(e, x) == 1 / denom
+
+
+class TestReconstruction:
+    """PowerBasisExpansion.to_polynomial against expanding every basis element."""
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", param_cases(61, 10))
+    def test_matches_reference(self, p, q, orientation):
+        rng = random.Random(f"{p}/{q}/{orientation.value}/rebuild")
+        params = PqParams(p, q)
+        for size in range(0, 14):
+            a = Fraction(0) if size % 5 == 0 else two_digit(rng)
+            coeffs = [two_digit(rng) for _ in range(size)]
+            got = PowerBasisExpansion(a, orientation, tuple(coeffs)).to_polynomial(params)
+            assert got.coeffs == ref_reconstruct(coeffs, a, p, q, orientation)
+            for c in got.coeffs:
+                assert_lowest_rat(c)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_empty_and_degree_zero(self, orientation):
+        params = PqParams(rat("-3/2"), rat("5/7"))
+        assert PowerBasisExpansion(rat(2), orientation, ()).to_polynomial(params).is_zero()
+        got = PowerBasisExpansion(rat(2), orientation, (rat("-4/9"),)).to_polynomial(params)
+        assert got == Polynomial(["-4/9"])
+        assert_lowest_rat(got.coeffs[0])
+
+
+class TestExpansionFormula:
+    """taylor_expand and taylor_expand_reversed against the formula in Fractions."""
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", [pq for pq in param_cases(67, 10) if pq[0] != -pq[1]])
+    def test_matches_reference(self, p, q, orientation):
+        rng = random.Random(f"{p}/{q}/{orientation.value}/formula")
+        params = PqParams(p, q)
+        expand = taylor_expand if orientation is Orientation.X_MINUS_A else taylor_expand_reversed
+        for size in range(0, 13):
+            a = Fraction(0) if size % 4 == 0 else two_digit(rng)
+            coeffs = [two_digit(rng) for _ in range(size)]
+            got = expand(Polynomial(coeffs), a, params)
+            assert got.coeffs == ref_taylor(Polynomial(coeffs).coeffs, a, p, q, orientation)
+            assert got.orientation is orientation
+            for c in got.coeffs:
+                assert_lowest_rat(c)
+
+    @pytest.mark.parametrize("p, q", [pq for pq in EDGE_PARAMS if pq[0] == -pq[1]])
+    def test_p_equals_minus_q(self, p, q):
+        params = PqParams(p, q)
+        for expand in (taylor_expand, taylor_expand_reversed):
+            for coeffs in ([], ["7/3"], ["7/3", "-2/5"]):
+                f = Polynomial(coeffs)
+                assert expand(f, Fraction(3, 4), params).to_polynomial(params) == f
+            with pytest.raises(DegenerateRegimeError, match=r"\[2\] = 0"):
+                expand(Polynomial(["1", "0", "1"]), Fraction(3, 4), params)
+
+
+class TestConnection:
+    """The connection coefficients against Fraction binomials and power values."""
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", param_cases(71, 10))
+    def test_power_to_power(self, p, q, orientation):
+        rng = random.Random(f"{p}/{q}/{orientation.value}/connect")
+        params = PqParams(p, q)
+        for n in range(0, 12):
+            if p == -q and n >= 2:
+                continue
+            a, b = two_digit(rng), two_digit(rng)
+            if n % 4 == 0:
+                a, b = (Fraction(0), b) if n % 8 == 0 else (a, Fraction(0))
+            first, second = (a, b) if orientation is Orientation.X_MINUS_A else (b, a)
+            got = connect_power_to_power(b, a, n, params, orientation)
+            ref = tuple(
+                ref_binomial(n, k, p, q) * ref_power_value(first, second, n - k, p, q)
+                for k in range(n + 1)
+            )
+            assert got == ref
+            for c in got:
+                assert_lowest_rat(c)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", param_cases(73, 10))
+    def test_monomial(self, p, q, orientation):
+        rng = random.Random(f"{p}/{q}/{orientation.value}/monomial")
+        params = PqParams(p, q)
+        connect = connect_monomial if orientation is Orientation.X_MINUS_A else connect_monomial_reversed
+        base, sign = (p, 1) if orientation is Orientation.X_MINUS_A else (q, -1)
+        for n in range(0, 12):
+            if p == -q and n >= 2:
+                continue
+            a = Fraction(0) if n % 3 == 0 else two_digit(rng)
+            got = connect(n, a, params)
+            ref = tuple(
+                sign**k * base ** -(k * (k - 1) // 2) * ref_binomial(n, k, p, q) * (a * base**-k) ** (n - k)
+                for k in range(n + 1)
+            )
+            assert got == ref
+            for c in got:
+                assert_lowest_rat(c)
+
+    @pytest.mark.parametrize("p, q", [pq for pq in EDGE_PARAMS if pq[0] == -pq[1]])
+    def test_p_equals_minus_q(self, p, q):
+        params = PqParams(p, q)
+        a, b = Fraction(2, 3), Fraction(-5, 4)
+        for orientation in Orientation:
+            first, second = (a, b) if orientation is Orientation.X_MINUS_A else (b, a)
+            assert connect_power_to_power(b, a, 0, params, orientation) == (1,)
+            assert connect_power_to_power(b, a, 1, params, orientation) == (first - second, 1)
+        assert connect_monomial(1, a, params) == (a, 1)
+        assert connect_monomial_reversed(1, a, params) == (a, -1)
+        message = r"binomial coefficients are undefined at p = -q for n >= 2"
+        for n in (2, 3, 6):
+            for orientation in Orientation:
+                with pytest.raises(DegenerateRegimeError, match=message):
+                    connect_power_to_power(b, a, n, params, orientation)
+            for connect in (connect_monomial, connect_monomial_reversed):
+                with pytest.raises(DegenerateRegimeError, match=message):
+                    connect(n, a, params)
 
 
 class TestRat:
