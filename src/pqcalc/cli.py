@@ -131,6 +131,24 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
     print(json.dumps(payload) if args.json else human)
 
 
+def _log10(x) -> float:
+    return math.log10(abs(x.numerator)) - math.log10(x.denominator)
+
+
+def _bracket_digits(n: int, params: PqParams) -> float:
+    """A lower bound on the decimal digits of the numerator or denominator of [n], n != 0.
+
+    With k = |n|, M = max(|p|,|q|) and m = min(|p|,|q|) < M, the bounds
+    M^k (1 - m/M) <= |p^k - q^k| <= 2 M^k bound |[k]| = |p^k - q^k| / |p - q|,
+    and [-k] = -[k]/(pq)^k.
+    """
+    k = abs(n)
+    big, small = sorted((abs(params.p), abs(params.q)), reverse=True)
+    shift = k * _log10(params.p * params.q) if n < 0 else 0
+    mid = k * _log10(big) - _log10(params.p - params.q) - shift
+    return max(mid + _log10(1 - small / big), -(mid + math.log10(2)))
+
+
 def cmd_bracket(args: argparse.Namespace) -> int:
     params = _params(args)
     try:
@@ -138,6 +156,9 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     except ValueError:
         n = None
     if n is not None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and n and abs(params.p) != abs(params.q) and _bracket_digits(n, params) > limit:
+            raise ValueError(f"[{n}] has over {limit} digits, the int-to-str limit")
         value = bracket(n, params)
         _emit(args, {"value": rat_str(value)}, rat_str(value))
     else:

@@ -1,13 +1,23 @@
-"""Seeded identity suite: every proposition the engine implements, as a check.
+"""Seeded identity suite: every proposition the engine implements, as a law.
 
-Each check draws random instances from a :class:`random.Random`, verifies
+Each law draws random instances from a :class:`random.Random`, verifies
 one labelled identity and reports a :class:`CheckResult`.  Algebraic laws
 are checked in exact rational arithmetic (a failure means the identity is
-false, not that a tolerance was tight); lattice-series checks are numeric
+false, not that a tolerance was tight); lattice-series laws are numeric
 with the tolerances stated next to them.
 
 Left-hand sides of derivative laws are genuine difference quotients of the
 evaluated functions, so the checks do not reuse the code paths they judge.
+
+Add a law by decorating one function with :func:`law`, which registers it
+in :data:`CHECKS` (and, with ``exact=True``, in :data:`EXACT_LAW_LABELS`).
+A plain law ``trial(rng, **bound) -> bool`` runs once per trial.  A
+``cases=True`` law is a generator ``(rng, trials, **bound)`` that yields one
+bool per case and a ``str`` per note, so a fixed grid can ignore ``trials``.
+Other keywords of :func:`law` are passed to every call, so stacked decorators
+let one function back several labels; they register bottom-up, and the
+order of :data:`CHECKS` is the report order.  Write each outcome as a pass
+condition (``gap < tol``), so that a NaN fails.
 """
 
 from __future__ import annotations
@@ -84,6 +94,31 @@ class CheckResult:
         return self.failures == 0
 
 
+# ----------------------------------------------------------------- registry
+
+CHECKS: dict[str, Callable[[Random, int], CheckResult]] = {}
+_exact_labels: list[str] = []
+
+
+def law(label: str, *, exact: bool = False, cases: bool = False, **bound):
+    """Register the decorated trial, or case generator if ``cases``, as the check ``label``."""
+
+    def register(fn):
+        def check(rng: Random, trials: int) -> CheckResult:
+            runs = fn(rng, trials, **bound) if cases else (fn(rng, **bound) for _ in range(trials))
+            outcomes = list(runs)
+            verdicts = [ok for ok in outcomes if not isinstance(ok, str)]
+            notes = tuple(note for note in outcomes if isinstance(note, str))
+            return CheckResult(label, len(verdicts), sum(not ok for ok in verdicts), notes)
+
+        CHECKS[label] = check
+        if exact:
+            _exact_labels.append(label)
+        return fn
+
+    return register
+
+
 # ---------------------------------------------------------------- sampling
 
 _PARAM_POOL = [
@@ -103,8 +138,7 @@ def _rand_rat(rng: Random, max_num: int = 8, max_den: int = 5, nonzero: bool = F
             return value
 
 
-def _rand_params(rng: Random, pool: list | None = None) -> PqParams:
-    pool = pool if pool is not None else _PARAM_POOL
+def _rand_params(rng: Random, pool: list = _PARAM_POOL) -> PqParams:
     while True:
         p, q = rng.choice(pool), rng.choice(pool)
         if p != q and p != -q:
@@ -136,29 +170,21 @@ def _rand_x(rng: Random, avoid: Callable[[Rat], bool] | None = None) -> Rat:
     raise RuntimeError("could not find a safe sample point")
 
 
-def _run(rng: Random, trials: int, one_trial: Callable[[Random], bool]) -> tuple[int, int]:
-    failures = 0
-    for _ in range(trials):
-        if not one_trial(rng):
-            failures += 1
-    return trials, failures
-
-
 # ------------------------------------------------------ derivative algebra
 
-def check_linearity(rng: Random, trials: int) -> CheckResult:
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        f, g = _rand_poly(rng, 5), _rand_poly(rng, 5)
-        a, b = _rand_rat(rng), _rand_rat(rng)
-        lhs = pq_derive_poly(a * f + b * g, params)
-        rhs = a * pq_derive_poly(f, params) + b * pq_derive_poly(g, params)
-        return lhs == rhs
-
-    return CheckResult("linearity", *_run(rng, trials, trial))
+@law("linearity", exact=True)
+def _linearity(rng: Random) -> bool:
+    params = _rand_params(rng)
+    f, g = _rand_poly(rng, 5), _rand_poly(rng, 5)
+    a, b = _rand_rat(rng), _rand_rat(rng)
+    lhs = pq_derive_poly(a * f + b * g, params)
+    rhs = a * pq_derive_poly(f, params) + b * pq_derive_poly(g, params)
+    return lhs == rhs
 
 
-def _product_rule_trial(rng: Random, first_form: bool) -> bool:
+@law("product-rule-2", exact=True, first_form=False)
+@law("product-rule-1", exact=True, first_form=True)
+def _product_rule(rng: Random, first_form: bool) -> bool:
     params = _rand_params(rng)
     p, q = params.p, params.q
     f, g = _rand_poly(rng, 4), _rand_poly(rng, 4)
@@ -172,15 +198,9 @@ def _product_rule_trial(rng: Random, first_form: bool) -> bool:
     return lhs == rhs
 
 
-def check_product_rule_1(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("product-rule-1", *_run(rng, trials, lambda r: _product_rule_trial(r, True)))
-
-
-def check_product_rule_2(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("product-rule-2", *_run(rng, trials, lambda r: _product_rule_trial(r, False)))
-
-
-def _quotient_rule_trial(rng: Random, first_form: bool) -> bool:
+@law("quotient-rule-2", exact=True, first_form=False)
+@law("quotient-rule-1", exact=True, first_form=True)
+def _quotient_rule(rng: Random, first_form: bool) -> bool:
     params = _rand_params(rng)
     p, q = params.p, params.q
     f = _rand_poly(rng, 3)
@@ -200,119 +220,99 @@ def _quotient_rule_trial(rng: Random, first_form: bool) -> bool:
     return lhs == rhs
 
 
-def check_quotient_rule_1(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("quotient-rule-1", *_run(rng, trials, lambda r: _quotient_rule_trial(r, True)))
-
-
-def check_quotient_rule_2(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("quotient-rule-2", *_run(rng, trials, lambda r: _quotient_rule_trial(r, False)))
-
-
 # -------------------------------------------------------- power basis laws
 
-def check_derule1(rng: Random, trials: int) -> CheckResult:
+@law("derule1", exact=True)
+def _derule1(rng: Random) -> bool:
     """D (x (-) a)^n = [n] (px (-) a)^{n-1} as polynomials, n >= 0."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        a = _rand_rat(rng)
-        n = rng.randint(0, 6)
-        lhs = pq_derive_poly(expand_pq_power(a, n, params), params)
-        if n == 0:
-            return lhs.is_zero()
-        residual = PqPowerExpr(a, n - 1, params, gamma=params.p)
-        return lhs == bracket(n, params) * expand_expr(residual)
-
-    return CheckResult("derule1", *_run(rng, trials, trial))
+    params = _rand_params(rng)
+    a = _rand_rat(rng)
+    n = rng.randint(0, 6)
+    lhs = pq_derive_poly(expand_pq_power(a, n, params), params)
+    if n == 0:
+        return lhs.is_zero()
+    residual = PqPowerExpr(a, n - 1, params, gamma=params.p)
+    return lhs == bracket(n, params) * expand_expr(residual)
 
 
-def check_derule2(rng: Random, trials: int) -> CheckResult:
+@law("derule2", exact=True)
+def _derule2(rng: Random) -> bool:
     """Scaled law D (g x (-) a)^n = g [n] (g p x (-) a)^{n-1} as polynomials."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        a = _rand_rat(rng)
-        gamma = _rand_rat(rng, nonzero=True)
-        n = rng.randint(1, 5)
-        e = PqPowerExpr(a, n, params, gamma=gamma)
-        coeff, residual = derive_pq_power(e)
-        if coeff != gamma * bracket(n, params) or residual.gamma != gamma * params.p:
-            return False
-        return pq_derive_poly(expand_expr(e), params) == coeff * expand_expr(residual)
-
-    return CheckResult("derule2", *_run(rng, trials, trial))
+    params = _rand_params(rng)
+    a = _rand_rat(rng)
+    gamma = _rand_rat(rng, nonzero=True)
+    n = rng.randint(1, 5)
+    e = PqPowerExpr(a, n, params, gamma=gamma)
+    coeff, residual = derive_pq_power(e)
+    if coeff != gamma * bracket(n, params) or residual.gamma != gamma * params.p:
+        return False
+    return pq_derive_poly(expand_expr(e), params) == coeff * expand_expr(residual)
 
 
-def check_derule3(rng: Random, trials: int) -> CheckResult:
+@law("derule3", exact=True)
+def _derule3(rng: Random) -> bool:
     """k-fold closed form on the forward basis, plus its coefficient recursion."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        a = _rand_rat(rng)
-        n = rng.randint(0, 6)
-        f = expand_pq_power(a, n, params)
-        previous = None
-        for k in range(n + 1):
-            coeff, residual = derive_pq_power_k(a, n, k, params)
-            if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
+    params = _rand_params(rng)
+    a = _rand_rat(rng)
+    n = rng.randint(0, 6)
+    f = expand_pq_power(a, n, params)
+    previous = None
+    for k in range(n + 1):
+        coeff, residual = derive_pq_power_k(a, n, k, params)
+        if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
+            return False
+        if previous is not None:
+            # coeff(k)/coeff(k-1) = p^{k-1} [n-k+1]
+            if coeff != previous * params.p ** (k - 1) * bracket(n - k + 1, params):
                 return False
-            if previous is not None:
-                # coeff(k)/coeff(k-1) = p^{k-1} [n-k+1]
-                if coeff != previous * params.p ** (k - 1) * bracket(n - k + 1, params):
-                    return False
-            previous = coeff
-        return True
-
-    return CheckResult("derule3", *_run(rng, trials, trial))
+        previous = coeff
+    return True
 
 
-def check_der3(rng: Random, trials: int) -> CheckResult:
+@law("der3", exact=True)
+def _der3(rng: Random) -> bool:
     """Single-derivative law for every integer n in [-4, 6], pointwise exact."""
+    params = _rand_params(rng)
+    a = _rand_rat(rng, nonzero=True)
+    for n in range(-4, 7):
+        e = PqPowerExpr(a, n, params)
+        coeff, residual = derive_pq_power(e)
 
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        a = _rand_rat(rng, nonzero=True)
-        for n in range(-4, 7):
-            e = PqPowerExpr(a, n, params)
-            coeff, residual = derive_pq_power(e)
+        def poles(t: Rat) -> bool:
+            try:
+                eval_pq_power(e, params.p * t)
+                eval_pq_power(e, params.q * t)
+                eval_pq_power(residual, t)
+            except PoleError:
+                return True
+            return False
 
-            def poles(t: Rat) -> bool:
-                try:
-                    eval_pq_power(e, params.p * t)
-                    eval_pq_power(e, params.q * t)
-                    eval_pq_power(residual, t)
-                except PoleError:
-                    return True
-                return False
-
-            x = _rand_x(rng, avoid=poles)
-            lhs = pq_difference_quotient(lambda t: eval_pq_power(e, t), x, params)
-            rhs = rat(0) if coeff == 0 else coeff * eval_pq_power(residual, x)
-            if lhs != rhs:
-                return False
-        return True
-
-    return CheckResult("der3", *_run(rng, trials, trial))
+        x = _rand_x(rng, avoid=poles)
+        lhs = pq_difference_quotient(lambda t: eval_pq_power(e, t), x, params)
+        rhs = rat(0) if coeff == 0 else coeff * eval_pq_power(residual, x)
+        if lhs != rhs:
+            return False
+    return True
 
 
-def check_derule4(rng: Random, trials: int) -> CheckResult:
+@law("derule4", exact=True)
+def _derule4(rng: Random) -> bool:
     """k-fold closed form on the reversed basis, as polynomials."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        a = _rand_rat(rng)
-        n = rng.randint(0, 5)
-        f = expand_expr(PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X))
-        for k in range(n + 1):
-            coeff, residual = derive_reversed_k(a, n, k, params)
-            if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
-                return False
-        return True
-
-    return CheckResult("derule4", *_run(rng, trials, trial))
+    params = _rand_params(rng)
+    a = _rand_rat(rng)
+    n = rng.randint(0, 5)
+    f = expand_expr(PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X))
+    for k in range(n + 1):
+        coeff, residual = derive_reversed_k(a, n, k, params)
+        if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
+            return False
+    return True
 
 
-def _reciprocal_trial(rng: Random, which: int) -> bool:
+@law("r3", exact=True, which=2)
+@law("r2", exact=True, which=1)
+@law("r1", exact=True, which=0)
+def _reciprocal(rng: Random, which: int) -> bool:
     params = _rand_params(rng)
     a = _rand_rat(rng, nonzero=True)
     n = rng.randint(0, 4)
@@ -331,127 +331,105 @@ def _reciprocal_trial(rng: Random, which: int) -> bool:
     return reciprocal_rules_check(a, n, params, x)[which]
 
 
-def check_r1(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("r1", *_run(rng, trials, lambda r: _reciprocal_trial(r, 0)))
-
-
-def check_r2(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("r2", *_run(rng, trials, lambda r: _reciprocal_trial(r, 1)))
-
-
-def check_r3(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("r3", *_run(rng, trials, lambda r: _reciprocal_trial(r, 2)))
-
-
-def check_expand1(rng: Random, trials: int) -> CheckResult:
+@law("expand1", exact=True)
+def _expand1(rng: Random) -> bool:
     """Additive law over the full sign grid m, n in [-3, 3]^2."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        a = _rand_rat(rng, nonzero=True)
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                for _ in range(50):
-                    x = _rand_rat(rng, nonzero=True)
-                    try:
-                        if not additive_law_check(a, m, n, params, x):
-                            return False
-                        break
-                    except PoleError:
-                        continue
-                else:
-                    return False
-        return True
-
-    return CheckResult("expand1", *_run(rng, trials, trial))
+    params = _rand_params(rng)
+    a = _rand_rat(rng, nonzero=True)
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            for _ in range(50):
+                x = _rand_rat(rng, nonzero=True)
+                try:
+                    if not additive_law_check(a, m, n, params, x):
+                        return False
+                    break
+                except PoleError:
+                    continue
+            else:
+                return False
+    return True
 
 
-def check_negdef(rng: Random, trials: int) -> CheckResult:
+@law("negdef", exact=True)
+def _negdef(rng: Random) -> bool:
     """(x (-) a)^{-n} (p^{-n} x (-) q^{-n} a)^n = 1 at non-pole points."""
+    params = _rand_params(rng)
+    p, q = params.p, params.q
+    a = _rand_rat(rng, nonzero=True)
+    n = rng.randint(0, 4)
+    negative = PqPowerExpr(a, -n, params)
+    partner = PqPowerExpr(q**-n * a, n, params, gamma=p**-n)
 
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        p, q = params.p, params.q
-        a = _rand_rat(rng, nonzero=True)
-        n = rng.randint(0, 4)
-        negative = PqPowerExpr(a, -n, params)
-        partner = PqPowerExpr(q**-n * a, n, params, gamma=p**-n)
+    def poles(t: Rat) -> bool:
+        try:
+            eval_pq_power(negative, t)
+        except PoleError:
+            return True
+        return False
 
-        def poles(t: Rat) -> bool:
-            try:
-                eval_pq_power(negative, t)
-            except PoleError:
-                return True
-            return False
-
-        x = _rand_x(rng, avoid=poles)
-        return eval_pq_power(negative, x) * eval_pq_power(partner, x) == 1
-
-    return CheckResult("negdef", *_run(rng, trials, trial))
+    x = _rand_x(rng, avoid=poles)
+    return eval_pq_power(negative, x) * eval_pq_power(partner, x) == 1
 
 
-def check_expand_eval_coherence(rng: Random, trials: int) -> CheckResult:
+@law("expand-eval-coherence")
+def _expand_eval_coherence(rng: Random) -> bool:
     """eval of the product form equals eval of the expanded polynomial."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        e = PqPowerExpr(
-            _rand_rat(rng),
-            rng.randint(0, 6),
-            params,
-            gamma=_rand_rat(rng, nonzero=True),
-            orientation=rng.choice((Orientation.X_MINUS_A, Orientation.A_MINUS_X)),
-        )
-        x = _rand_rat(rng)
-        return eval_pq_power(e, x) == eval_poly(expand_expr(e), x)
-
-    return CheckResult("expand-eval-coherence", *_run(rng, trials, trial))
+    params = _rand_params(rng)
+    e = PqPowerExpr(
+        _rand_rat(rng),
+        rng.randint(0, 6),
+        params,
+        gamma=_rand_rat(rng, nonzero=True),
+        orientation=rng.choice((Orientation.X_MINUS_A, Orientation.A_MINUS_X)),
+    )
+    x = _rand_rat(rng)
+    return eval_pq_power(e, x) == eval_poly(expand_expr(e), x)
 
 
-def check_reversed_basis_distinct(rng: Random, trials: int) -> CheckResult:
+@law("reversed-basis-distinct", cases=True)
+def _reversed_basis_distinct(rng: Random, trials: int):
     """Witness that (a (-) x)^n is not (-1)^n (x (-) a)^n when p != q."""
     params = PqParams(2, 1)
     forward = eval_pq_power(PqPowerExpr(0, 2, params), 1)
     reverse = eval_pq_power(PqPowerExpr(0, 2, params, orientation=Orientation.A_MINUS_X), 1)
-    distinct = forward == 2 and reverse == 1 and forward != (-1) ** 2 * reverse
-    return CheckResult("reversed-basis-distinct", 1, 0 if distinct else 1)
+    yield forward == 2 and reverse == 1 and forward != (-1) ** 2 * reverse
 
 
 # ------------------------------------------------------------- scalar laws
 
-def check_bracket_invariants(rng: Random, trials: int) -> CheckResult:
+@law("bracket-invariants")
+def _bracket_invariants(rng: Random) -> bool:
     """Symmetry, the sum form, the q-reduction, binomial symmetry and scaling."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        p, q = params.p, params.q
-        n = rng.randint(-5, 8)
-        if bracket(n, params) != bracket(n, params.swapped()):
+    params = _rand_params(rng)
+    p, q = params.p, params.q
+    n = rng.randint(-5, 8)
+    if bracket(n, params) != bracket(n, params.swapped()):
+        return False
+    m = rng.randint(1, 8)
+    if bracket(m, params) != sum(p ** (m - 1 - k) * q**k for k in range(m)):
+        return False
+    if q != 1:
+        jackson = PqParams(1, q)
+        if bracket(m, jackson) != (1 - q**m) / (1 - q):
             return False
-        m = rng.randint(1, 8)
-        if bracket(m, params) != sum(p ** (m - 1 - k) * q**k for k in range(m)):
+    k = rng.randint(0, m)
+    if pq_binomial(m, k, params) != pq_binomial(m, m - k, params):
+        return False
+    scaled = PqParams(1, q / p)
+    if pq_binomial(m, k, params) != p ** (k * (m - k)) * pq_binomial(m, k, scaled):
+        return False
+    if p > 0 and q > 0:
+        if not bracket_alpha(float(m), params).close_to(float(bracket(m, params))):
             return False
-        if q != 1:
-            jackson = PqParams(1, q)
-            if bracket(m, jackson) != (1 - q**m) / (1 - q):
-                return False
-        k = rng.randint(0, m)
-        if pq_binomial(m, k, params) != pq_binomial(m, m - k, params):
-            return False
-        scaled = PqParams(1, q / p)
-        if pq_binomial(m, k, params) != p ** (k * (m - k)) * pq_binomial(m, k, scaled):
-            return False
-        if p > 0 and q > 0:
-            if not bracket_alpha(float(m), params).close_to(float(bracket(m, params))):
-                return False
-        return True
-
-    return CheckResult("bracket-invariants", *_run(rng, trials, trial))
+    return True
 
 
 # ------------------------------------------------------------ Taylor layer
 
-def _taylor_trial(rng: Random, reverse: bool) -> bool:
+@law("taylor-roundtrip-reversed", reverse=True)
+@law("taylor-roundtrip", reverse=False)
+def _taylor_roundtrip(rng: Random, reverse: bool) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
     f = Polynomial(
         rat(rng.randint(-50, 50)) / rng.randint(1, 50) for _ in range(rng.randint(1, 9))
@@ -466,17 +444,9 @@ def _taylor_trial(rng: Random, reverse: bool) -> bool:
     return True
 
 
-def check_taylor_roundtrip(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("taylor-roundtrip", *_run(rng, trials, lambda r: _taylor_trial(r, False)))
-
-
-def check_taylor_roundtrip_reversed(rng: Random, trials: int) -> CheckResult:
-    return CheckResult(
-        "taylor-roundtrip-reversed", *_run(rng, trials, lambda r: _taylor_trial(r, True))
-    )
-
-
-def _connect_monomial_trial(rng: Random, reverse: bool) -> bool:
+@law("conec2", reverse=True)
+@law("conec1", reverse=False)
+def _connect_monomial(rng: Random, reverse: bool) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
     n = rng.randint(0, 8)
     a = _rand_rat(rng)
@@ -486,15 +456,9 @@ def _connect_monomial_trial(rng: Random, reverse: bool) -> bool:
     return coeffs == padded
 
 
-def check_conec1(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("conec1", *_run(rng, trials, lambda r: _connect_monomial_trial(r, False)))
-
-
-def check_conec2(rng: Random, trials: int) -> CheckResult:
-    return CheckResult("conec2", *_run(rng, trials, lambda r: _connect_monomial_trial(r, True)))
-
-
-def _connect_power_trial(rng: Random, orientation: Orientation) -> bool:
+@law("conecc4", orientation=Orientation.A_MINUS_X)
+@law("conecc3", orientation=Orientation.X_MINUS_A)
+def _connect_power(rng: Random, orientation: Orientation) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
     n = rng.randint(0, 6)
     a, b = _rand_rat(rng), _rand_rat(rng)
@@ -506,40 +470,23 @@ def _connect_power_trial(rng: Random, orientation: Orientation) -> bool:
     return lhs == rhs
 
 
-def check_conecc3(rng: Random, trials: int) -> CheckResult:
-    return CheckResult(
-        "conecc3", *_run(rng, trials, lambda r: _connect_power_trial(r, Orientation.X_MINUS_A))
-    )
-
-
-def check_conecc4(rng: Random, trials: int) -> CheckResult:
-    return CheckResult(
-        "conecc4", *_run(rng, trials, lambda r: _connect_power_trial(r, Orientation.A_MINUS_X))
-    )
-
-
-def check_qbin(rng: Random, trials: int) -> CheckResult:
+@law("qbin")
+def _qbin(rng: Random) -> bool:
     """Classical q-binomial theorem instances at p = 1, exact."""
-
-    def trial(rng: Random) -> bool:
-        a = rat(rng.randint(1, 9)) / rng.randint(10, 20)
-        b = rat(rng.randint(1, 9)) / rng.randint(10, 20)
-        q = rat(rng.randint(1, 9)) / rng.randint(10, 20)
-        return q_binomial_reduction_check(a, b, rng.randint(0, 6), q)
-
-    return CheckResult("qbin", *_run(rng, trials, trial))
+    a = rat(rng.randint(1, 9)) / rng.randint(10, 20)
+    b = rat(rng.randint(1, 9)) / rng.randint(10, 20)
+    q = rat(rng.randint(1, 9)) / rng.randint(10, 20)
+    return q_binomial_reduction_check(a, b, rng.randint(0, 6), q)
 
 
-def check_heine_coefficients(rng: Random, trials: int) -> CheckResult:
+@law("heine-coefficients", cases=True)
+def _heine_coefficients(rng: Random, trials: int):
     """Claimed reciprocal-power coefficients against the long-division oracle.
 
     At p = 1 the claim is the classical Heine binomial formula and must
     match; away from p = 1 the suite only reports the verdict, since the
     claim is stated without proof there.
     """
-    failures = 0
-    notes = []
-    cases = 0
     for params in (
         PqParams(1, rat("1/2")),
         PqParams(1, rat("1/3")),
@@ -547,296 +494,184 @@ def check_heine_coefficients(rng: Random, trials: int) -> CheckResult:
         PqParams(2, rat("1/3")),
     ):
         for n in (1, 2, 3):
-            cases += 1
             matched = heine_coefficients_match(n, params, num_terms=8)
-            verdict = "MATCH" if matched else "MISMATCH"
-            notes.append(f"p={params.p}, q={params.q}, n={n}: {verdict}")
-            if params.p == 1 and not matched:
-                failures += 1
-    return CheckResult("heine-coefficients", cases, failures, tuple(notes))
+            yield f"p={params.p}, q={params.q}, n={n}: {'MATCH' if matched else 'MISMATCH'}"
+            yield matched or params.p != 1
 
 
-def check_heine_series(rng: Random, trials: int) -> CheckResult:
+@law("heine-series", cases=True)
+def _heine_series(rng: Random, trials: int):
     """Truncated series against the direct reciprocal product, p = 1, 1e-8."""
-    failures = 0
-    cases = 0
     for q_exact in (rat("1/2"), rat("1/3")):
         params = PqParams(1, q_exact)
         q = float(q_exact)
         for n in (1, 2, 3):
             for x in (0.2, 0.25):
-                cases += 1
                 product = 1.0
                 for j in range(n):
                     product *= 1 - q**j * x
                 value = heine_series_eval(n, x, params)
-                if abs(value - 1.0 / product) > 1e-8:
-                    failures += 1
-    return CheckResult("heine-series", cases, failures)
+                yield abs(value - 1.0 / product) <= 1e-8
 
 
 # --------------------------------------------------------- integration layer
 
-def check_antiderivative_roundtrip(rng: Random, trials: int) -> CheckResult:
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        f = _rand_poly(rng, 10)
-        constant = _rand_rat(rng)
-        F = antiderive_poly(f, params, constant)
-        if pq_derive_poly(F, params) != f:
-            return False
-        constant_term = F.coeffs[0] if F.coeffs else rat(0)
-        return constant_term == constant
-
-    return CheckResult("antiderivative-roundtrip", *_run(rng, trials, trial))
+@law("antiderivative-roundtrip")
+def _antiderivative_roundtrip(rng: Random) -> bool:
+    params = _rand_params(rng)
+    f = _rand_poly(rng, 10)
+    constant = _rand_rat(rng)
+    F = antiderive_poly(f, params, constant)
+    if pq_derive_poly(F, params) != f:
+        return False
+    constant_term = F.coeffs[0] if F.coeffs else rat(0)
+    return constant_term == constant
 
 
-def check_telescoping_partial_sum(rng: Random, trials: int) -> CheckResult:
+@law("telescoping-partial-sum")
+def _telescoping_partial_sum(rng: Random) -> bool:
     """Exact: N+1 series terms of the integral of DF equal F(a) - F(a r^{N+1})."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_params(rng)
-        p, q = params.p, params.q
-        F = _rand_poly(rng, 6)
-        dF = pq_derive_poly(F, params)
-        a = rat(rng.randint(1, 8)) / rng.randint(1, 5)
-        count = rng.randint(1, 8)
-        if abs(q / p) < 1:
-            pre, num, den = (p - q) * a, q, p
-        else:
-            pre, num, den = (q - p) * a, p, q
-        total = rat(0)
-        w = 1 / rat(den)
-        for _ in range(count):
-            total += pre * w * eval_poly(dF, a * w)
-            w *= num / rat(den)
-        deep = a * (num / rat(den)) ** count
-        return total == eval_poly(F, a) - eval_poly(F, deep)
-
-    return CheckResult("telescoping-partial-sum", *_run(rng, trials, trial))
+    params = _rand_params(rng)
+    p, q = params.p, params.q
+    F = _rand_poly(rng, 6)
+    dF = pq_derive_poly(F, params)
+    a = rat(rng.randint(1, 8)) / rng.randint(1, 5)
+    count = rng.randint(1, 8)
+    if abs(q / p) < 1:
+        pre, num, den = (p - q) * a, q, p
+    else:
+        pre, num, den = (q - p) * a, p, q
+    total = rat(0)
+    w = 1 / rat(den)
+    for _ in range(count):
+        total += pre * w * eval_poly(dF, a * w)
+        w *= num / rat(den)
+    deep = a * (num / rat(den)) ** count
+    return total == eval_poly(F, a) - eval_poly(F, deep)
 
 
-def check_monomial_integral(rng: Random, trials: int) -> CheckResult:
+@law("monomial-integral", cases=True)
+def _monomial_integral(rng: Random, trials: int):
     """Integral of x^n over [0, a] equals a^{n+1}/[n+1] within 1e-9, <= 500 terms."""
-    failures = 0
-    cases = 0
     for p, q in ((rat(1), rat("1/3")), (rat(1), rat("1/2")), (rat(1), rat(3)), (rat("2/3"), rat(2))):
         params = PqParams(p, q)
         for n in range(7):
             for a in (0.5, 1.0, 2.0):
-                cases += 1
                 result = integral_zero_to(NumericFn(lambda x, n=n: x**n), a, params)
                 target = a ** (n + 1) / float(bracket(n + 1, params))
-                ok = (
+                yield (
                     result.status is IntegralStatus.CONVERGED
                     and result.terms_used <= 500
                     and abs(result.value - target) < 1e-9
                 )
-                if not ok:
-                    failures += 1
-    return CheckResult("monomial-integral", cases, failures)
 
 
-def check_jackson_reduction(rng: Random, trials: int) -> CheckResult:
+@law("jackson-reduction", cases=True)
+def _jackson_reduction(rng: Random, trials: int):
     """At p = 1 the series terms are the classical Jackson terms, 1e-15 relative."""
     params = PqParams(1, rat("1/2"))
     q = 0.5
-    failures = 0
-    cases = 0
     for f in (
         NumericFn(lambda x: 1.0 / (1.0 + x)),
         NumericFn(lambda x: x * x - 3.0 * x),
         NumericFn(lambda x: math.exp(-x)),
     ):
         for a in (0.5, 1.0, 2.0):
-            cases += 1
             ours = list(islice(zero_to_terms(f, a, params), 30))
             jackson = [(1 - q) * a * q**k * f(q**k * a) for k in range(30)]
-            if not all(
+            yield all(
                 abs(x - y) <= 1e-15 * max(abs(x), abs(y)) or x == y == 0.0
                 for x, y in zip(ours, jackson)
-            ):
-                failures += 1
-    return CheckResult("jackson-reduction", cases, failures)
+            )
 
 
-def check_regime_symmetry(rng: Random, trials: int) -> CheckResult:
+@law("regime-symmetry")
+def _regime_symmetry(rng: Random) -> bool:
     """Swapping p and q leaves the [0, a] integral unchanged within 1e-10."""
-
-    def trial(rng: Random) -> bool:
-        params = _rand_positive_params(rng)
-        f = NumericFn.from_polynomial(_rand_poly(rng, 5, max_num=6, max_den=3))
-        a = rng.choice((0.5, 1.0, 2.0))
-        direct = integral_zero_to(f, a, params)
-        swapped = integral_zero_to(f, a, params.swapped())
-        return abs(direct.value - swapped.value) < 1e-10
-
-    return CheckResult("regime-symmetry", *_run(rng, trials, trial))
+    params = _rand_positive_params(rng)
+    f = NumericFn.from_polynomial(_rand_poly(rng, 5, max_num=6, max_den=3))
+    a = rng.choice((0.5, 1.0, 2.0))
+    direct = integral_zero_to(f, a, params)
+    swapped = integral_zero_to(f, a, params.swapped())
+    return abs(direct.value - swapped.value) < 1e-10
 
 
-def check_fundamental_theorem(rng: Random, trials: int) -> CheckResult:
+@law("fundamental-theorem", cases=True)
+def _fundamental_theorem(rng: Random, trials: int):
     """Integral of DF over [a, b] against F(b) - F(a), gap < 1e-8."""
-    failures = 0
-    cases = 0
     for _ in range(trials):
         params = _rand_positive_params(rng)
         F = NumericFn.from_polynomial(_rand_poly(rng, 6, max_num=10, max_den=4))
         for a, b in ((0.0, 1.0), (1.0, 2.0), (0.5, 3.0)):
-            cases += 1
             report = newton_leibniz_check(F, a, b, params)
-            if report.gap >= 1e-8 or report.status is not IntegralStatus.CONVERGED:
-                failures += 1
-    return CheckResult("fundamental-theorem", cases, failures)
+            yield report.gap < 1e-8 and report.status is IntegralStatus.CONVERGED
 
 
-def check_integration_by_parts(rng: Random, trials: int) -> CheckResult:
+@law("integration-by-parts", cases=True)
+def _integration_by_parts(rng: Random, trials: int):
     """Both sides of the by-parts identity, gap < 1e-8 on (0,1) and (1,2)."""
-    failures = 0
-    cases = 0
     for _ in range(trials):
         params = _rand_positive_params(rng)
         f = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=8, max_den=4))
         g = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=8, max_den=4))
         for a, b in ((0.0, 1.0), (1.0, 2.0)):
-            cases += 1
-            report = integrate_by_parts(f, g, a, b, params)
-            if report.gap >= 1e-8:
-                failures += 1
-    return CheckResult("integration-by-parts", cases, failures)
+            yield integrate_by_parts(f, g, a, b, params).gap < 1e-8
 
 
-def check_divergence_demo(rng: Random, trials: int) -> CheckResult:
+@law("divergence-demo", cases=True)
+def _divergence_demo(rng: Random, trials: int):
     """1/x must be detected divergent fast, and flagged unbounded at every alpha."""
-    failures = 0
-    notes = []
     recip = NumericFn(lambda x: 1.0 / x)
     result = integral_zero_to(recip, 1.0, PqParams(2, 1))
-    if result.status is not IntegralStatus.DIVERGENCE_DETECTED or result.terms_used > 64:
-        failures += 1
-    notes.append(f"1/x on (0,1], q/p=1/2: {result.status.value} after {result.terms_used} terms")
+    yield result.status is IntegralStatus.DIVERGENCE_DETECTED and result.terms_used <= 64
+    yield f"1/x on (0,1], q/p=1/2: {result.status.value} after {result.terms_used} terms"
     for alpha in (0.0, 0.25, 0.5, 0.75):
-        report = check_convergence_hypothesis(recip, 1.0, alpha)
-        if report.bounded:
-            failures += 1
-    if not check_convergence_hypothesis(NumericFn(lambda x: 1.0), 1.0, 0.5).bounded:
-        failures += 1
-    if not check_convergence_hypothesis(NumericFn(lambda x: x**-0.25), 1.0, 0.5).bounded:
-        failures += 1
-    return CheckResult("divergence-demo", 7, failures, tuple(notes))
+        yield not check_convergence_hypothesis(recip, 1.0, alpha).bounded
+    yield check_convergence_hypothesis(NumericFn(lambda x: 1.0), 1.0, 0.5).bounded
+    yield check_convergence_hypothesis(NumericFn(lambda x: x**-0.25), 1.0, 0.5).bounded
 
 
-def check_improper_split(rng: Random, trials: int) -> CheckResult:
+@law("improper-split", cases=True)
+def _improper_split(rng: Random, trials: int):
     """[0,1] + [1,inf) must reassemble the bilateral improper sum."""
     policy = TruncationPolicy()
-    failures = 0
-    cases = 0
     witness = NumericFn(lambda x: x if x <= 1 else x**-3)
     smooth = NumericFn(lambda x: x / (1 + x**4))
     for f in (witness, smooth):
         for params in (PqParams(1, rat("1/2")), PqParams(2, rat("2/3")), PqParams(rat("1/2"), rat("3/2"))):
-            cases += 1
             down = integral_zero_to(f, 1.0, params, policy)
             up = integral_to_infinity(f, 1.0, params, policy)
             whole = integral_improper(f, params, policy)
-            ok = (
+            yield (
                 down.status is IntegralStatus.CONVERGED
                 and up.status is IntegralStatus.CONVERGED
                 and whole.status is IntegralStatus.CONVERGED
                 and abs(whole.value - (down.value + up.value)) <= 2 * policy.tail_tol
             )
-            if not ok:
-                failures += 1
-    return CheckResult("improper-split", cases, failures)
 
 
-def check_riemann_stieltjes(rng: Random, trials: int) -> CheckResult:
+@law("riemann-stieltjes")
+def _riemann_stieltjes(rng: Random) -> bool:
     """g = id reduces to the plain integral; f = 1 telescopes to g(x) - g(0)."""
+    while True:
+        params = _rand_positive_params(rng)
+        if params.regime.value == "lt1":
+            break
+    f = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=6, max_den=3))
+    x = rng.choice((0.5, 1.0, 2.0))
+    reduced = integral_riemann_stieltjes(f, NumericFn(lambda t: t), x, params)
+    plain = integral_zero_to(f, x, params)
+    if abs(reduced.value - plain.value) > 1e-10:
+        return False
+    g_poly = _rand_poly(rng, 3, max_num=6, max_den=3)
+    g = NumericFn.from_polynomial(g_poly)
+    telescoped = integral_riemann_stieltjes(NumericFn(lambda t: 1.0), g, x, params)
+    target = g(x) - float(eval_poly(g_poly, rat(0)))
+    return abs(telescoped.value - target) < 1e-9
 
-    def trial(rng: Random) -> bool:
-        while True:
-            params = _rand_positive_params(rng)
-            if params.regime.value == "lt1":
-                break
-        f = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=6, max_den=3))
-        x = rng.choice((0.5, 1.0, 2.0))
-        reduced = integral_riemann_stieltjes(f, NumericFn(lambda t: t), x, params)
-        plain = integral_zero_to(f, x, params)
-        if abs(reduced.value - plain.value) > 1e-10:
-            return False
-        g_poly = _rand_poly(rng, 3, max_num=6, max_den=3)
-        g = NumericFn.from_polynomial(g_poly)
-        telescoped = integral_riemann_stieltjes(NumericFn(lambda t: 1.0), g, x, params)
-        target = g(x) - float(eval_poly(g_poly, rat(0)))
-        return abs(telescoped.value - target) < 1e-9
-
-    return CheckResult("riemann-stieltjes", *_run(rng, trials, trial))
-
-
-def check_forced_failure(rng: Random, trials: int) -> CheckResult:
-    """Deliberately false identity: validates that failures are reported."""
-    return CheckResult("self-test-forced-failure", trials, trials, ("intentional failure",))
-
-
-# ----------------------------------------------------------------- registry
-
-CHECKS: dict[str, Callable[[Random, int], CheckResult]] = {
-    "linearity": check_linearity,
-    "product-rule-1": check_product_rule_1,
-    "product-rule-2": check_product_rule_2,
-    "quotient-rule-1": check_quotient_rule_1,
-    "quotient-rule-2": check_quotient_rule_2,
-    "derule1": check_derule1,
-    "derule2": check_derule2,
-    "derule3": check_derule3,
-    "der3": check_der3,
-    "derule4": check_derule4,
-    "r1": check_r1,
-    "r2": check_r2,
-    "r3": check_r3,
-    "expand1": check_expand1,
-    "negdef": check_negdef,
-    "expand-eval-coherence": check_expand_eval_coherence,
-    "reversed-basis-distinct": check_reversed_basis_distinct,
-    "bracket-invariants": check_bracket_invariants,
-    "taylor-roundtrip": check_taylor_roundtrip,
-    "taylor-roundtrip-reversed": check_taylor_roundtrip_reversed,
-    "conec1": check_conec1,
-    "conec2": check_conec2,
-    "conecc3": check_conecc3,
-    "conecc4": check_conecc4,
-    "qbin": check_qbin,
-    "heine-coefficients": check_heine_coefficients,
-    "heine-series": check_heine_series,
-    "antiderivative-roundtrip": check_antiderivative_roundtrip,
-    "telescoping-partial-sum": check_telescoping_partial_sum,
-    "monomial-integral": check_monomial_integral,
-    "jackson-reduction": check_jackson_reduction,
-    "regime-symmetry": check_regime_symmetry,
-    "fundamental-theorem": check_fundamental_theorem,
-    "integration-by-parts": check_integration_by_parts,
-    "divergence-demo": check_divergence_demo,
-    "improper-split": check_improper_split,
-    "riemann-stieltjes": check_riemann_stieltjes,
-}
 
 #: The purely algebraic derivative/power laws, checked in exact arithmetic.
-EXACT_LAW_LABELS = (
-    "linearity",
-    "product-rule-1",
-    "product-rule-2",
-    "quotient-rule-1",
-    "quotient-rule-2",
-    "derule1",
-    "derule2",
-    "derule3",
-    "der3",
-    "derule4",
-    "r1",
-    "r2",
-    "r3",
-    "expand1",
-    "negdef",
-)
+EXACT_LAW_LABELS = tuple(_exact_labels)
 
 
 def run_suite(
@@ -849,6 +684,8 @@ def run_suite(
 
     A check's generator is keyed on ``(seed, label)`` alone, so a label
     draws the same instances in the full run as when it runs by itself.
+    ``include_forced_failure`` appends a deliberately false identity, which
+    shows that failures are reported.
     """
     labels = list(CHECKS) if only is None else list(only)
     unknown = [label for label in labels if label not in CHECKS]
@@ -859,5 +696,6 @@ def run_suite(
         # the 0 keeps the key that a label running alone has always had
         results.append(CHECKS[label](Random(repr((seed, 0, label))), trials))
     if include_forced_failure:
-        results.append(check_forced_failure(Random(seed), trials))
+        forced = CheckResult("self-test-forced-failure", trials, trials, ("intentional failure",))
+        results.append(forced)
     return results

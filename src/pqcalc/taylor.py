@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from math import comb, lcm
 from typing import Optional
 
@@ -250,34 +251,24 @@ def heine_series_eval(
     large announce themselves).  Hitting ``max_terms`` returns the partial
     sum as a best effort.
     """
+    # imported here so that the Taylor layer alone does not load the integrals
+    from .integration import IntegralStatus, _sum_series
+
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
     policy = policy or DEFAULT_POLICY
-    total = 0.0
-    coeff = rat(1)
-    p = params.p
-    run = 1
-    small_run = 0
-    last_mag = 0.0
-    for j in range(policy.max_terms):
-        term = float(coeff) * x**j
-        total += term
-        mag = abs(term)
-        if mag <= policy.tail_tol:
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
-            if j > 0 and mag >= last_mag:
-                run += 1
-                if run >= policy.divergence_window:
-                    raise DivergenceError(
-                        f"term magnitudes non-decreasing for {run} consecutive terms at j={j}"
-                    )
-            else:
-                run = 1
-            last_mag = mag
-        # c_{j+1} / c_j = [n+j]/[j+1] * p^{1-j}
-        coeff *= bracket(n + j, params) / bracket(j + 1, params) * p ** (1 - j)
+
+    def terms():
+        coeff = rat(1)
+        for j in count():
+            yield float(coeff) * x**j
+            # c_{j+1} / c_j = [n+j]/[j+1] * p^{1-j}
+            coeff *= bracket(n + j, params) / bracket(j + 1, params) * params.p ** (1 - j)
+
+    total, used, _, status = _sum_series(terms(), policy)
+    if status is IntegralStatus.DIVERGENCE_DETECTED:
+        raise DivergenceError(
+            f"term magnitudes non-decreasing for {policy.divergence_window} consecutive terms"
+            f" at j={used - 1}"
+        )
     return total

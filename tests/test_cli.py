@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pqcalc import cli
 from pqcalc.cli import main
 from pqcalc.scalars import rat
 
@@ -55,6 +56,25 @@ class TestBracketCommand:
         code, out, err = run_cli(capsys, "bracket", "2000.5", "--p", "2", "--q", "1")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n", ["1000000", "-1000000"])
+    def test_unprintable_bracket_exits_two_before_computing(self, capsys, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("bracket computed")
+
+        monkeypatch.setattr(cli, "bracket", refuse)
+        code, out, err = run_cli(capsys, "bracket", n, "--p", "3/2", "--q", "1/3")
+        assert (code, out) == (2, "")
+        assert "int-to-str limit" in err
+
+    def test_large_printable_bracket_still_prints(self, capsys):
+        code, out, _ = run_cli(capsys, "bracket", "3000", "--p", "3/2", "--q", "1/3")
+        assert code == 0 and len(out) > 3000
+
+    @pytest.mark.parametrize("n, value", [("1000000", "0"), ("1000001", "1")])
+    def test_opposite_parameters_have_no_guard(self, capsys, n, value):
+        code, out, _ = run_cli(capsys, "bracket", n, "--p", "1", "--q", "-1")
+        assert (code, out) == (0, value)
 
 
 class TestDeriveCommand:

@@ -2,7 +2,25 @@
 
 import pytest
 
+from pqcalc import identities
 from pqcalc.identities import CHECKS, EXACT_LAW_LABELS, CheckResult, run_suite
+from pqcalc.integration import GapReport, IntegralStatus
+
+LABELS = (
+    "linearity", "product-rule-1", "product-rule-2", "quotient-rule-1", "quotient-rule-2",
+    "derule1", "derule2", "derule3", "der3", "derule4", "r1", "r2", "r3", "expand1", "negdef",
+    "expand-eval-coherence", "reversed-basis-distinct", "bracket-invariants", "taylor-roundtrip",
+    "taylor-roundtrip-reversed", "conec1", "conec2", "conecc3", "conecc4", "qbin",
+    "heine-coefficients", "heine-series", "antiderivative-roundtrip", "telescoping-partial-sum",
+    "monomial-integral", "jackson-reduction", "regime-symmetry", "fundamental-theorem",
+    "integration-by-parts", "divergence-demo", "improper-split", "riemann-stieltjes",
+)
+# cases of the fixed grids, which ignore trials, and cases per draw of the multi-case laws
+GRID_CASES = {
+    "reversed-basis-distinct": 1, "heine-coefficients": 12, "heine-series": 12,
+    "monomial-integral": 84, "jackson-reduction": 9, "divergence-demo": 7, "improper-split": 6,
+}
+CASES_PER_DRAW = {"fundamental-theorem": 3, "integration-by-parts": 2}
 
 
 class TestSuiteHarness:
@@ -45,6 +63,37 @@ class TestSuiteHarness:
         # the p != 1 claim fails its oracle and the suite says so explicitly
         assert any("MISMATCH" in note for note in result.notes)
         assert not any(note.startswith("p=1,") and "MISMATCH" in note for note in result.notes)
+
+
+class TestCountingRules:
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_cases_per_label(self, trials):
+        expected = [
+            (label, GRID_CASES.get(label, trials * CASES_PER_DRAW.get(label, 1)), 0)
+            for label in LABELS
+        ]
+        assert [(r.label, r.trials, r.failures) for r in run_suite(seed=0, trials=trials)] == expected
+
+    def test_draws_after_a_failure_are_unchanged(self, monkeypatch):
+        # one wrong kernel value: each count pins what every later trial drew after a failure
+        exact = identities.bracket
+        monkeypatch.setattr(identities, "bracket", lambda n, params: exact(n, params) + (1 if n == 3 else 0))
+        results = run_suite(seed=1, trials=20)
+        assert {r.label: r.failures for r in results if r.failures} == {
+            "derule1": 1, "derule2": 3, "derule3": 12, "bracket-invariants": 4, "monomial-integral": 12,
+        }
+
+    def test_nan_outcome_is_a_failure(self, monkeypatch):
+        nan = float("nan")
+        report = GapReport(nan, nan, nan, IntegralStatus.CONVERGED)
+        monkeypatch.setattr(identities, "newton_leibniz_check", lambda *args: report)
+        monkeypatch.setattr(identities, "integrate_by_parts", lambda *args: report)
+        monkeypatch.setattr(identities, "heine_series_eval", lambda *args: nan)
+        labels = ["fundamental-theorem", "integration-by-parts", "heine-series"]
+        results = run_suite(seed=0, trials=2, only=labels)
+        assert [(r.label, r.trials, r.failures) for r in results] == [
+            ("fundamental-theorem", 6, 6), ("integration-by-parts", 4, 4), ("heine-series", 12, 12),
+        ]
 
 
 class TestReplayAlone:
