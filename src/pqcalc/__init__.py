@@ -29,9 +29,8 @@ _EXPORTS = {
     ),
     "pqpower": (
         "Orientation", "PqPowerExpr", "additive_law_check", "derive_pq_power",
-        "derive_pq_power_iterated", "derive_pq_power_k", "derive_reversed_k", "eval_pq_power",
-        "expand_expr", "expand_pq_power", "format_power_expr", "parse_power_expr",
-        "pq_power_value", "reciprocal_rules_check",
+        "derive_pq_power_iterated", "eval_pq_power", "expand_expr", "expand_pq_power",
+        "format_power_expr", "parse_power_expr", "pq_power_value", "reciprocal_rules_check",
     ),
     "scalars": (
         "FloatScalar", "PqParams", "Rat", "Regime", "TruncationPolicy", "bracket",

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from .polynomials import NumericFn, Polynomial, pq_derive_fn
@@ -152,45 +152,35 @@ zero_to_terms = partial(lattice_terms, to_zero=True)
 to_infinity_terms = partial(lattice_terms, to_zero=False)
 
 
-def integral_zero_to(
-    f: NumericFn, a: float, params: PqParams, policy: Optional[TruncationPolicy] = None
-) -> IntegralResult:
-    """Truncated series for the integral of f over [0, a], a >= 0."""
-    regime = _require_lattice(params)
-    if a < 0:
-        raise InvalidIntervalError(f"need a >= 0, got {a}")
-    policy = policy or DEFAULT_POLICY
-    if a == 0:
-        return IntegralResult(0.0, 0, 0.0, regime, IntegralStatus.CONVERGED)
-    value, count, tail, status = _sum_series(zero_to_terms(f, a, params), policy)
+def _lattice_integral(terms: Iterator[float], regime: Regime, policy: TruncationPolicy) -> IntegralResult:
+    value, count, tail, status = _sum_series(terms, policy)
     return IntegralResult(value, count, tail, regime, status)
 
 
-def integral(
-    f: NumericFn, a: float, b: float, params: PqParams, policy: Optional[TruncationPolicy] = None
+def integral_zero_to(
+    f: NumericFn, a: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
-    """Integral over [a, b] as the difference of the two zero-based series."""
-    if a < 0 or a >= b:
-        raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
-    upper = integral_zero_to(f, b, params, policy)
-    lower = integral_zero_to(f, a, params, policy)
-    return _combine(upper, lower, upper.value - lower.value)
+    """Truncated series for the integral of f over [0, a], 0 <= a < infinity."""
+    regime = _require_lattice(params)
+    if not 0 <= a < math.inf:
+        raise InvalidIntervalError(f"need a >= 0, got {a}")
+    if a == 0:
+        return IntegralResult(0.0, 0, 0.0, regime, IntegralStatus.CONVERGED)
+    return _lattice_integral(zero_to_terms(f, a, params), regime, policy)
 
 
 def integral_to_infinity(
-    f: NumericFn, a: float, params: PqParams, policy: Optional[TruncationPolicy] = None
+    f: NumericFn, a: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
-    """Truncated series for the integral of f over [a, infinity), a > 0."""
+    """Truncated series for the integral of f over [a, infinity), 0 < a < infinity."""
     regime = _require_lattice(params)
-    if a <= 0:
+    if not 0 < a < math.inf:
         raise InvalidIntervalError(f"need a > 0, got {a}")
-    policy = policy or DEFAULT_POLICY
-    value, count, tail, status = _sum_series(to_infinity_terms(f, a, params), policy)
-    return IntegralResult(value, count, tail, regime, status)
+    return _lattice_integral(to_infinity_terms(f, a, params), regime, policy)
 
 
 def integral_improper(
-    f: NumericFn, params: PqParams, policy: Optional[TruncationPolicy] = None
+    f: NumericFn, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
     """Bilateral series for the integral of f over [0, infinity).
 
@@ -198,11 +188,26 @@ def integral_improper(
     under the policy and a divergent direction shows up in the combined
     status.
     """
-    _require_lattice(params)
-    policy = policy or DEFAULT_POLICY
     down = integral_zero_to(f, 1.0, params, policy)
     up = integral_to_infinity(f, 1.0, params, policy)
     return _combine(down, up, down.value + up.value)
+
+
+def integral(
+    f: NumericFn, a: float, b: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
+) -> IntegralResult:
+    """Integral over [a, b], 0 <= a < b <= infinity.
+
+    A finite b takes the difference of the two zero-based series; b = infinity
+    takes the [a, infinity) series, or the bilateral one when a = 0.
+    """
+    if not 0 <= a < b:
+        raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
+    if math.isinf(b):
+        return integral_to_infinity(f, a, params, policy) if a else integral_improper(f, params, policy)
+    upper = integral_zero_to(f, b, params, policy)
+    lower = integral_zero_to(f, a, params, policy)
+    return _combine(upper, lower, upper.value - lower.value)
 
 
 def integral_riemann_stieltjes(
@@ -210,7 +215,7 @@ def integral_riemann_stieltjes(
     g: NumericFn,
     x: float,
     params: PqParams,
-    policy: Optional[TruncationPolicy] = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> IntegralResult:
     """The sum for the integral of f against d_{p,q} g, |q/p| < 1 lattice.
 
@@ -220,9 +225,8 @@ def integral_riemann_stieltjes(
     regime = _require_lattice(params)
     if regime is not Regime.RATIO_LT_ONE:
         raise WrongRegimeError("the Riemann-Stieltjes form is derived for |q/p| < 1")
-    if x <= 0:
+    if not 0 < x < math.inf:
         raise InvalidIntervalError(f"need x > 0, got {x}")
-    policy = policy or DEFAULT_POLICY
     p, q = params.as_floats()
     ratio = q / p
     fn, gn = f.fn, g.fn
@@ -233,8 +237,7 @@ def integral_riemann_stieltjes(
             yield fn(x * rk / p) * (gn(x * rk) - gn(x * rk * ratio))
             rk *= ratio
 
-    value, count, tail, status = _sum_series(terms(), policy)
-    return IntegralResult(value, count, tail, regime, status)
+    return _lattice_integral(terms(), regime, policy)
 
 
 def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Polynomial:
@@ -260,26 +263,19 @@ class BoundednessReport:
     observed_bound: float
 
 
-def check_convergence_hypothesis(
-    f: NumericFn, A: float, alpha: float, samples: int = 24, grid_ratio: float = 0.5
-) -> BoundednessReport:
-    """Sample |f(x) x^alpha| on the geometric grid x = A * grid_ratio^i.
+def check_convergence_hypothesis(f: NumericFn, A: float, alpha: float) -> BoundednessReport:
+    """Sample |f(x) x^alpha| on the 24-point geometric grid x = A / 2^i.
 
-    Declares "unbounded" when the values keep growing strictly towards
-    x = 0 without stalling.  This is a sampling heuristic, not a proof:
-    it looks at ``samples`` points and nothing else.
+    Declares "unbounded" when the last 9 values keep growing strictly
+    towards x = 0 without stalling.  This is a sampling heuristic, not a
+    proof: it looks at those 24 points and nothing else.
     """
     if not 0 <= alpha < 1:
         raise ValueError(f"need 0 <= alpha < 1, got {alpha}")
     if A <= 0:
         raise ValueError(f"need A > 0, got {A}")
-    if samples < 8:
-        raise ValueError(f"need samples >= 8, got {samples}")
-    if not 0 < grid_ratio < 1:
-        raise ValueError(f"need 0 < grid_ratio < 1, got {grid_ratio}")
-    grid = [abs(f(A * grid_ratio**i)) * (A * grid_ratio**i) ** alpha for i in range(samples)]
-    window = min(8, samples - 1)
-    tail = grid[-(window + 1):]
+    grid = [abs(f(A * 0.5**i)) * (A * 0.5**i) ** alpha for i in range(24)]
+    tail = grid[-9:]
     strictly_growing = all(later > earlier for earlier, later in zip(tail, tail[1:]))
     grew_enough = tail[0] == 0.0 or tail[-1] >= 1.5 * tail[0]
     return BoundednessReport(
@@ -288,19 +284,8 @@ def check_convergence_hypothesis(
     )
 
 
-def _integral_any(
-    f: NumericFn, a: float, b: float, params: PqParams, policy: Optional[TruncationPolicy]
-) -> IntegralResult:
-    """Dispatch over finite/infinite upper bounds, 0 <= a < b <= inf."""
-    if math.isinf(b):
-        if a == 0:
-            return integral_improper(f, params, policy)
-        return integral_to_infinity(f, a, params, policy)
-    return integral(f, a, b, params, policy)
-
-
 def newton_leibniz_check(
-    F: NumericFn, a: float, b: float, params: PqParams, policy: Optional[TruncationPolicy] = None
+    F: NumericFn, a: float, b: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> GapReport:
     """Integrate the (p,q)-derivative of F over [a, b] and compare to F(b) - F(a).
 
@@ -308,7 +293,7 @@ def newton_leibniz_check(
     b may be math.inf, in which case F must accept infinity.
     """
     integrand = NumericFn(lambda t: pq_derive_fn(F, t, params))
-    result = _integral_any(integrand, a, b, params, policy)
+    result = integral(integrand, a, b, params, policy)
     rhs = F(b) - F(a)
     return GapReport(lhs=result.value, rhs=rhs, gap=abs(result.value - rhs), status=result.status)
 
@@ -319,7 +304,7 @@ def integrate_by_parts(
     a: float,
     b: float,
     params: PqParams,
-    policy: Optional[TruncationPolicy] = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> GapReport:
     """Check the (p,q)-integration-by-parts identity on [a, b].
 
@@ -330,8 +315,8 @@ def integrate_by_parts(
     p, q = params.as_floats()
     left_int = NumericFn(lambda t: f(p * t) * pq_derive_fn(g, t, params))
     right_int = NumericFn(lambda t: g(q * t) * pq_derive_fn(f, t, params))
-    left = _integral_any(left_int, a, b, params, policy)
-    right = _integral_any(right_int, a, b, params, policy)
+    left = integral(left_int, a, b, params, policy)
+    right = integral(right_int, a, b, params, policy)
     lhs = left.value
     rhs = f(b) * g(b) - f(a) * g(a) - right.value
     return GapReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), status=_worse(left.status, right.status))

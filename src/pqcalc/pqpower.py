@@ -21,9 +21,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import partial
 
-from .errors import NegativeArgumentError, OutOfRangeError, PoleError
+from .errors import NegativeArgumentError, PoleError
 from .polynomials import Polynomial, pq_difference_quotient
 from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_str
 
@@ -138,33 +137,22 @@ def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
 
 
 def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
-    """k single derivatives folded together; coefficient may reach exact 0."""
+    """The k-fold derivative in closed form, for every integer n and k >= 0.
+
+    D^k (g x (-) a)^n = g^k p^{C(k,2)} [n][n-1]...[n-k+1] (g p^k x (-) a)^{n-k}
+    D^k (a (-) g x)^n = (-g)^k q^{C(k,2)} [n][n-1]...[n-k+1] (a (-) g q^k x)^{n-k}
+
+    This is k folds of :func:`derive_pq_power`; the coefficient is exactly 0
+    once the falling product passes [0], i.e. for 0 <= n < k.
+    """
     if k < 0:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
-    coeff = rat(1)
-    for _ in range(k):
-        step, e = derive_pq_power(e)
-        coeff *= step
-    return coeff, e
-
-
-def _derive_closed_k(
-    a: object, n: int, k: int, params: PqParams, orientation: Orientation
-) -> tuple[Rat, PqPowerExpr]:
-    """Closed form of the k-fold derivative of (x (-) a)^n or (a (-) x)^n, 0 <= k <= n.
-
-    D^k (x (-) a)^n = p^{k(k-1)/2} [n][n-1]...[n-k+1] (p^k x (-) a)^{n-k}
-    D^k (a (-) x)^n = (-1)^k q^{k(k-1)/2} [n][n-1]...[n-k+1] (a (-) q^k x)^{n-k}
-    """
-    if k < 0 or k > n:
-        raise OutOfRangeError(f"need 0 <= k <= n, got n={n}, k={k}")
-    base, sign = (params.p, 1) if orientation is Orientation.X_MINUS_A else (params.q, -1)
-    coeff = sign**k * base ** (k * (k - 1) // 2) * bracket_falling(n, k, params)
-    return coeff, PqPowerExpr(a, n - k, params, gamma=base**k, orientation=orientation)
-
-
-derive_pq_power_k = partial(_derive_closed_k, orientation=Orientation.X_MINUS_A)
-derive_reversed_k = partial(_derive_closed_k, orientation=Orientation.A_MINUS_X)
+    base, sign = (e.params.p, 1) if e.orientation is Orientation.X_MINUS_A else (e.params.q, -1)
+    g, falling, c = e.gamma, bracket_falling(e.n, k, e.params), k * (k - 1) // 2
+    # the three factors over one denominator, normalised once
+    num = (sign * g.numerator) ** k * base.numerator**c * falling.numerator
+    coeff = Rat(num, g.denominator**k * base.denominator**c * falling.denominator)
+    return coeff, PqPowerExpr(e.a, e.n - k, e.params, gamma=g * base**k, orientation=e.orientation)
 
 
 def additive_law_check(a: object, m: int, n: int, params: PqParams, x: object) -> bool:

@@ -15,7 +15,7 @@ denominator, and normalise once per result instead of after every multiply.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
-:class:`FloatScalar` with explicit tolerances and summed under the
+:class:`FloatScalar` with a fixed comparison tolerance and summed under the
 stopping rules of :class:`TruncationPolicy`.
 """
 
@@ -112,11 +112,9 @@ class PqParams:
 
 @dataclass(frozen=True)
 class FloatScalar:
-    """A double with the tolerances its comparisons should use."""
+    """A double that compares with 1e-12 relative and absolute tolerance."""
 
     value: float
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -124,7 +122,7 @@ class FloatScalar:
 
     def close_to(self, other: float | "FloatScalar") -> bool:
         other_value = other.value if isinstance(other, FloatScalar) else other
-        return math.isclose(self.value, other_value, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        return math.isclose(self.value, other_value, rel_tol=1e-12, abs_tol=1e-12)
 
     def __float__(self) -> float:
         return self.value

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count
 from math import comb, lcm
-from typing import Optional
 
 from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from .polynomials import Polynomial
@@ -47,10 +46,7 @@ class PowerBasisExpansion:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", rat(self.a))
-        cs = [rat(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", Polynomial(self.coeffs).coeffs)
 
     def to_polynomial(self, params: PqParams) -> Polynomial:
         """Reconstruct the canonical-basis polynomial, nested from the top coefficient down.
@@ -241,7 +237,7 @@ def heine_coefficients_match(n: int, params: PqParams, num_terms: int = 8) -> bo
 
 
 def heine_series_eval(
-    n: int, x: float, params: PqParams, policy: Optional[TruncationPolicy] = None
+    n: int, x: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> float:
     """Truncated sum of the claimed series sum_j heine_coeff(n,j) x^j.
 
@@ -249,21 +245,24 @@ def heine_series_eval(
     raises :class:`DivergenceError` after ``divergence_window`` consecutive
     non-decreasing term magnitudes (which is how |q/p| >= 1 or |x| too
     large announce themselves).  Hitting ``max_terms`` returns the partial
-    sum as a best effort.
+    sum as a best effort.  At p = -q the coefficient after the second term
+    divides by [2] = 0 and raises :class:`DegenerateRegimeError`.
     """
     # imported here so that the Taylor layer alone does not load the integrals
     from .integration import IntegralStatus, _sum_series
 
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
-    policy = policy or DEFAULT_POLICY
 
     def terms():
         coeff = rat(1)
         for j in count():
             yield float(coeff) * x**j
             # c_{j+1} / c_j = [n+j]/[j+1] * p^{1-j}
-            coeff *= bracket(n + j, params) / bracket(j + 1, params) * params.p ** (1 - j)
+            divisor = bracket(j + 1, params)
+            if divisor == 0:
+                raise DegenerateRegimeError(f"[{j + 1}] = 0 at p = -q; the series coefficients divide by it")
+            coeff *= bracket(n + j, params) / divisor * params.p ** (1 - j)
 
     total, used, _, status = _sum_series(terms(), policy)
     if status is IntegralStatus.DIVERGENCE_DETECTED:

@@ -4,7 +4,8 @@ import pytest
 
 from pqcalc import identities
 from pqcalc.identities import CHECKS, EXACT_LAW_LABELS, CheckResult, run_suite
-from pqcalc.integration import GapReport, IntegralStatus
+from pqcalc.integration import GapReport, IntegralResult, IntegralStatus
+from pqcalc.scalars import Regime
 
 LABELS = (
     "linearity", "product-rule-1", "product-rule-2", "quotient-rule-1", "quotient-rule-2",
@@ -94,6 +95,12 @@ class TestCountingRules:
         assert [(r.label, r.trials, r.failures) for r in results] == [
             ("fundamental-theorem", 6, 6), ("integration-by-parts", 4, 4), ("heine-series", 12, 12),
         ]
+
+    def test_nan_plain_integral_fails_riemann_stieltjes(self, monkeypatch):
+        nan = IntegralResult(float("nan"), 1, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED)
+        monkeypatch.setattr(identities, "integral_zero_to", lambda *args: nan)
+        [result] = run_suite(seed=0, trials=10, only=["riemann-stieltjes"])
+        assert (result.trials, result.failures) == (10, 10)
 
 
 class TestReplayAlone:

@@ -12,7 +12,7 @@ import pqcalc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name the package exported when its __init__ imported each submodule eagerly
+# every name the package exports, pinned so that adding or removing one is deliberate
 EXPORTED = {
     "errors": (
         "DegenerateRegimeError", "DivergenceError", "InvalidIntervalError",
@@ -31,9 +31,8 @@ EXPORTED = {
     ),
     "pqpower": (
         "Orientation", "PqPowerExpr", "additive_law_check", "derive_pq_power",
-        "derive_pq_power_iterated", "derive_pq_power_k", "derive_reversed_k", "eval_pq_power",
-        "expand_expr", "expand_pq_power", "format_power_expr", "parse_power_expr",
-        "pq_power_value", "reciprocal_rules_check",
+        "derive_pq_power_iterated", "eval_pq_power", "expand_expr", "expand_pq_power",
+        "format_power_expr", "parse_power_expr", "pq_power_value", "reciprocal_rules_check",
     ),
     "scalars": (
         "FloatScalar", "PqParams", "Rat", "Regime", "bracket", "bracket_alpha",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pqcalc.errors import NegativeArgumentError, OutOfRangeError, PoleError
+from pqcalc.errors import NegativeArgumentError, PoleError
 from pqcalc.polynomials import Polynomial, eval_poly, pq_derive_poly, pq_difference_quotient
 from pqcalc.pqpower import (
     Orientation,
@@ -12,8 +12,6 @@ from pqcalc.pqpower import (
     additive_law_check,
     derive_pq_power,
     derive_pq_power_iterated,
-    derive_pq_power_k,
-    derive_reversed_k,
     eval_pq_power,
     expand_expr,
     expand_pq_power,
@@ -141,16 +139,25 @@ class TestDerivativeLaws:
             assert pq_derive_poly(expand_expr(e), params) == coeff * expand_expr(residual)
 
     def test_k_fold_closed_form(self):
-        params = PqParams(rat("3/2"), rat("1/2"))
-        a = rat("2/3")
-        for n in range(7):
-            for k in range(n + 1):
-                closed = derive_pq_power_k(a, n, k, params)
-                iterated = derive_pq_power_iterated(PqPowerExpr(a, n, params), k)
-                assert closed == iterated
+        # the closed form against k folds of the single step, on 3,000 cases that include
+        # gamma != 1, negative n, k > n, both orientations and p = -q
+        rng = random.Random(8)
+        pool = [rat("1/3"), rat("1/2"), rat("3/2"), rat(2), rat("-1/2"), rat(-3)]
+        for trial in range(300):
+            p = rng.choice(pool)
+            q = -p if trial % 4 == 0 else rng.choice([c for c in pool if c != p])
+            gamma = rng.choice([rat("2/3"), rat(-2), rat("5/4"), rat(-1)])
+            a = rat(rng.randint(-6, 6)) / rng.randint(1, 4)
+            orientation = rng.choice(list(Orientation))
+            e = PqPowerExpr(a, rng.randint(-5, 7), PqParams(p, q), gamma=gamma, orientation=orientation)
+            coeff, residual = rat(1), e
+            for k in range(10):
+                assert derive_pq_power_iterated(e, k) == (coeff, residual)
+                step, residual = derive_pq_power(residual)
+                coeff *= step
 
     def test_k_fold_cli_example(self):
-        coeff, residual = derive_pq_power_k(1, 3, 2, PHALF)
+        coeff, residual = derive_pq_power_iterated(PqPowerExpr(1, 3, PHALF), 2)
         assert coeff == rat("105/4")
         assert format_power_expr(residual) == "pqpow(a=1, n=1, gamma=4)"
 
@@ -158,15 +165,14 @@ class TestDerivativeLaws:
         params = PqParams(rat("5/3"), rat("1/4"))
         n = 6
         for k in range(n):
-            c_k, _ = derive_pq_power_k(0, n, k, params)
-            c_next, _ = derive_pq_power_k(0, n, k + 1, params)
+            c_k, _ = derive_pq_power_iterated(PqPowerExpr(0, n, params), k)
+            c_next, _ = derive_pq_power_iterated(PqPowerExpr(0, n, params), k + 1)
             assert c_next == c_k * params.p**k * bracket(n - k, params)
 
     def test_k_fold_range_errors(self):
-        with pytest.raises(OutOfRangeError):
-            derive_pq_power_k(1, 3, 4, P32)
-        with pytest.raises(OutOfRangeError):
-            derive_reversed_k(1, 3, -1, P32)
+        for orientation in Orientation:
+            with pytest.raises(NegativeArgumentError):
+                derive_pq_power_iterated(PqPowerExpr(1, 3, P32, orientation=orientation), -1)
 
     def test_reversed_k_fold(self):
         params = PqParams(rat("7/4"), rat("2/5"))
@@ -174,11 +180,10 @@ class TestDerivativeLaws:
         for n in range(6):
             base = PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X)
             for k in range(n + 1):
-                coeff, residual = derive_reversed_k(a, n, k, params)
-                assert (coeff, residual) == derive_pq_power_iterated(base, k)
+                coeff, residual = derive_pq_power_iterated(base, k)
                 assert pq_derive_poly_k_matches(base, k, coeff, residual, params)
             # k = n exhausts the power: coefficient (-1)^n q^{n(n-1)/2} [n]!
-            full_coeff, _ = derive_reversed_k(a, n, n, params)
+            full_coeff, _ = derive_pq_power_iterated(base, n)
             fact = rat(1)
             for j in range(1, n + 1):
                 fact *= bracket(j, params)

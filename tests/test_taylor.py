@@ -8,7 +8,7 @@ import pytest
 from pqcalc.errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from pqcalc.polynomials import Polynomial
 from pqcalc.pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from pqcalc.scalars import PqParams, bracket, rat
+from pqcalc.scalars import PqParams, TruncationPolicy, bracket, rat
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
@@ -248,6 +248,16 @@ class TestReciprocalSeries:
         params3 = PqParams(1, rat("1/3"))
         target = 1.0 / ((1 - 0.2) * (1 - 0.2 / 3))
         assert heine_series_eval(2, 0.2, params3) == pytest.approx(target, abs=1e-8)
+
+    @pytest.mark.parametrize("max_terms", [2, 100])
+    def test_series_eval_at_p_minus_q(self, max_terms):
+        # c_2 divides by [2] = p + q = 0; two terms 1 + [1] p x never reach it
+        params, policy = PqParams(2, -2), TruncationPolicy(max_terms=max_terms)
+        if max_terms <= 2:
+            assert heine_series_eval(1, 0.25, params, policy) == 1.5
+        else:
+            with pytest.raises(DegenerateRegimeError, match=r"\[2\] = 0"):
+                heine_series_eval(1, 0.25, params, policy)
 
     def test_series_eval_divergence_detected(self):
         # growing coefficients (|q/p| > 1 with x away from 0) must trip the detector
