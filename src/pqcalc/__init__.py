@@ -29,18 +29,17 @@ _EXPORTS = {
     ),
     "pqpower": (
         "Orientation", "PqPowerExpr", "additive_law_check", "derive_pq_power",
-        "derive_pq_power_iterated", "eval_pq_power", "expand_expr", "expand_pq_power",
-        "format_power_expr", "parse_power_expr", "pq_power_value", "reciprocal_rules_check",
+        "derive_pq_power_iterated", "eval_pq_power", "expand_expr", "format_power_expr",
+        "parse_power_expr", "pq_power_value", "reciprocal_rules_check",
     ),
     "scalars": (
         "FloatScalar", "PqParams", "Rat", "Regime", "TruncationPolicy", "bracket",
         "bracket_alpha", "bracket_falling", "pq_binomial", "pq_factorial", "rat", "rat_str",
     ),
     "taylor": (
-        "PowerBasisExpansion", "connect_monomial", "connect_monomial_reversed",
-        "connect_power_to_power", "heine_coeff", "heine_coefficients_match",
-        "heine_series_eval", "q_binomial_reduction_check", "reciprocal_power_series",
-        "taylor_expand", "taylor_expand_reversed",
+        "PowerBasisExpansion", "connect_monomial", "connect_power_to_power", "heine_coeff",
+        "heine_coefficients_match", "heine_series_eval", "q_binomial_reduction_check",
+        "reciprocal_power_series", "taylor_expand", "taylor_expand_reversed",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

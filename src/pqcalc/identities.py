@@ -39,8 +39,8 @@ from .integration import (
     integral_zero_to,
     integrate_by_parts,
     integral_riemann_stieltjes,
+    lattice_terms,
     newton_leibniz_check,
-    zero_to_terms,
 )
 from .polynomials import (
     NumericFn,
@@ -58,7 +58,6 @@ from .pqpower import (
     derive_pq_power_iterated,
     eval_pq_power,
     expand_expr,
-    expand_pq_power,
     reciprocal_rules_check,
 )
 from .scalars import (
@@ -72,7 +71,6 @@ from .scalars import (
 )
 from .taylor import (
     connect_monomial,
-    connect_monomial_reversed,
     connect_power_to_power,
     heine_coefficients_match,
     heine_series_eval,
@@ -138,21 +136,14 @@ def _rand_rat(rng: Random, max_num: int = 8, max_den: int = 5, nonzero: bool = F
             return value
 
 
-def _rand_params(rng: Random, pool: list = _PARAM_POOL) -> PqParams:
+def _rand_params(rng: Random, pool: list = _PARAM_POOL, spread: Rat | None = None) -> PqParams:
+    """A pair from ``pool`` with p != +-q; with ``spread``, max(|q/p|, |p/q|) >= spread.
+
+    The spread keeps the lattice decay away from 1, so that series settle quickly.
+    """
     while True:
         p, q = rng.choice(pool), rng.choice(pool)
-        if p != q and p != -q:
-            return PqParams(p, q)
-
-
-def _rand_positive_params(rng: Random) -> PqParams:
-    while True:
-        p, q = rng.choice(_POSITIVE_POOL), rng.choice(_POSITIVE_POOL)
-        if p == q:
-            continue
-        ratio = abs(q / p)
-        # keep the lattice decay away from 1 so series settle quickly
-        if ratio <= rat("3/4") or ratio >= rat("4/3"):
+        if p != q and p != -q and (spread is None or max(abs(q / p), abs(p / q)) >= spread):
             return PqParams(p, q)
 
 
@@ -238,7 +229,7 @@ def _derule1(rng: Random) -> bool:
     params = _rand_params(rng)
     a = _rand_rat(rng)
     n = rng.randint(0, 6)
-    lhs = pq_derive_poly(expand_pq_power(a, n, params), params)
+    lhs = pq_derive_poly(expand_expr(PqPowerExpr(a, n, params)), params)
     if n == 0:
         return lhs.is_zero()
     residual = PqPowerExpr(a, n - 1, params, gamma=params.p)
@@ -438,14 +429,15 @@ def _taylor_roundtrip(rng: Random, reverse: bool) -> bool:
     return True
 
 
-@law("conec2", reverse=True)
-@law("conec1", reverse=False)
-def _connect_monomial(rng: Random, reverse: bool) -> bool:
+@law("conec2", orientation=Orientation.A_MINUS_X)
+@law("conec1", orientation=Orientation.X_MINUS_A)
+def _connect_monomial(rng: Random, orientation: Orientation) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
     n = rng.randint(0, 8)
     a = _rand_rat(rng)
-    coeffs = (connect_monomial_reversed if reverse else connect_monomial)(n, a, params)
-    expansion = (taylor_expand_reversed if reverse else taylor_expand)(Polynomial.monomial(n), a, params)
+    coeffs = connect_monomial(n, a, params, orientation)
+    expand = taylor_expand if orientation is Orientation.X_MINUS_A else taylor_expand_reversed
+    expansion = expand(Polynomial.monomial(n), a, params)
     padded = expansion.coeffs + (rat(0),) * (len(coeffs) - len(expansion.coeffs))
     return coeffs == padded
 
@@ -571,7 +563,7 @@ def _jackson_reduction(rng: Random, trials: int):
         NumericFn(lambda x: math.exp(-x)),
     ):
         for a in (0.5, 1.0, 2.0):
-            ours = list(islice(zero_to_terms(f, a, params), 30))
+            ours = list(islice(lattice_terms(f, a, params, to_zero=True), 30))
             jackson = [(1 - q) * a * q**k * f(q**k * a) for k in range(30)]
             yield all(
                 abs(x - y) <= 1e-15 * max(abs(x), abs(y)) or x == y == 0.0
@@ -582,7 +574,7 @@ def _jackson_reduction(rng: Random, trials: int):
 @law("regime-symmetry")
 def _regime_symmetry(rng: Random) -> bool:
     """Swapping p and q leaves the [0, a] integral unchanged within 1e-10."""
-    params = _rand_positive_params(rng)
+    params = _rand_params(rng, _POSITIVE_POOL, spread=rat("4/3"))
     f = NumericFn.from_polynomial(_rand_poly(rng, 5, max_num=6, max_den=3))
     a = rng.choice((0.5, 1.0, 2.0))
     direct = integral_zero_to(f, a, params)
@@ -594,7 +586,7 @@ def _regime_symmetry(rng: Random) -> bool:
 def _fundamental_theorem(rng: Random, trials: int):
     """Integral of DF over [a, b] against F(b) - F(a), gap < 1e-8."""
     for _ in range(trials):
-        params = _rand_positive_params(rng)
+        params = _rand_params(rng, _POSITIVE_POOL, spread=rat("4/3"))
         F = NumericFn.from_polynomial(_rand_poly(rng, 6, max_num=10, max_den=4))
         for a, b in ((0.0, 1.0), (1.0, 2.0), (0.5, 3.0)):
             report = newton_leibniz_check(F, a, b, params)
@@ -605,7 +597,7 @@ def _fundamental_theorem(rng: Random, trials: int):
 def _integration_by_parts(rng: Random, trials: int):
     """Both sides of the by-parts identity, gap < 1e-8 on (0,1) and (1,2)."""
     for _ in range(trials):
-        params = _rand_positive_params(rng)
+        params = _rand_params(rng, _POSITIVE_POOL, spread=rat("4/3"))
         f = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=8, max_den=4))
         g = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=8, max_den=4))
         for a, b in ((0.0, 1.0), (1.0, 2.0)):
@@ -648,7 +640,7 @@ def _improper_split(rng: Random, trials: int):
 def _riemann_stieltjes(rng: Random) -> bool:
     """g = id reduces to the plain integral; f = 1 telescopes to g(x) - g(0)."""
     while True:
-        params = _rand_positive_params(rng)
+        params = _rand_params(rng, _POSITIVE_POOL, spread=rat("4/3"))
         if params.regime is Regime.RATIO_LT_ONE:
             break
     f = NumericFn.from_polynomial(_rand_poly(rng, 4, max_num=6, max_den=3))

@@ -4,7 +4,7 @@ Every definite integral here is a geometric-lattice sum: the integrand is
 sampled on points a*(q/p)^k (scaled by 1/p or 1/q) and the weighted terms
 are added until a :class:`TruncationPolicy` says stop.  Convergence means
 the last term fell below ``tail_tol`` in magnitude; divergence is declared
-after ``divergence_window`` consecutive non-decreasing term magnitudes and
+after :data:`DIVERGENCE_WINDOW` consecutive non-decreasing term magnitudes and
 is reported as a status, never raised, so failure cases (1/x being the
 canonical one) can be demonstrated rather than crashed on.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -80,6 +79,8 @@ def _require_lattice(params: PqParams) -> Regime:
 # consecutive sub-tolerance terms required before declaring convergence;
 # guards against an integrand that merely has a zero on the lattice
 _SMALL_RUN = 3
+#: consecutive non-decreasing term magnitudes that declare a series divergent
+DIVERGENCE_WINDOW = 8
 
 
 def _sum_series(terms: Iterator[float], policy: TruncationPolicy) -> tuple[float, int, float, IntegralStatus]:
@@ -100,7 +101,7 @@ def _sum_series(terms: Iterator[float], policy: TruncationPolicy) -> tuple[float
             small_run = 0
             if count > 1 and mag >= last_mag:
                 run += 1
-                if run >= policy.divergence_window:
+                if run >= DIVERGENCE_WINDOW:
                     return total, count, mag, IntegralStatus.DIVERGENCE_DETECTED
             else:
                 run = 1
@@ -147,11 +148,6 @@ def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> It
         w *= ratio
 
 
-# the one-sided names that callers import
-zero_to_terms = partial(lattice_terms, to_zero=True)
-to_infinity_terms = partial(lattice_terms, to_zero=False)
-
-
 def _lattice_integral(terms: Iterator[float], regime: Regime, policy: TruncationPolicy) -> IntegralResult:
     value, count, tail, status = _sum_series(terms, policy)
     return IntegralResult(value, count, tail, regime, status)
@@ -166,7 +162,7 @@ def integral_zero_to(
         raise InvalidIntervalError(f"need a >= 0, got {a}")
     if a == 0:
         return IntegralResult(0.0, 0, 0.0, regime, IntegralStatus.CONVERGED)
-    return _lattice_integral(zero_to_terms(f, a, params), regime, policy)
+    return _lattice_integral(lattice_terms(f, a, params, to_zero=True), regime, policy)
 
 
 def integral_to_infinity(
@@ -176,7 +172,7 @@ def integral_to_infinity(
     regime = _require_lattice(params)
     if not 0 < a < math.inf:
         raise InvalidIntervalError(f"need a > 0, got {a}")
-    return _lattice_integral(to_infinity_terms(f, a, params), regime, policy)
+    return _lattice_integral(lattice_terms(f, a, params, to_zero=False), regime, policy)
 
 
 def integral_improper(
@@ -272,8 +268,8 @@ def check_convergence_hypothesis(f: NumericFn, A: float, alpha: float) -> Bounde
     """
     if not 0 <= alpha < 1:
         raise ValueError(f"need 0 <= alpha < 1, got {alpha}")
-    if A <= 0:
-        raise ValueError(f"need A > 0, got {A}")
+    if not 0 < A < math.inf:
+        raise ValueError(f"need 0 < A < inf, got {A}")
     grid = [abs(f(A * 0.5**i)) * (A * 0.5**i) ** alpha for i in range(24)]
     tail = grid[-9:]
     strictly_growing = all(later > earlier for earlier, later in zip(tail, tail[1:]))

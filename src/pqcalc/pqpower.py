@@ -31,6 +31,10 @@ class Orientation(enum.Enum):
     X_MINUS_A = "x-a"
     A_MINUS_X = "a-x"
 
+    def base_sign(self, params: PqParams) -> tuple[Rat, int]:
+        """(p, 1) forward, (q, -1) reversed: D scales gamma by base and the coefficient by sign."""
+        return (params.p, 1) if self is Orientation.X_MINUS_A else (params.q, -1)
+
 
 @dataclass(frozen=True)
 class PqPowerExpr:
@@ -45,10 +49,6 @@ class PqPowerExpr:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", rat(self.a))
         object.__setattr__(self, "gamma", rat(self.gamma))
-
-    @property
-    def reversed_basis(self) -> bool:
-        return self.orientation is Orientation.A_MINUS_X
 
 
 def _power_ints(a: int, b: int, d: int, n: int, params: PqParams) -> tuple[int, int]:
@@ -117,11 +117,6 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
     return Polynomial([Rat(c, den) for c in out])
 
 
-def expand_pq_power(a: object, n: int, params: PqParams) -> Polynomial:
-    """Expansion of the plain forward power (x (-) a)^n, n >= 0."""
-    return expand_expr(PqPowerExpr(a=a, n=n, params=params))
-
-
 def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
     """One (p,q)-derivative: returns (coefficient, residual expression).
 
@@ -131,7 +126,7 @@ def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
     Valid for every integer n; n = 0 yields coefficient 0 (the residual
     expression is then irrelevant but kept consistent).
     """
-    base, sign = (e.params.p, 1) if e.orientation is Orientation.X_MINUS_A else (e.params.q, -1)
+    base, sign = e.orientation.base_sign(e.params)
     residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma=base * e.gamma, orientation=e.orientation)
     return sign * e.gamma * bracket(e.n, e.params), residual
 
@@ -147,12 +142,14 @@ def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
     """
     if k < 0:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
-    base, sign = (e.params.p, 1) if e.orientation is Orientation.X_MINUS_A else (e.params.q, -1)
+    base, sign = e.orientation.base_sign(e.params)
     g, falling, c = e.gamma, bracket_falling(e.n, k, e.params), k * (k - 1) // 2
+    residual = PqPowerExpr(e.a, e.n - k, e.params, gamma=g * base**k, orientation=e.orientation)
+    if falling == 0:
+        return falling, residual
     # the three factors over one denominator, normalised once
     num = (sign * g.numerator) ** k * base.numerator**c * falling.numerator
-    coeff = Rat(num, g.denominator**k * base.denominator**c * falling.denominator)
-    return coeff, PqPowerExpr(e.a, e.n - k, e.params, gamma=g * base**k, orientation=e.orientation)
+    return Rat(num, g.denominator**k * base.denominator**c * falling.denominator), residual
 
 
 def additive_law_check(a: object, m: int, n: int, params: PqParams, x: object) -> bool:
@@ -235,5 +232,5 @@ def parse_power_expr(text: str, params: PqParams) -> PqPowerExpr:
 
 
 def format_power_expr(e: PqPowerExpr) -> str:
-    name = "pqpowrev" if e.reversed_basis else "pqpow"
+    name = "pqpowrev" if e.orientation is Orientation.A_MINUS_X else "pqpow"
     return f"{name}(a={rat_str(e.a)}, n={e.n}, gamma={rat_str(e.gamma)})"

@@ -140,15 +140,12 @@ class TruncationPolicy:
 
     max_terms: int = 10_000
     tail_tol: float = 1e-12
-    divergence_window: int = 8
 
     def __post_init__(self) -> None:
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         if not self.tail_tol > 0:
             raise ValueError("tail_tol must be > 0")
-        if self.divergence_window < 2:
-            raise ValueError("divergence_window must be >= 2")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -195,10 +192,13 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
     """The product [n][n-1]...[n-k+1], i.e. [n]!/[n-k]! without the division.
 
     Computed as a plain product so it stays defined even when some bracket
-    vanishes (p = -q), where the factorial ratio would be 0/0.
+    vanishes (p = -q), where the factorial ratio would be 0/0.  For
+    0 <= n < k the product passes [0] = 0 and is not multiplied out.
     """
     if k < 0:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
+    if 0 <= n < k:
+        return rat(0)
     out = rat(1)
     for j in range(n - k + 1, n + 1):
         out *= bracket(j, params)

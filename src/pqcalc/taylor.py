@@ -25,7 +25,6 @@ whether they agree; at p = 1 they provably do (classical Heine).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 from math import comb, lcm
 
@@ -75,19 +74,11 @@ class PowerBasisExpansion:
             "coeffs": [rat_str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PowerBasisExpansion":
-        return cls(
-            a=rat(payload["a"]),
-            orientation=Orientation(payload["orientation"]),
-            coeffs=tuple(rat(c) for c in payload["coeffs"]),
-        )
-
 
 def _expand_by_formula(
     f: Polynomial, a: Rat, params: PqParams, orientation: Orientation
 ) -> PowerBasisExpansion:
-    base, sign = (params.p, 1) if orientation is Orientation.X_MINUS_A else (params.q, -1)
+    base, sign = orientation.base_sign(params)
     bn, bd = base.numerator, base.denominator
     s = params.as_ints()[2]
     brackets = bracket_numerators(len(f.coeffs) - 1, params)
@@ -122,20 +113,18 @@ def taylor_expand_reversed(f: Polynomial, a: object, params: PqParams) -> PowerB
     return _expand_by_formula(f, rat(a), params, Orientation.A_MINUS_X)
 
 
-def _connect_monomial(n: int, a: object, params: PqParams, orientation: Orientation) -> tuple[Rat, ...]:
+def connect_monomial(
+    n: int, a: object, params: PqParams, orientation: Orientation = Orientation.X_MINUS_A
+) -> tuple[Rat, ...]:
     """Coefficients of x^n over (x (-) a)^k or (a (-) x)^k.
 
     x^n = (x (-) 0)^n / p^{C(n,2)} = (-1)^n (0 (-) x)^n / q^{C(n,2)}, so these
     are the power-to-power coefficients from b = 0, scaled.
     """
     coeffs = connect_power_to_power(0, a, n, params, orientation)
-    base, sign = (params.p, 1) if orientation is Orientation.X_MINUS_A else (params.q, -1)
+    base, sign = orientation.base_sign(params)
     scale = sign**n / base ** (n * (n - 1) // 2)
     return tuple([scale * c for c in coeffs])
-
-
-connect_monomial = partial(_connect_monomial, orientation=Orientation.X_MINUS_A)
-connect_monomial_reversed = partial(_connect_monomial, orientation=Orientation.A_MINUS_X)
 
 
 def connect_power_to_power(
@@ -242,14 +231,14 @@ def heine_series_eval(
     """Truncated sum of the claimed series sum_j heine_coeff(n,j) x^j.
 
     Stops once a term magnitude falls below the policy tail tolerance;
-    raises :class:`DivergenceError` after ``divergence_window`` consecutive
-    non-decreasing term magnitudes (which is how |q/p| >= 1 or |x| too
-    large announce themselves).  Hitting ``max_terms`` returns the partial
+    raises :class:`DivergenceError` after ``integration.DIVERGENCE_WINDOW``
+    consecutive non-decreasing term magnitudes (which is how |q/p| >= 1 or
+    |x| too large announce themselves).  Hitting ``max_terms`` returns the partial
     sum as a best effort.  At p = -q the coefficient after the second term
     divides by [2] = 0 and raises :class:`DegenerateRegimeError`.
     """
     # imported here so that the Taylor layer alone does not load the integrals
-    from .integration import IntegralStatus, _sum_series
+    from .integration import DIVERGENCE_WINDOW, IntegralStatus, _sum_series
 
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
@@ -267,7 +256,7 @@ def heine_series_eval(
     total, used, _, status = _sum_series(terms(), policy)
     if status is IntegralStatus.DIVERGENCE_DETECTED:
         raise DivergenceError(
-            f"term magnitudes non-decreasing for {policy.divergence_window} consecutive terms"
+            f"term magnitudes non-decreasing for {DIVERGENCE_WINDOW} consecutive terms"
             f" at j={used - 1}"
         )
     return total

@@ -10,6 +10,7 @@ from pqcalc.cli import main
 from pqcalc.errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from pqcalc.integration import (
     DEFAULT_POLICY,
+    DIVERGENCE_WINDOW,
     IntegralStatus,
     TruncationPolicy,
     _sum_series,
@@ -21,9 +22,8 @@ from pqcalc.integration import (
     integral_to_infinity,
     integral_zero_to,
     integrate_by_parts,
+    lattice_terms,
     newton_leibniz_check,
-    to_infinity_terms,
-    zero_to_terms,
 )
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
 from pqcalc.scalars import PqParams, Regime, bracket, rat
@@ -38,11 +38,11 @@ class TestTruncationPolicy:
         policy = TruncationPolicy()
         assert policy.max_terms == 10_000
         assert policy.tail_tol == 1e-12
-        assert policy.divergence_window == 8
+        assert DIVERGENCE_WINDOW == 8
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_terms": 0}, {"tail_tol": 0.0}, {"tail_tol": -1e-3}, {"divergence_window": 1}],
+        [{"max_terms": 0}, {"tail_tol": 0.0}, {"tail_tol": -1e-3}],
     )
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ class TestZeroTo:
         q = 0.5
         f = NumericFn(lambda x: 1.0 / (1.0 + x))
         for a in (0.5, 1.0, 2.0):
-            ours = list(islice(zero_to_terms(f, a, P1H), 30))
+            ours = list(islice(lattice_terms(f, a, P1H, to_zero=True), 30))
             jackson = [(1 - q) * a * q**k * f(q**k * a) for k in range(30)]
             for mine, classical in zip(ours, jackson):
                 assert mine == pytest.approx(classical, rel=1e-15)
@@ -168,8 +168,8 @@ class TestImproper:
         f = NumericFn(lambda x: x if x <= 1 else x**-3)
         down_pts = [0.5**k for k in range(5)]
         up_pts = [2.0 ** (k + 1) for k in range(5)]
-        ours_down = list(islice(zero_to_terms(f, 1.0, P1H), 5))
-        ours_up = list(islice(to_infinity_terms(f, 1.0, P1H), 5))
+        ours_down = list(islice(lattice_terms(f, 1.0, P1H, to_zero=True), 5))
+        ours_up = list(islice(lattice_terms(f, 1.0, P1H, to_zero=False), 5))
         for point, term in zip(down_pts, ours_down):
             assert term == pytest.approx(0.5 * point * f(point))
         for point, term in zip(up_pts, ours_up):
@@ -264,7 +264,7 @@ class TestConvergenceHypothesis:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"alpha": 1.0}, {"alpha": -0.1}, {"A": 0.0}],
+        [{"alpha": 1.0}, {"alpha": -0.1}, {"A": 0.0}, {"A": math.inf}, {"A": math.nan}],
     )
     def test_preconditions(self, kwargs):
         full = {"A": 1.0, "alpha": 0.5}

@@ -22,7 +22,6 @@ from pqcalc.scalars import PqParams, Rat, bracket, rat
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
-    connect_monomial_reversed,
     connect_power_to_power,
     taylor_expand,
     taylor_expand_reversed,
@@ -381,13 +380,12 @@ class TestConnection:
     def test_monomial(self, p, q, orientation):
         rng = random.Random(f"{p}/{q}/{orientation.value}/monomial")
         params = PqParams(p, q)
-        connect = connect_monomial if orientation is Orientation.X_MINUS_A else connect_monomial_reversed
         base, sign = (p, 1) if orientation is Orientation.X_MINUS_A else (q, -1)
         for n in range(0, 12):
             if p == -q and n >= 2:
                 continue
             a = Fraction(0) if n % 3 == 0 else two_digit(rng)
-            got = connect(n, a, params)
+            got = connect_monomial(n, a, params, orientation)
             ref = tuple(
                 sign**k * base ** -(k * (k - 1) // 2) * ref_binomial(n, k, p, q) * (a * base**-k) ** (n - k)
                 for k in range(n + 1)
@@ -405,15 +403,14 @@ class TestConnection:
             assert connect_power_to_power(b, a, 0, params, orientation) == (1,)
             assert connect_power_to_power(b, a, 1, params, orientation) == (first - second, 1)
         assert connect_monomial(1, a, params) == (a, 1)
-        assert connect_monomial_reversed(1, a, params) == (a, -1)
+        assert connect_monomial(1, a, params, Orientation.A_MINUS_X) == (a, -1)
         message = r"binomial coefficients are undefined at p = -q for n >= 2"
         for n in (2, 3, 6):
             for orientation in Orientation:
                 with pytest.raises(DegenerateRegimeError, match=message):
                     connect_power_to_power(b, a, n, params, orientation)
-            for connect in (connect_monomial, connect_monomial_reversed):
                 with pytest.raises(DegenerateRegimeError, match=message):
-                    connect(n, a, params)
+                    connect_monomial(n, a, params, orientation)
 
 
 class TestRat:

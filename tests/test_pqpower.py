@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pqcalc import scalars
 from pqcalc.errors import NegativeArgumentError, PoleError
 from pqcalc.polynomials import Polynomial, eval_poly, pq_derive_poly, pq_difference_quotient
 from pqcalc.pqpower import (
@@ -14,7 +15,6 @@ from pqcalc.pqpower import (
     derive_pq_power_iterated,
     eval_pq_power,
     expand_expr,
-    expand_pq_power,
     format_power_expr,
     parse_power_expr,
     pq_power_value,
@@ -70,19 +70,19 @@ class TestEvaluation:
 
 class TestExpansion:
     def test_n_zero_and_one(self):
-        assert expand_pq_power(rat("4/3"), 0, P32) == Polynomial([1])
-        assert expand_pq_power(rat("4/3"), 1, P32) == Polynomial([rat("-4/3"), 1])
+        assert expand_expr(PqPowerExpr(rat("4/3"), 0, P32)) == Polynomial([1])
+        assert expand_expr(PqPowerExpr(rat("4/3"), 1, P32)) == Polynomial([rat("-4/3"), 1])
 
     def test_quadratic_shape(self):
         # (x - a)(px - qa) = p x^2 - a(p+q) x + a^2 q
         p, q, a = rat(3), rat(2), rat("5/3")
         expected = Polynomial([a * a * q, -a * (p + q), p])
-        assert expand_pq_power(a, 2, P32) == expected
+        assert expand_expr(PqPowerExpr(a, 2, P32)) == expected
 
     def test_leading_coefficient(self):
         params = PqParams(rat("3/2"), rat("-1/3"))
         for n in range(6):
-            f = expand_pq_power(rat("2/7"), n, params)
+            f = expand_expr(PqPowerExpr(rat("2/7"), n, params))
             assert eval_poly(Polynomial(f.coeffs[n:]), 0) == params.p ** (n * (n - 1) // 2)
 
     def test_eval_expand_coherence(self):
@@ -174,6 +174,22 @@ class TestDerivativeLaws:
             with pytest.raises(NegativeArgumentError):
                 derive_pq_power_iterated(PqPowerExpr(1, 3, P32, orientation=orientation), -1)
 
+    def test_k_fold_zero_coefficient_multiplies_no_bracket(self, monkeypatch):
+        # at 0 <= n < k the falling product passes [0]; before, it multiplied all k brackets
+        # (minutes at k = 3000) and then raised base to C(k, 2)
+        calls = []
+        real = scalars.bracket
+        monkeypatch.setattr(scalars, "bracket", lambda n, params: calls.append(n) or real(n, params))
+        params = PqParams(rat("3/2"), rat("1/3"))
+        for orientation in Orientation:
+            for n, k in ((0, 1), (3, 4), (3, 40), (6, 200)):
+                e = PqPowerExpr(rat("2/3"), n, params, gamma=rat(-2), orientation=orientation)
+                coeff, residual = derive_pq_power_iterated(e, k)
+                base = params.p if orientation is Orientation.X_MINUS_A else params.q
+                assert coeff == 0 and type(coeff) is type(rat(0))
+                assert residual == PqPowerExpr(e.a, n - k, params, gamma=-2 * base**k, orientation=orientation)
+        assert calls == []
+
     def test_reversed_k_fold(self):
         params = PqParams(rat("7/4"), rat("2/5"))
         a = rat("-3/2")
@@ -197,9 +213,9 @@ class TestAdditiveLaw:
 
     def test_positive_pair_as_polynomials(self):
         a = rat("1/2")
-        lhs = expand_pq_power(a, 5, P32)
+        lhs = expand_expr(PqPowerExpr(a, 5, P32))
         right = PqPowerExpr(P32.q**2 * a, 3, P32, gamma=P32.p**2)
-        rhs = expand_pq_power(a, 2, P32) * expand_expr(right)
+        rhs = expand_expr(PqPowerExpr(a, 2, P32)) * expand_expr(right)
         assert lhs == rhs
 
     def test_all_sign_combinations(self):
