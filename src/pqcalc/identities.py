@@ -23,10 +23,9 @@ condition (``gap < tol``), so that a NaN fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import PoleError
 from .integration import (
@@ -80,8 +79,7 @@ from .taylor import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     trials: int
     failures: int
@@ -258,14 +256,14 @@ def _derule3(rng: Random) -> bool:
     n = rng.randint(0, 6)
     e = PqPowerExpr(a, n, params)
     f = expand_expr(e)
-    previous = None
+    previous, p = None, params.p
     for k in range(n + 1):
         coeff, residual = derive_pq_power_iterated(e, k)
         if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
             return False
         if previous is not None:
             # coeff(k)/coeff(k-1) = p^{k-1} [n-k+1]
-            if coeff != previous * params.p ** (k - 1) * bracket(n - k + 1, params):
+            if coeff != previous * p ** (k - 1) * bracket(n - k + 1, params):
                 return False
         previous = coeff
     return True

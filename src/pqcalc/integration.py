@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
@@ -42,8 +41,7 @@ _SEVERITY = {
 }
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     terms_used: int
     tail_estimate: float
@@ -89,11 +87,12 @@ def _sum_series(terms: Iterator[float], policy: TruncationPolicy) -> tuple[float
     run = 1
     small_run = 0
     last_mag = 0.0
+    tail_tol = policy.tail_tol
     for term in islice(terms, policy.max_terms):
         count += 1
         total += term
         mag = abs(term)
-        if mag <= policy.tail_tol:
+        if mag <= tail_tol:
             small_run += 1
             if small_run >= _SMALL_RUN:
                 return total, count, mag, IntegralStatus.CONVERGED
@@ -251,8 +250,7 @@ def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Po
     return Polynomial(out)
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
+class BoundednessReport(NamedTuple):
     """Heuristic verdict on whether |f(x) x^alpha| stays bounded near 0."""
 
     bounded: bool

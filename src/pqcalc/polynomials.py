@@ -14,8 +14,7 @@ derivative law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import MissingDerivativeAtZeroError
 from .scalars import PqParams, Rat, bracket, rat, rat_str
@@ -161,8 +160,7 @@ def pq_difference_quotient(fn: Callable[[Rat], Rat], x: object, params: PqParams
     return (fn(p * x) - fn(q * x)) / ((p - q) * x)
 
 
-@dataclass(frozen=True)
-class NumericFn:
+class NumericFn(NamedTuple):
     """A deterministic real evaluator, optionally with its derivative at 0.
 
     The derivative at 0 is the value the difference quotient cannot reach;

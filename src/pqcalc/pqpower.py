@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NegativeArgumentError, PoleError
 from .polynomials import Polynomial, pq_difference_quotient
@@ -36,19 +36,15 @@ class Orientation(enum.Enum):
         return (params.p, 1) if self is Orientation.X_MINUS_A else (params.q, -1)
 
 
-@dataclass(frozen=True)
-class PqPowerExpr:
+class PqPowerExpr(namedtuple("PqPowerExpr", "a n params gamma orientation")):
     """(gamma*x (-) a)^n or (a (-) gamma*x)^n for any integer n."""
 
-    a: Rat
-    n: int
-    params: PqParams
-    gamma: Rat = 1
-    orientation: Orientation = Orientation.X_MINUS_A
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "gamma", rat(self.gamma))
+    def __new__(
+        cls, a: object, n: int, params: PqParams, gamma: object = 1, orientation: Orientation = Orientation.X_MINUS_A
+    ) -> "PqPowerExpr":
+        return super().__new__(cls, rat(a), n, params, rat(gamma), orientation)
 
 
 def _power_ints(a: int, b: int, d: int, n: int, params: PqParams) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     DegenerateRegimeError,
@@ -66,8 +66,7 @@ class Regime(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class PqParams:
+class PqParams(namedtuple("PqParams", "p q")):
     """The pair (p, q) with p != q and p, q != 0.
 
     Both restrictions are load bearing: p - q divides every bracket, and
@@ -75,16 +74,15 @@ class PqParams:
     The regime is always derived from the stored values, never cached.
     """
 
-    p: Rat
-    q: Rat
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", rat(self.p))
-        object.__setattr__(self, "q", rat(self.q))
-        if self.p == self.q:
+    def __new__(cls, p: object, q: object) -> "PqParams":
+        p, q = rat(p), rat(q)
+        if p == q:
             raise ValueError("p and q must differ (p - q appears in every denominator)")
-        if self.p == 0 or self.q == 0:
+        if p == 0 or q == 0:
             raise ValueError("p and q must be nonzero")
+        return super().__new__(cls, p, q)
 
     @property
     def regime(self) -> Regime:
@@ -110,15 +108,15 @@ class PqParams:
         return f"(p={self.p}, q={self.q})"
 
 
-@dataclass(frozen=True)
-class FloatScalar:
+class FloatScalar(namedtuple("FloatScalar", "value")):
     """A double that compares with 1e-12 relative and absolute tolerance."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"FloatScalar must be finite, got {self.value!r}")
+    def __new__(cls, value: float) -> "FloatScalar":
+        if not math.isfinite(value):
+            raise ValueError(f"FloatScalar must be finite, got {value!r}")
+        return super().__new__(cls, value)
 
     def close_to(self, other: float | "FloatScalar") -> bool:
         other_value = other.value if isinstance(other, FloatScalar) else other
@@ -128,8 +126,7 @@ class FloatScalar:
         return self.value
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
     """Stopping rules for all series evaluations.
 
     ``tail_tol`` is absolute on the term magnitude; the tail estimate of a
@@ -138,14 +135,14 @@ class TruncationPolicy:
     place.
     """
 
-    max_terms: int = 10_000
-    tail_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
+    def __new__(cls, max_terms: int = 10_000, tail_tol: float = 1e-12) -> "TruncationPolicy":
+        if max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if not self.tail_tol > 0:
+        if not tail_tol > 0:
             raise ValueError("tail_tol must be > 0")
+        return super().__new__(cls, max_terms, tail_tol)
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -24,7 +24,8 @@ whether they agree; at p = 1 they provably do (classical Heine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import count
 from math import comb, lcm
 
@@ -35,17 +36,13 @@ from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, b
 from .scalars import pq_binomial, rat, rat_str
 
 
-@dataclass(frozen=True)
-class PowerBasisExpansion:
-    """Coefficients of a polynomial over (x (-) a)^k or (a (-) x)^k."""
+class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeffs")):
+    """Coefficients of a polynomial over (x (-) a)^k or (a (-) x)^k, trailing zeros stripped."""
 
-    a: Rat
-    orientation: Orientation
-    coeffs: tuple[Rat, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "coeffs", Polynomial(self.coeffs).coeffs)
+    def __new__(cls, a: object, orientation: Orientation, coeffs: Iterable[object]) -> "PowerBasisExpansion":
+        return super().__new__(cls, rat(a), orientation, Polynomial(coeffs).coeffs)
 
     def to_polynomial(self, params: PqParams) -> Polynomial:
         """Reconstruct the canonical-basis polynomial, nested from the top coefficient down.
@@ -244,14 +241,14 @@ def heine_series_eval(
         raise OutOfRangeError(f"need n >= 1, got {n}")
 
     def terms():
-        coeff = rat(1)
+        coeff, p = rat(1), params.p
         for j in count():
             yield float(coeff) * x**j
             # c_{j+1} / c_j = [n+j]/[j+1] * p^{1-j}
             divisor = bracket(j + 1, params)
             if divisor == 0:
                 raise DegenerateRegimeError(f"[{j + 1}] = 0 at p = -q; the series coefficients divide by it")
-            coeff *= bracket(n + j, params) / divisor * params.p ** (1 - j)
+            coeff *= bracket(n + j, params) / divisor * p ** (1 - j)
 
     total, used, _, status = _sum_series(terms(), policy)
     if status is IntegralStatus.DIVERGENCE_DETECTED:

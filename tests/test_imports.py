@@ -85,6 +85,26 @@ class TestImportGraph:
         )
         assert loaded_after(code) == loaded
 
+    def test_no_command_imports_dataclasses_or_inspect(self):
+        # both cost a cold start tens of milliseconds; -S keeps a site-packages
+        # .pth file from importing them before pqcalc does
+        commands = [
+            ["bracket", "3"], ["derive", "0,0,1"], ["taylor", "0,0,1", "1"],
+            ["integrate", "poly:0,1", "0", "1"], ["identities", "--only", "expand1", "--trials", "2"],
+        ]
+        script = (
+            "import contextlib, io, sys\nfrom pqcalc.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    for argv in {commands!r}:\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.split() == ["False", "False"]
+
 
 class TestNamespace:
     @pytest.mark.parametrize("module, name", NAMES)

@@ -11,6 +11,8 @@ from pqcalc.errors import DegenerateRegimeError, InvalidIntervalError, WrongRegi
 from pqcalc.integration import (
     DEFAULT_POLICY,
     DIVERGENCE_WINDOW,
+    BoundednessReport,
+    IntegralResult,
     IntegralStatus,
     TruncationPolicy,
     _sum_series,
@@ -39,14 +41,20 @@ class TestTruncationPolicy:
         assert policy.max_terms == 10_000
         assert policy.tail_tol == 1e-12
         assert DIVERGENCE_WINDOW == 8
+        assert TruncationPolicy(500) == TruncationPolicy(tail_tol=1e-12, max_terms=500)
+        assert repr(policy) == "TruncationPolicy(max_terms=10000, tail_tol=1e-12)"
+        with pytest.raises(AttributeError):
+            policy.max_terms = 5
 
     @pytest.mark.parametrize(
         "kwargs",
         [{"max_terms": 0}, {"tail_tol": 0.0}, {"tail_tol": -1e-3}],
     )
     def test_invalid_fields(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError) as info:
             TruncationPolicy(**kwargs)
+        assert str(info.value) == {"max_terms": "max_terms must be >= 1", "tail_tol": "tail_tol must be > 0"}[field]
 
 
 class TestZeroTo:
@@ -343,6 +351,23 @@ class TestResultSerialization:
         assert payload["regime"] == "lt1"
         gt = integral_zero_to(NumericFn(lambda x: x), 1.0, P13)
         assert gt.to_json_dict()["regime"] == "gt1"
+
+    def test_result_value_semantics(self):
+        result = IntegralResult(1.5, 3, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED)
+        assert repr(result) == (
+            "IntegralResult(value=1.5, terms_used=3, tail_estimate=0.0, "
+            f"regime={Regime.RATIO_LT_ONE!r}, status={IntegralStatus.CONVERGED!r})"
+        )
+        assert result == IntegralResult(
+            value=1.5, terms_used=3, tail_estimate=0.0, regime=Regime.RATIO_LT_ONE,
+            status=IntegralStatus.CONVERGED,
+        )
+        with pytest.raises(AttributeError):
+            result.value = 2.0
+        report = BoundednessReport(bounded=True, observed_bound=1.0)
+        assert repr(report) == "BoundednessReport(bounded=True, observed_bound=1.0)"
+        with pytest.raises(AttributeError):
+            report.bounded = False
 
     def test_converged_tail_under_tolerance(self):
         policy = TruncationPolicy(tail_tol=1e-10)

@@ -56,6 +56,20 @@ class TestPolynomialBasics:
             f.coeffs = ()
 
 
+class TestNumericFnValue:
+    def test_default_and_call(self):
+        f = NumericFn(abs)
+        assert f.deriv_at_zero is None
+        assert f(-2.5) == 2.5
+        assert NumericFn(fn=abs, deriv_at_zero=None) == f
+        assert repr(f) == f"NumericFn(fn={abs!r}, deriv_at_zero=None)"
+
+    def test_immutability(self):
+        f = NumericFn(abs, 1.0)
+        with pytest.raises(AttributeError):
+            f.deriv_at_zero = 2.0
+
+
 class TestExactDerivative:
     def test_constant_goes_to_zero(self):
         assert pq_derive_poly(Polynomial([rat("5/3")]), PqParams(3, 2)).is_zero()

@@ -36,6 +36,29 @@ def pq_derive_poly_k_matches(base, k, coeff, residual, params):
     return lhs == coeff * expand_expr(residual)
 
 
+class TestExprValue:
+    def test_defaults_and_coercion(self):
+        e = PqPowerExpr(1, 2, P21)
+        assert e.gamma == 1 and e.orientation is Orientation.X_MINUS_A
+        assert type(e.a) is scalars.Rat and type(e.gamma) is scalars.Rat
+        assert PqPowerExpr(a="1", n=2, params=P21, gamma=1, orientation=Orientation.X_MINUS_A) == e
+        assert hash(PqPowerExpr(rat(1), 2, P21, rat(1))) == hash(e)
+
+    @pytest.mark.parametrize("kwargs", [{"a": 0.5}, {"gamma": 2.0}])
+    def test_float_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            PqPowerExpr(**{"a": 1, "n": 2, "params": P21, **kwargs})
+
+    def test_repr_and_immutability(self):
+        e = PqPowerExpr(1, 2, P21, orientation=Orientation.A_MINUS_X)
+        assert repr(e) == (
+            f"PqPowerExpr(a={rat(1)!r}, n=2, params={P21!r}, gamma={rat(1)!r}, "
+            f"orientation={Orientation.A_MINUS_X!r})"
+        )
+        with pytest.raises(AttributeError):
+            e.n = 3
+
+
 class TestEvaluation:
     def test_exponent_zero_is_one(self):
         e = PqPowerExpr(a=rat("9/7"), n=0, params=P32, gamma=rat("-3"))

@@ -14,6 +14,7 @@ from pqcalc.errors import (
 from pqcalc.scalars import (
     FloatScalar,
     PqParams,
+    Rat,
     Regime,
     bracket,
     bracket_alpha,
@@ -68,6 +69,37 @@ class TestPqParams:
     def test_swapped(self):
         params = PqParams(rat("3/2"), rat("1/3"))
         assert params.swapped() == PqParams(rat("1/3"), rat("3/2"))
+
+    def test_fields_coerced_to_rat(self):
+        params = PqParams("1/2", 2)
+        assert type(params.p) is Rat and type(params.q) is Rat
+        assert params.p == rat("1/2") and params.q == 2
+
+    @pytest.mark.parametrize("p,q", [(0.5, 2), (2, 0.5)])
+    def test_float_rejected(self, p, q):
+        with pytest.raises(TypeError):
+            PqParams(p, q)
+
+    @pytest.mark.parametrize(
+        "p,q,message",
+        [
+            (2, 2, "p and q must differ (p - q appears in every denominator)"),
+            (0, 1, "p and q must be nonzero"),
+            (1, 0, "p and q must be nonzero"),
+        ],
+    )
+    def test_error_messages(self, p, q, message):
+        with pytest.raises(ValueError) as info:
+            PqParams(p, q)
+        assert str(info.value) == message
+
+    def test_value_semantics(self):
+        params = PqParams(1, "1/2")
+        assert PqParams(q=rat("1/2"), p=rat(1)) == params
+        assert hash(PqParams("2/2", "2/4")) == hash(params)
+        assert repr(params) == f"PqParams(p={rat(1)!r}, q={rat('1/2')!r})"
+        with pytest.raises(AttributeError):
+            params.p = rat(2)
 
 
 class TestBracket:
@@ -126,11 +158,18 @@ class TestBracketAlpha:
             bracket_alpha(0.5, PqParams(-2, 1))
 
     def test_float_scalar_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^FloatScalar must be finite, got nan$"):
             FloatScalar(float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^FloatScalar must be finite, got inf$"):
             FloatScalar(float("inf"))
         assert float(FloatScalar(1.5)) == 1.5
+
+    def test_float_scalar_value_semantics(self):
+        x = FloatScalar(value=0.25)
+        assert x == FloatScalar(0.25) and hash(x) == hash(FloatScalar(0.25))
+        assert repr(x) == "FloatScalar(value=0.25)"
+        with pytest.raises(AttributeError):
+            x.value = 0.5
 
 
 class TestFactorialAndBinomial:

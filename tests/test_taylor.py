@@ -8,7 +8,7 @@ import pytest
 from pqcalc.errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from pqcalc.polynomials import Polynomial
 from pqcalc.pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from pqcalc.scalars import PqParams, TruncationPolicy, bracket, rat
+from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, rat
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
@@ -116,6 +116,27 @@ class TestTaylorExpand:
         exp = taylor_expand(Polynomial.zero(), rat(2), P32)
         assert exp.coeffs == ()
         assert exp.to_polynomial(P32).is_zero()
+
+
+class TestExpansionValue:
+    def test_coercion_strips_trailing_zeros(self):
+        exp = PowerBasisExpansion("1/2", Orientation.X_MINUS_A, [1, "2/3", 0, 0])
+        assert exp.coeffs == (rat(1), rat("2/3"))
+        assert type(exp.a) is Rat and all(type(c) is Rat for c in exp.coeffs)
+        assert PowerBasisExpansion(a=rat("1/2"), orientation=Orientation.X_MINUS_A, coeffs=(1, rat("2/3"))) == exp
+
+    @pytest.mark.parametrize("a, coeffs", [(0.5, [1]), (1, [1, 0.5])])
+    def test_float_rejected(self, a, coeffs):
+        with pytest.raises(TypeError):
+            PowerBasisExpansion(a, Orientation.X_MINUS_A, coeffs)
+
+    def test_repr_and_immutability(self):
+        exp = PowerBasisExpansion(1, Orientation.A_MINUS_X, [2])
+        assert repr(exp) == (
+            f"PowerBasisExpansion(a={rat(1)!r}, orientation={Orientation.A_MINUS_X!r}, coeffs=({rat(2)!r},))"
+        )
+        with pytest.raises(AttributeError):
+            exp.coeffs = ()
 
 
 class TestExpansionSerialization:
