@@ -28,9 +28,8 @@ _EXPORTS = {
         "pq_derive_poly_k", "pq_difference_quotient",
     ),
     "pqpower": (
-        "Orientation", "PqPowerExpr", "additive_law_check", "derive_pq_power",
-        "derive_pq_power_iterated", "eval_pq_power", "expand_expr", "format_power_expr",
-        "parse_power_expr", "pq_power_value", "reciprocal_rules_check",
+        "Orientation", "PqPowerExpr", "derive_pq_power", "derive_pq_power_iterated",
+        "eval_pq_power", "expand_expr", "format_power_expr", "parse_power_expr", "pq_power_value",
     ),
     "scalars": (
         "FloatScalar", "PqParams", "Rat", "Regime", "TruncationPolicy", "bracket",
@@ -38,8 +37,7 @@ _EXPORTS = {
     ),
     "taylor": (
         "PowerBasisExpansion", "connect_monomial", "connect_power_to_power", "heine_coeff",
-        "heine_coefficients_match", "heine_series_eval", "q_binomial_reduction_check",
-        "reciprocal_power_series", "taylor_expand", "taylor_expand_reversed",
+        "heine_series_eval", "reciprocal_power_series", "taylor_expand", "taylor_expand_reversed",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

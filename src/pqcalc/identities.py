@@ -52,12 +52,11 @@ from .polynomials import (
 from .pqpower import (
     Orientation,
     PqPowerExpr,
-    additive_law_check,
     derive_pq_power,
     derive_pq_power_iterated,
     eval_pq_power,
     expand_expr,
-    reciprocal_rules_check,
+    pq_power_value,
 )
 from .scalars import (
     PqParams,
@@ -71,9 +70,9 @@ from .scalars import (
 from .taylor import (
     connect_monomial,
     connect_power_to_power,
-    heine_coefficients_match,
+    heine_coeff,
     heine_series_eval,
-    q_binomial_reduction_check,
+    reciprocal_power_series,
     taylor_expand,
     taylor_expand_reversed,
 )
@@ -304,35 +303,51 @@ def _derule4(rng: Random) -> bool:
 @law("r2", exact=True, which=1)
 @law("r1", exact=True, which=0)
 def _reciprocal(rng: Random, which: int) -> bool:
+    """The reciprocal and reversed laws, n >= 0, pointwise exact:
+
+        r1:  D 1/(x (-) a)^n = -q [n] / (q x (-) a)^{n+1}
+        r2:  D (a (-) x)^n   = -[n] (a (-) q x)^{n-1}
+        r3:  D 1/(a (-) x)^n =  p [n] / (a (-) p x)^{n+1}
+
+    x avoids the poles of all three, so each label draws the same instances.
+    """
     params = _rand_params(rng)
+    p, q = params.p, params.q
     a = _rand_rat(rng, nonzero=True)
     n = rng.randint(0, 4)
+    forward = PqPowerExpr(a, n, params)
+    reverse = PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X)
+    up_q = PqPowerExpr(a, n + 1, params, gamma=q)
+    up_p = PqPowerExpr(a, n + 1, params, gamma=p, orientation=Orientation.A_MINUS_X)
 
     def poles(t: Rat) -> bool:
-        p, q = params.p, params.q
-        for orientation in (Orientation.X_MINUS_A, Orientation.A_MINUS_X):
-            base = PqPowerExpr(a, n, params, orientation=orientation)
-            if eval_pq_power(base, p * t) == 0 or eval_pq_power(base, q * t) == 0:
-                return True
-        up_q = PqPowerExpr(a, n + 1, params, gamma=params.q)
-        up_p = PqPowerExpr(a, n + 1, params, gamma=params.p, orientation=Orientation.A_MINUS_X)
-        return eval_pq_power(up_q, t) == 0 or eval_pq_power(up_p, t) == 0
+        points = (forward, p * t), (forward, q * t), (reverse, p * t), (reverse, q * t), (up_q, t), (up_p, t)
+        return any(eval_pq_power(e, u) == 0 for e, u in points)
 
     x = _rand_x(rng, avoid=poles)
-    return reciprocal_rules_check(a, n, params, x)[which]
+    if which == 1:  # at n = 0 the residual (a (-) q x)^{-1} may have a pole at x, and [0] = 0
+        lhs = pq_difference_quotient(lambda t: eval_pq_power(reverse, t), x, params)
+        down = PqPowerExpr(a, n - 1, params, gamma=q, orientation=Orientation.A_MINUS_X)
+        return lhs == (0 if n == 0 else -bracket(n, params) * eval_pq_power(down, x))
+    base, up, coeff = (forward, up_q, -q) if which == 0 else (reverse, up_p, p)
+    lhs = pq_difference_quotient(lambda t: 1 / eval_pq_power(base, t), x, params)
+    return lhs == coeff * bracket(n, params) / eval_pq_power(up, x)
 
 
 @law("expand1", exact=True)
 def _expand1(rng: Random) -> bool:
-    """Additive law over the full sign grid m, n in [-3, 3]^2."""
+    """(x (-) a)^{m+n} = (x (-) a)^m (p^m x (-) q^m a)^n, m, n in [-3, 3], at a non-pole x."""
     params = _rand_params(rng)
+    p, q = params.p, params.q
     a = _rand_rat(rng, nonzero=True)
     for m in range(-3, 4):
+        left = PqPowerExpr(a, m, params)
         for n in range(-3, 4):
+            whole, right = PqPowerExpr(a, m + n, params), PqPowerExpr(q**m * a, n, params, gamma=p**m)
             for _ in range(50):
                 x = _rand_rat(rng, nonzero=True)
                 try:
-                    if not additive_law_check(a, m, n, params, x):
+                    if eval_pq_power(whole, x) != eval_pq_power(left, x) * eval_pq_power(right, x):
                         return False
                     break
                 except PoleError:
@@ -456,11 +471,25 @@ def _connect_power(rng: Random, orientation: Orientation) -> bool:
 
 @law("qbin")
 def _qbin(rng: Random) -> bool:
-    """Classical q-binomial theorem instances at p = 1, exact."""
+    """Classical q-binomial theorem at p = 1, exact, on the q-Pochhammer products (u;q)_k:
+
+        (ab;q)_n = sum_k qbinom(n,k) a^{n-k} (b;q)_{n-k} (a;q)_k
+
+    both as written and through the power-to-power connection coefficients at x = 1.
+    """
     a = rat(rng.randint(1, 9)) / rng.randint(10, 20)
     b = rat(rng.randint(1, 9)) / rng.randint(10, 20)
     q = rat(rng.randint(1, 9)) / rng.randint(10, 20)
-    return q_binomial_reduction_check(a, b, rng.randint(0, 6), q)
+    n = rng.randint(0, 6)
+    params = PqParams(1, q)
+    a_poch = [pq_power_value(1, a, k, params) for k in range(n + 1)]
+    literal = sum(
+        pq_binomial(n, k, params) * a ** (n - k) * pq_power_value(1, b, n - k, params) * a_poch[k]
+        for k in range(n + 1)
+    )
+    connect = connect_power_to_power(a * b, a, n, params, Orientation.X_MINUS_A)
+    via_connection = sum(c * a_poch[k] for k, c in enumerate(connect))
+    return pq_power_value(1, a * b, n, params) == literal == via_connection
 
 
 @law("heine-coefficients", cases=True)
@@ -478,7 +507,8 @@ def _heine_coefficients(rng: Random, trials: int):
         PqParams(2, rat("1/3")),
     ):
         for n in (1, 2, 3):
-            matched = heine_coefficients_match(n, params, num_terms=8)
+            oracle = reciprocal_power_series(n, params, 8)
+            matched = all(heine_coeff(n, j, params) == oracle[j] for j in range(8))
             yield f"p={params.p}, q={params.q}, n={n}: {'MATCH' if matched else 'MISMATCH'}"
             yield matched or params.p != 1
 

@@ -3,10 +3,13 @@
 Every definite integral here is a geometric-lattice sum: the integrand is
 sampled on points a*(q/p)^k (scaled by 1/p or 1/q) and the weighted terms
 are added until a :class:`TruncationPolicy` says stop.  Convergence means
-the last term fell below ``tail_tol`` in magnitude; divergence is declared
-after :data:`DIVERGENCE_WINDOW` consecutive non-decreasing term magnitudes and
-is reported as a status, never raised, so failure cases (1/x being the
-canonical one) can be demonstrated rather than crashed on.
+``_SMALL_RUN`` (3) consecutive terms of magnitude at most ``tail_tol``;
+divergence is declared after :data:`DIVERGENCE_WINDOW` consecutive
+non-decreasing term magnitudes and is reported as a status, never raised,
+so failure cases (1/x being the canonical one) can be demonstrated rather
+than crashed on.  The reported ``tail_estimate`` is the magnitude of the
+last term (of the last one above ``tail_tol`` when ``max_terms`` stops the
+sum), not a bound on the error.
 
 A term is float work only: one generator, :func:`lattice_terms`, walks
 either direction and calls the integrand's plain ``fn``, and a polynomial

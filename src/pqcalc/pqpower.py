@@ -1,4 +1,4 @@
-"""The (p,q)-power basis (gamma*x (-) a)^n and its derivative laws.
+"""The (p,q)-power basis (gamma*x (-) a)^n and its derivatives.
 
 A power expression is the product
 
@@ -23,7 +23,7 @@ import re
 from collections import namedtuple
 
 from .errors import NegativeArgumentError, PoleError
-from .polynomials import Polynomial, pq_difference_quotient
+from .polynomials import Polynomial
 from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_str
 
 
@@ -40,6 +40,7 @@ class PqPowerExpr(namedtuple("PqPowerExpr", "a n params gamma orientation")):
     """(gamma*x (-) a)^n or (a (-) gamma*x)^n for any integer n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(
         cls, a: object, n: int, params: PqParams, gamma: object = 1, orientation: Orientation = Orientation.X_MINUS_A
@@ -146,63 +147,6 @@ def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
     # the three factors over one denominator, normalised once
     num = (sign * g.numerator) ** k * base.numerator**c * falling.numerator
     return Rat(num, g.denominator**k * base.denominator**c * falling.denominator), residual
-
-
-def additive_law_check(a: object, m: int, n: int, params: PqParams, x: object) -> bool:
-    """Pointwise (x (-) a)^{m+n} = (x (-) a)^m (p^m x (-) q^m a)^n at x.
-
-    Holds for any integers m, n; raises :class:`PoleError` when x hits a
-    pole of either side.
-    """
-    a = rat(a)
-    p, q = params.p, params.q
-    lhs = eval_pq_power(PqPowerExpr(a, m + n, params), x)
-    left = eval_pq_power(PqPowerExpr(a, m, params), x)
-    right = eval_pq_power(PqPowerExpr(q**m * a, n, params, gamma=p**m), x)
-    return lhs == left * right
-
-
-def reciprocal_rules_check(a: object, n: int, params: PqParams, x: object) -> tuple[bool, bool, bool]:
-    """Check the three reciprocal/reversed derivative laws at rational x.
-
-        D 1/(x (-) a)^n  = -q [n] / (q x (-) a)^{n+1}
-        D (a (-) x)^n    = -[n] (a (-) q x)^{n-1}
-        D 1/(a (-) x)^n  =  p [n] / (a (-) p x)^{n+1}
-
-    Left sides are exact difference quotients of the evaluated functions,
-    so the check is implementation-free.  n must be nonnegative.
-    """
-    if n < 0:
-        raise NegativeArgumentError(f"need n >= 0, got {n}")
-    a = rat(a)
-    x = rat(x)
-    p, q = params.p, params.q
-    br = bracket(n, params)
-
-    forward = PqPowerExpr(a, n, params)
-    revd = PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X)
-
-    def recip(e: PqPowerExpr, t: Rat) -> Rat:
-        return 1 / _nonzero(e, t)
-
-    lhs1 = pq_difference_quotient(lambda t: recip(forward, t), x, params)
-    rhs1 = rat(0) if n == 0 else -q * br / _nonzero(PqPowerExpr(a, n + 1, params, gamma=q), x)
-    lhs2 = pq_difference_quotient(lambda t: eval_pq_power(revd, t), x, params)
-    rhs2 = rat(0) if n == 0 else -br * eval_pq_power(
-        PqPowerExpr(a, n - 1, params, gamma=q, orientation=Orientation.A_MINUS_X), x
-    )
-    lhs3 = pq_difference_quotient(lambda t: recip(revd, t), x, params)
-    rhs3 = rat(0) if n == 0 else p * br / _nonzero(
-        PqPowerExpr(a, n + 1, params, gamma=p, orientation=Orientation.A_MINUS_X), x
-    )
-    return lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3
-
-
-def _nonzero(e: PqPowerExpr, x: Rat) -> Rat:
-    value = eval_pq_power(e, x)
-    if value == 0:
-        raise PoleError(f"{format_power_expr(e)} vanishes at x = {rat_str(x)}")
-    return value
 
 
 _POWER_RE = re.compile(

@@ -1,17 +1,15 @@
 """Exact rational scalars, the (p,q) parameter pair and twin-basic quantities.
 
 Every algebraic identity in this package is checked in exact rational
-arithmetic.  The scalar type is ``gmpy2.mpq`` when gmpy2 is installed
-(much faster on big numerators) and ``fractions.Fraction`` otherwise;
-both keep values in lowest terms with a positive denominator, parse the
-same ``"num/den"`` literals and print them back identically, so the
-choice is invisible to callers.
+arithmetic.  The scalar type ``Rat`` is ``fractions.Fraction``: values in
+lowest terms with a positive denominator, parsed from and printed as
+``"num/den"`` literals.
 
 The hot exact kernels (brackets, Horner, the power product at every n,
 ``expand_expr``, and the Taylor formulas, reconstruction and connection
-coefficients) work fraction-free: they read ``numerator``/``denominator``
-(which both backends provide), carry integer numerators over one common
-denominator, and normalise once per result instead of after every multiply.
+coefficients) work fraction-free: they read ``numerator``/``denominator``,
+carry integer numerators over one common denominator, and normalise once
+per result instead of after every multiply.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
@@ -24,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from fractions import Fraction as Rat
 
 from .errors import (
     DegenerateRegimeError,
@@ -32,17 +31,12 @@ from .errors import (
     OutOfRangeError,
 )
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
-
 
 def rat(value: object) -> Rat:
     """Coerce ``value`` to the exact rational type.
 
-    Accepts the backend type itself, ints, and strings in the literal
-    form used by the CLI and JSON output: ``"7"``, ``"-1"``, ``"3/2"``.
+    Accepts ``Rat`` itself, ints, and strings in the literal form used by
+    the CLI and JSON output: ``"7"``, ``"-1"``, ``"3/2"``.
     Floats are rejected on purpose: silently binarising 0.1 would poison
     exact identity checks.
     """
@@ -75,6 +69,7 @@ class PqParams(namedtuple("PqParams", "p q")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(cls, p: object, q: object) -> "PqParams":
         p, q = rat(p), rat(q)
@@ -112,6 +107,7 @@ class FloatScalar(namedtuple("FloatScalar", "value")):
     """A double that compares with 1e-12 relative and absolute tolerance."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, value: float) -> "FloatScalar":
         if not math.isfinite(value):
@@ -129,13 +125,15 @@ class FloatScalar(namedtuple("FloatScalar", "value")):
 class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
     """Stopping rules for all series evaluations.
 
-    ``tail_tol`` is absolute on the term magnitude; the tail estimate of a
-    converged sum is the last included term, which bounds the true tail up
-    to the geometric factor that made the series converge in the first
-    place.
+    ``tail_tol`` is absolute on the term magnitude: a sum converges after
+    three consecutive terms of magnitude at most ``tail_tol``, and stops
+    unconverged after ``max_terms`` terms.  The tail estimate it reports is
+    the magnitude of its last term, not a bound on the omitted tail, which
+    on a slowly decaying lattice can be many times larger.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, max_terms: int = 10_000, tail_tol: float = 1e-12) -> "TruncationPolicy":
         if max_terms < 1:
@@ -154,14 +152,17 @@ def bracket(n: int, params: PqParams) -> Rat:
     For n >= 1 this equals the sum p^{n-1} + p^{n-2} q + ... + q^{n-1};
     negative n is allowed because p and q are nonzero.
 
-    For n >= 1, with p = P/S and q = Q/S (:meth:`PqParams.as_ints`),
-    [n] = ((P^n - Q^n) / (P - Q)) / S^(n-1), where the first quotient is an
-    exact integer division.
+    With p = P/S and q = Q/S (:meth:`PqParams.as_ints`) and m = |n|, the
+    division in the integer b = ((P^m - Q^m) // (P - Q)) S is exact, and
+    [n] = b / S^m for n >= 0 and [n] = -b S^m / (PQ)^m for n < 0, since
+    [-m] = -[m] / (pq)^m.
     """
-    if n < 1:
-        return (params.p**n - params.q**n) / (params.p - params.q)
     big_p, big_q, s = params.as_ints()
-    return Rat((big_p**n - big_q**n) // (big_p - big_q), s ** (n - 1))
+    m = abs(n)
+    b = (big_p**m - big_q**m) // (big_p - big_q) * s
+    if n >= 0:
+        return Rat(b, s**m)
+    return Rat(-b * s**m, (big_p * big_q) ** m)
 
 
 def bracket_numerators(n: int, params: PqParams) -> list[int]:

@@ -31,7 +31,7 @@ from math import comb, lcm
 
 from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from .polynomials import Polynomial
-from .pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
+from .pqpower import Orientation, PqPowerExpr, expand_expr
 from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, bracket_numerators
 from .scalars import pq_binomial, rat, rat_str
 
@@ -40,6 +40,7 @@ class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeff
     """Coefficients of a polynomial over (x (-) a)^k or (a (-) x)^k, trailing zeros stripped."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(cls, a: object, orientation: Orientation, coeffs: Iterable[object]) -> "PowerBasisExpansion":
         return super().__new__(cls, rat(a), orientation, Polynomial(coeffs).coeffs)
@@ -159,34 +160,6 @@ def connect_power_to_power(
     ])
 
 
-def q_binomial_reduction_check(a: object, b: object, n: int, q: object) -> bool:
-    """Check the classical q-binomial theorem instance at p = 1.
-
-    (ab;q)_n = sum_k qbinom(n,k) a^{n-k} (b;q)_{n-k} (a;q)_k
-
-    Verified two ways: via the literal right-hand side and via the
-    power-to-power connection coefficients specialised to x = 1, p = 1,
-    both against the direct q-Pochhammer product on the left.
-    """
-    if n < 0:
-        raise OutOfRangeError(f"need n >= 0, got {n}")
-    params = PqParams(1, q)
-    a, b = rat(a), rat(b)
-    lhs = pq_power_value(1, a * b, n, params)
-    literal = sum(
-        pq_binomial(n, k, params)
-        * a ** (n - k)
-        * pq_power_value(1, b, n - k, params)
-        * pq_power_value(1, a, k, params)
-        for k in range(n + 1)
-    )
-    connect = connect_power_to_power(a * b, a, n, params, Orientation.X_MINUS_A)
-    via_connection = sum(
-        c * pq_power_value(1, a, k, params) for k, c in enumerate(connect)
-    )
-    return lhs == literal and lhs == via_connection
-
-
 def heine_coeff(n: int, j: int, params: PqParams) -> Rat:
     """The claimed x^j coefficient of 1/(1 (-) x)^n: binom(n+j-1, j) p^{j-C(j,2)}."""
     if n < 1:
@@ -214,12 +187,6 @@ def reciprocal_power_series(n: int, params: PqParams, num_terms: int) -> tuple[R
             acc += g.coeffs[i] * series[m - i]
         series.append(-acc / g0)
     return tuple(series[:num_terms])
-
-
-def heine_coefficients_match(n: int, params: PqParams, num_terms: int = 8) -> bool:
-    """Whether the claimed coefficients equal the long-division series."""
-    oracle = reciprocal_power_series(n, params, num_terms)
-    return all(heine_coeff(n, j, params) == oracle[j] for j in range(num_terms))
 
 
 def heine_series_eval(

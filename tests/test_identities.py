@@ -81,7 +81,8 @@ class TestCountingRules:
         monkeypatch.setattr(identities, "bracket", lambda n, params: exact(n, params) + (1 if n == 3 else 0))
         results = run_suite(seed=1, trials=20)
         assert {r.label: r.failures for r in results if r.failures} == {
-            "derule1": 1, "derule2": 3, "derule3": 12, "bracket-invariants": 4, "monomial-integral": 12,
+            "derule1": 1, "derule2": 3, "derule3": 12, "r1": 7, "r2": 6, "r3": 6, "bracket-invariants": 4,
+            "monomial-integral": 12,
         }
 
     def test_nan_outcome_is_a_failure(self, monkeypatch):

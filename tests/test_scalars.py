@@ -11,11 +11,13 @@ from pqcalc.errors import (
     NonPositiveBaseError,
     OutOfRangeError,
 )
+from pqcalc.pqpower import Orientation, PqPowerExpr
 from pqcalc.scalars import (
     FloatScalar,
     PqParams,
     Rat,
     Regime,
+    TruncationPolicy,
     bracket,
     bracket_alpha,
     bracket_falling,
@@ -24,6 +26,7 @@ from pqcalc.scalars import (
     rat,
     rat_str,
 )
+from pqcalc.taylor import PowerBasisExpansion
 
 
 class TestRatLiterals:
@@ -170,6 +173,40 @@ class TestBracketAlpha:
         assert repr(x) == "FloatScalar(value=0.25)"
         with pytest.raises(AttributeError):
             x.value = 0.5
+
+
+class TestNamedTupleHelpersValidate:
+    """The inherited _make, and _replace through it, run the validating constructor."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: PqParams(1, 2)._replace(q=1), ValueError, "p and q must differ"),
+            (lambda: TruncationPolicy()._replace(max_terms=0), ValueError, "max_terms must be >= 1"),
+            (lambda: FloatScalar._make([float("nan")]), ValueError, "must be finite"),
+            (
+                lambda: PqPowerExpr._make([0.5, 2, PqParams(2, 1), 1, Orientation.X_MINUS_A]),
+                TypeError, "refusing to coerce float",
+            ),
+            (
+                lambda: PowerBasisExpansion(1, Orientation.X_MINUS_A, [1])._replace(a=0.5),
+                TypeError, "refusing to coerce float",
+            ),
+        ],
+        ids=["PqParams", "TruncationPolicy", "FloatScalar", "PqPowerExpr", "PowerBasisExpansion"],
+    )
+    def test_invalid_values_rejected(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_valid_replace_coerces_to_rat(self):
+        params = PqParams(1, 2)._replace(q="1/2")
+        assert params == PqParams(1, rat("1/2")) and all(type(v) is Rat for v in params)
+        assert PqParams._make(["3/2", 2]) == PqParams(rat("3/2"), 2)
+        e = PqPowerExpr(1, 2, params)._replace(a=3, gamma="2/3")
+        assert (type(e.a), type(e.gamma)) == (Rat, Rat)
+        expansion = PowerBasisExpansion(1, Orientation.X_MINUS_A, [1, 2])._replace(coeffs=[3, 0])
+        assert expansion.coeffs == (3,) and type(expansion.coeffs[0]) is Rat
 
 
 class TestFactorialAndBinomial:

@@ -8,15 +8,13 @@ import pytest
 from pqcalc.errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from pqcalc.polynomials import Polynomial
 from pqcalc.pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, rat
+from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, pq_binomial, rat
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
     connect_power_to_power,
     heine_coeff,
-    heine_coefficients_match,
     heine_series_eval,
-    q_binomial_reduction_check,
     reciprocal_power_series,
     taylor_expand,
     taylor_expand_reversed,
@@ -202,10 +200,28 @@ class TestConnectionFormulas:
                 assert lhs == rhs
 
 
+def q_binomial_holds(a, b, n, q):
+    """(ab;q)_n = sum_k qbinom(n,k) a^{n-k} (b;q)_{n-k} (a;q)_k at p = 1, with (u;q)_k = (1 (-) u)^k.
+
+    The right side is checked as written and through the connection
+    coefficients of (x (-) ab)^n over (x (-) a)^k at x = 1.
+    """
+    params = PqParams(1, q)
+    lhs = pq_power_value(1, a * b, n, params)
+    literal = sum(
+        pq_binomial(n, k, params) * a ** (n - k)
+        * pq_power_value(1, b, n - k, params) * pq_power_value(1, a, k, params)
+        for k in range(n + 1)
+    )
+    connect = connect_power_to_power(a * b, a, n, params, Orientation.X_MINUS_A)
+    via_connection = sum(c * pq_power_value(1, a, k, params) for k, c in enumerate(connect))
+    return lhs == literal == via_connection
+
+
 class TestQBinomialReduction:
     def test_trivial_and_linear(self):
-        assert q_binomial_reduction_check(rat("1/2"), rat("1/3"), 0, rat("1/4"))
-        assert q_binomial_reduction_check(rat("1/2"), rat("1/3"), 1, rat("1/4"))
+        assert q_binomial_holds(rat("1/2"), rat("1/3"), 0, rat("1/4"))
+        assert q_binomial_holds(rat("1/2"), rat("1/3"), 1, rat("1/4"))
 
     def test_linear_value(self):
         # both sides at n=1 are 1 - ab
@@ -218,7 +234,7 @@ class TestQBinomialReduction:
             a = rat(rng.randint(1, 9)) / rng.randint(10, 30)
             b = rat(rng.randint(1, 9)) / rng.randint(10, 30)
             q = rat(rng.randint(1, 9)) / rng.randint(10, 30)
-            assert q_binomial_reduction_check(a, b, rng.randint(0, 6), q)
+            assert q_binomial_holds(a, b, rng.randint(0, 6), q)
 
 
 class TestReciprocalSeries:
@@ -248,14 +264,16 @@ class TestReciprocalSeries:
     def test_match_verdict_at_p_one(self):
         for q in (rat("1/2"), rat("1/3"), rat("3/4")):
             for n in (1, 2, 3, 4):
-                assert heine_coefficients_match(n, PqParams(1, q), num_terms=8)
+                params = PqParams(1, q)
+                claimed = tuple(heine_coeff(n, j, params) for j in range(8))
+                assert claimed == reciprocal_power_series(n, params, 8)
 
     def test_mismatch_verdict_away_from_p_one(self):
         # the geometric series 1/(1-x) pins the n=1 coefficients to 1,
         # but the claimed p-power factor is p^{j-C(j,2)} != 1
         params = PqParams(rat("3/2"), rat("1/2"))
-        assert not heine_coefficients_match(1, params, num_terms=4)
         oracle = reciprocal_power_series(1, params, 4)
+        assert tuple(heine_coeff(1, j, params) for j in range(4)) != oracle
         assert oracle == (rat(1), rat(1), rat(1), rat(1))
         assert heine_coeff(1, 1, params) == params.p
 
