@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "integration": (
         "BoundednessReport", "GapReport", "IntegralResult", "IntegralStatus", "antiderive_poly",
-        "check_convergence_hypothesis", "integral", "integral_improper",
+        "check_convergence_hypothesis", "integral", "integral_exact", "integral_improper",
         "integral_riemann_stieltjes", "integral_to_infinity", "integral_zero_to",
         "integrate_by_parts", "newton_leibniz_check",
     ),

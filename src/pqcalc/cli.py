@@ -135,18 +135,36 @@ def _log10(x) -> float:
     return math.log10(abs(x.numerator)) - math.log10(x.denominator)
 
 
-def _bracket_digits(n: int, params: PqParams) -> float:
-    """A lower bound on the decimal digits of the numerator or denominator of [n], n != 0.
+def _falling_log10(n: int, k: int, params: PqParams) -> tuple[float, float]:
+    """Bounds lo <= log10|[n][n-1]...[n-k+1]| <= hi, for |p| != |q| and no factor [0].
 
-    With k = |n|, M = max(|p|,|q|) and m = min(|p|,|q|) < M, the bounds
-    M^k (1 - m/M) <= |p^k - q^k| <= 2 M^k bound |[k]| = |p^k - q^k| / |p - q|,
-    and [-k] = -[k]/(pq)^k.
+    With M = max(|p|,|q|) and m = min(|p|,|q|) < M, the bounds
+    M^j (1 - m/M) <= |p^j - q^j| <= 2 M^j bound |[j]| = |p^j - q^j| / |p - q|
+    for j >= 1, and [-j] = -[j]/(pq)^j; the sums over j are closed forms.
     """
-    k = abs(n)
     big, small = sorted((abs(params.p), abs(params.q)), reverse=True)
-    shift = k * _log10(params.p * params.q) if n < 0 else 0
-    mid = k * _log10(big) - _log10(params.p - params.q) - shift
-    return max(mid + _log10(1 - small / big), -(mid + math.log10(2)))
+    first = n - k + 1
+    if first > 0:
+        total, negative = _triangle(n) - _triangle(first - 1), 0
+    else:  # no factor [0], so every j is negative
+        total = negative = _triangle(-first) - _triangle(-n - 1)
+    mid = total * _log10(big) - negative * _log10(params.p * params.q) - k * _log10(params.p - params.q)
+    return mid + k * _log10(1 - small / big), mid + k * math.log10(2)
+
+
+def _triangle(m: int) -> int:
+    return m * (m + 1) // 2
+
+
+def _require_printable(lo: float, hi: float, what: str) -> None:
+    """Refuse, before computing it, a rational with lo <= log10|value| <= hi that cannot be printed.
+
+    Its numerator or denominator has at least max(lo, -hi) digits, and
+    str() refuses an int longer than the int-to-str limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and max(lo, -hi) > limit:
+        raise ValueError(f"{what} has over {limit} digits, the int-to-str limit")
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
@@ -156,9 +174,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     except ValueError:
         n = None
     if n is not None:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if limit and n and abs(params.p) != abs(params.q) and _bracket_digits(n, params) > limit:
-            raise ValueError(f"[{n}] has over {limit} digits, the int-to-str limit")
+        if n and abs(params.p) != abs(params.q):
+            _require_printable(*_falling_log10(n, 1, params), f"[{n}]")
         value = bracket(n, params)
         _emit(args, {"value": rat_str(value)}, rat_str(value))
     else:
@@ -172,11 +189,18 @@ def cmd_derive(args: argparse.Namespace) -> int:
     from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
 
     params = _params(args)
-    if args.k < 0:
-        raise ValueError(f"--k must be >= 0, got {args.k}")
+    k = args.k
+    if k < 0:
+        raise ValueError(f"--k must be >= 0, got {k}")
     if args.expr.lstrip().startswith("pqpow"):
         expr = parse_power_expr(args.expr, params)
-        coeff, residual = derive_pq_power_iterated(expr, args.k)
+        if k and expr.gamma and not 0 <= expr.n < k and abs(params.p) != abs(params.q):
+            # the coefficient g^k base^C(k,2) [n]...[n-k+1] of derive_pq_power_iterated
+            base, _ = expr.orientation.base_sign(params)
+            scale = k * _log10(expr.gamma) + k * (k - 1) // 2 * _log10(base)
+            lo, hi = _falling_log10(expr.n, k, params)
+            _require_printable(lo + scale, hi + scale, "the coefficient")
+        coeff, residual = derive_pq_power_iterated(expr, k)
         text = format_power_expr(residual)
         _emit(
             args,
@@ -184,7 +208,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
             f"{rat_str(coeff)} * {text}",
         )
     else:
-        result = pq_derive_poly_k(Polynomial.from_string(args.expr), args.k, params)
+        result = pq_derive_poly_k(Polynomial.from_string(args.expr), k, params)
         _emit(args, {"poly": result.to_string()}, result.to_string())
     return 0
 

@@ -2,14 +2,30 @@
 
 Every definite integral here is a geometric-lattice sum: the integrand is
 sampled on points a*(q/p)^k (scaled by 1/p or 1/q) and the weighted terms
-are added until a :class:`TruncationPolicy` says stop.  Convergence means
-``_SMALL_RUN`` (3) consecutive terms of magnitude at most ``tail_tol``;
-divergence is declared after :data:`DIVERGENCE_WINDOW` consecutive
-non-decreasing term magnitudes and is reported as a status, never raised,
-so failure cases (1/x being the canonical one) can be demonstrated rather
-than crashed on.  The reported ``tail_estimate`` is the magnitude of the
-last term (of the last one above ``tail_tol`` when ``max_terms`` stops the
-sum), not a bound on the error.
+are added until a :class:`TruncationPolicy` says stop.  The plain rules
+stop a sum on ``_SMALL_RUN`` (3) consecutive terms of magnitude at most
+``tail_tol``, on :data:`DIVERGENCE_WINDOW` consecutive non-decreasing term
+magnitudes (divergence, reported as a status, never raised, so failure
+cases such as 1/x can be demonstrated rather than crashed on), or on
+``max_terms``.  Between them the lattice ratio, known before the first
+term, lets the summer extrapolate the partial sums (:func:`_sum_series`):
+a Richardson table at the known ratios on [0, a], Aitken's delta-squared
+on the observed ratio on [a, infinity).
+
+``IntegralResult.stop_reason`` says which rule stopped the sum, and so
+what ``tail_estimate`` means:
+
+- ``small_terms`` (converged): the magnitude of the last term, not a bound
+  on the error; on a slow lattice the omitted tail is many times larger;
+- ``accelerated`` (converged): a bound on the error of the extrapolated
+  value, the agreement of its last two extrapolants plus a roundoff term;
+- ``divergent``: the magnitude of the last term;
+- ``max_terms``: the magnitude of the last term above ``tail_tol``.
+
+A sum stopped by a plain rule is the sum the plain rules alone give, and
+an integral over two lattices that fails on one side sums the other side
+plainly too.  The exact value of a polynomial integrand is
+:func:`integral_exact`.
 
 A term is float work only: one generator, :func:`lattice_terms`, walks
 either direction and calls the integrand's plain ``fn``, and a polynomial
@@ -23,12 +39,12 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import islice
-from typing import Iterator, NamedTuple
+from itertools import chain, cycle, islice, repeat
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
-from .polynomials import NumericFn, Polynomial, pq_derive_fn
-from .scalars import DEFAULT_POLICY, PqParams, Regime, TruncationPolicy, bracket, rat
+from .polynomials import NumericFn, Polynomial, eval_poly, pq_derive_fn
+from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket, rat
 
 
 class IntegralStatus(enum.Enum):
@@ -37,19 +53,13 @@ class IntegralStatus(enum.Enum):
     DIVERGENCE_DETECTED = "divergent"
 
 
-_SEVERITY = {
-    IntegralStatus.CONVERGED: 0,
-    IntegralStatus.MAX_TERMS_REACHED: 1,
-    IntegralStatus.DIVERGENCE_DETECTED: 2,
-}
-
-
 class IntegralResult(NamedTuple):
     value: float
     terms_used: int
     tail_estimate: float
     regime: Regime
     status: IntegralStatus
+    stop_reason: str  # one of STOP_REASONS
 
     def to_json_dict(self) -> dict:
         return {
@@ -57,6 +67,7 @@ class IntegralResult(NamedTuple):
             "terms": self.terms_used,
             "tail": self.tail_estimate,
             "status": self.status.value,
+            "stop_reason": self.stop_reason,
             "regime": self.regime.value,
         }
 
@@ -82,48 +93,152 @@ def _require_lattice(params: PqParams) -> Regime:
 _SMALL_RUN = 3
 #: consecutive non-decreasing term magnitudes that declare a series divergent
 DIVERGENCE_WINDOW = 8
+#: unit roundoff of a float
+_U = 2.0**-53
+
+#: why a sum stopped, mildest first, and the status each reason reports
+_STOP_STATUS = {
+    "small_terms": IntegralStatus.CONVERGED,
+    "accelerated": IntegralStatus.CONVERGED,
+    "max_terms": IntegralStatus.MAX_TERMS_REACHED,
+    "divergent": IntegralStatus.DIVERGENCE_DETECTED,
+}
+STOP_REASONS = tuple(_STOP_STATUS)
 
 
-def _sum_series(terms: Iterator[float], policy: TruncationPolicy) -> tuple[float, int, float, IntegralStatus]:
-    total = 0.0
+def _worst_reason(*reasons: str) -> str:
+    """The most severe of some stop reasons; a combined sum stops for it."""
+    return max(reasons, key=STOP_REASONS.index)
+
+
+def _richardson_factors(lam: float) -> list[float]:
+    """lam^j / (1 - lam^j) for the levels j >= 1 whose ratio lam^j is not below roundoff."""
+    factors = []
+    power = lam
+    while abs(power) >= _U:
+        factors.append(power / (1.0 - power))
+        power *= lam
+    return factors
+
+
+def _sum_series(
+    terms: Iterator[float], policy: TruncationPolicy, ratio: Optional[float] = None
+) -> tuple[float, int, float, str]:
+    """Sum series terms; return (value, terms used, tail estimate, stop reason).
+
+    The plain rules stop the sum on three small terms, on divergence or on
+    ``max_terms``, exactly as if nothing else ran.  ``ratio`` is the step
+    of the lattice points of a lattice series, None for any other series,
+    which is only summed.  Between the plain stops, at checkpoints m terms
+    apart, with r = min(|ratio|, 1/|ratio|) and m = max(2, ceil(1/(2(1-r)))),
+    a lattice partial sum S_N is extrapolated to E_i:
+
+    - |ratio| < 1 (towards 0): a polynomial integrand's partial sums miss
+      geometric components of the known ratios ratio^{n+1}, so the
+      checkpoint sums feed a Richardson table, from S_0 = 0, whose level j
+      removes lam^j with lam = ratio^m; E_i is its diagonal.  The stride
+      keeps |lam| near e^{-1/2}, so the levels hardly amplify roundoff.
+    - |ratio| > 1 (towards infinity): Aitken's delta-squared on the last
+      two terms, E_i = S_N + t_{N-1} kappa / (1 - kappa) with the observed
+      ratio kappa = t_{N-1} / t_{N-2}, exact for the single geometric
+      series of x^{-s}.  Comparing E_i a stride apart, not a term apart,
+      exposes a slower second component that moves E_i too little per
+      term to show above roundoff.
+
+    E_i is accepted only while the terms fall: the last term is below the
+    last term of the previous block, and on [a, infinity) |kappa| < 1.
+    It is also accepted only once two differences d_{i-1}, d_i of
+    extrapolants exist, so that no early extrapolant whose partial sum
+    happens to cancel is taken for the limit.
+    With d_i = |E_i - E_{i-1}|, u = 2^-53 and the roundoff term
+    R = (N+3) u (sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)), where
+    kappa is the ratio of the extrapolated tail (lam on [0, a]), the bound
+    is d_i if d_i <= R (the extrapolants agree to roundoff), otherwise
+    d_i / (1 - d_i / d_{i-1}) if the differences contract, the rest of a
+    geometric series of them.  E_i is accepted, with stop reason
+    ``accelerated``, when the bound is at most ``tail_tol + R``, and the
+    tail estimate is the bound plus R.
+    """
+    tail_tol, max_terms = policy.tail_tol, policy.max_terms
+    known = ratio is not None and abs(ratio) < 1
+    if ratio is None:  # one chunk, no checkpoint is ever reached
+        chunks = repeat((max_terms + 1, True))
+    else:
+        r = abs(ratio) if known else 1.0 / abs(ratio)
+        stride = max(2, math.ceil(0.5 / (1.0 - r)))
+    if known:
+        chunks = repeat((stride, True))
+        lam = ratio**stride
+        factors = _richardson_factors(lam)
+        gain = 1.0 / (1.0 - abs(lam))
+        row = [0.0]  # the last row of the Richardson table
+    elif ratio is not None:  # a run-up chunk, then a one-term chunk whose checkpoint sees the last two terms
+        chunks = chain([(1, False)], cycle([(1, True), (stride - 1, False)]))
+    total = abs_total = 0.0
     count = 0
     run = 1
     small_run = 0
     last_mag = 0.0
-    tail_tol = policy.tail_tol
-    for term in islice(terms, policy.max_terms):
-        count += 1
-        total += term
-        mag = abs(term)
-        if mag <= tail_tol:
-            small_run += 1
-            if small_run >= _SMALL_RUN:
-                return total, count, mag, IntegralStatus.CONVERGED
-        else:
-            small_run = 0
-            if count > 1 and mag >= last_mag:
-                run += 1
-                if run >= DIVERGENCE_WINDOW:
-                    return total, count, mag, IntegralStatus.DIVERGENCE_DETECTED
+    mag = prev_term = 0.0
+    block_mag = math.inf  # the last term of the previous block
+    estimate = math.nan
+    diff = math.nan
+    it = iter(terms)
+    for size, checkpoint in chunks:
+        if count >= max_terms:
+            break
+        start = count
+        for count, term in enumerate(islice(it, min(size, max_terms - count)), count + 1):
+            total += term
+            mag = abs(term)
+            abs_total += mag
+            if mag <= tail_tol:
+                small_run += 1
+                if small_run >= _SMALL_RUN:
+                    return total, count, mag, "small_terms"
             else:
-                run = 1
-            last_mag = mag
-    return total, count, last_mag, IntegralStatus.MAX_TERMS_REACHED
-
-
-def _worse(a: IntegralStatus, b: IntegralStatus) -> IntegralStatus:
-    """The more severe of two statuses; the first one on a tie."""
-    return a if _SEVERITY[a] >= _SEVERITY[b] else b
-
-
-def _combine(a: IntegralResult, b: IntegralResult, value: float) -> IntegralResult:
-    return IntegralResult(
-        value=value,
-        terms_used=a.terms_used + b.terms_used,
-        tail_estimate=a.tail_estimate + b.tail_estimate,
-        regime=a.regime,
-        status=_worse(a.status, b.status),
-    )
+                small_run = 0
+                if count > 1 and mag >= last_mag:
+                    run += 1
+                    if run >= DIVERGENCE_WINDOW:
+                        return total, count, mag, "divergent"
+                else:
+                    run = 1
+                last_mag = mag
+        if count - start < size:
+            break
+        if not checkpoint:
+            prev_term = term
+            continue
+        falling, block_mag = mag < block_mag, mag
+        if known:
+            new_row = [total]
+            for factor, old in zip(factors, row):
+                cur = new_row[-1]
+                new_row.append(cur + (cur - old) * factor)
+            row = new_row
+            latest = row[-1]
+        else:
+            kappa = term / prev_term if prev_term else math.inf
+            if not abs(kappa) < 1:
+                estimate = diff = math.nan
+                continue
+            latest = total + term * kappa / (1.0 - kappa)
+            gain = 1.0 / (1.0 - abs(kappa))
+        prev_diff, diff = diff, abs(latest - estimate)
+        estimate = latest
+        if not falling or math.isnan(prev_diff):  # accept on two real differences only
+            continue
+        roundoff = (count + 3) * _U * (abs_total + 2.0 * gain * abs(latest - total))
+        if diff <= roundoff:
+            bound = diff
+        elif diff < prev_diff:  # still moving: add the rest of a geometric contraction
+            bound = diff / (1.0 - diff / prev_diff)
+        else:
+            continue
+        if bound <= tail_tol + roundoff:
+            return latest, count, bound + roundoff, "accelerated"
+    return total, count, last_mag, "max_terms"
 
 
 def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> Iterator[float]:
@@ -138,43 +253,80 @@ def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> It
     a (p/q)^k / q (respectively a (q/p)^k / p), and together the two tile
     exactly the bilateral lattice of the improper integral.
     """
-    p, q = params.as_floats()
-    lt1 = _require_lattice(params) is Regime.RATIO_LT_ONE
-    pre = (p - q) * a if lt1 else (q - p) * a
-    num, den = (q, p) if lt1 == to_zero else (p, q)
-    ratio = num / den
-    w = 1.0 / den
+    pre, w, ratio = _lattice_walk(params, to_zero)
+    pre *= a
     fn = f.fn
     while True:
         yield pre * w * fn(a * w)
         w *= ratio
 
 
-def _lattice_integral(terms: Iterator[float], regime: Regime, policy: TruncationPolicy) -> IntegralResult:
-    value, count, tail, status = _sum_series(terms, policy)
-    return IntegralResult(value, count, tail, regime, status)
+def _lattice_walk(params: PqParams, to_zero: bool) -> tuple[float, float, float]:
+    """(prefactor per unit of a, first weight, step ratio) of one lattice direction."""
+    p, q = params.as_floats()
+    lt1 = _require_lattice(params) is Regime.RATIO_LT_ONE
+    num, den = (q, p) if lt1 == to_zero else (p, q)
+    return (p - q if lt1 else q - p), 1.0 / den, num / den
+
+
+def _lattice_integral(
+    terms: Iterator[float], ratio: float, regime: Regime, policy: TruncationPolicy
+) -> IntegralResult:
+    value, count, tail, reason = _sum_series(terms, policy, ratio)
+    return IntegralResult(value, count, tail, regime, _STOP_STATUS[reason], reason)
+
+
+def _one_sided(
+    f: NumericFn, a: float, to_zero: bool, params: PqParams, policy: TruncationPolicy, extrapolate: bool = True
+) -> IntegralResult:
+    if a == 0:
+        return IntegralResult(0.0, 0, 0.0, params.regime, IntegralStatus.CONVERGED, "small_terms")
+    ratio = _lattice_walk(params, to_zero)[2] if extrapolate else None
+    return _lattice_integral(lattice_terms(f, a, params, to_zero), ratio, params.regime, policy)
+
+
+def _two_sided(
+    f: NumericFn, params: PqParams, policy: TruncationPolicy, first: tuple, second: tuple, sign: float
+) -> IntegralResult:
+    """first + sign * second, each side an (a, to_zero) pair.
+
+    A side may stop on an extrapolant only while both sides converge.  If
+    one does not, an accelerated side is summed again without
+    extrapolation, so a failed combined sum is the one the plain rules give.
+    """
+    x = _one_sided(f, *first, params, policy)
+    y = _one_sided(f, *second, params, policy, extrapolate=x.status is IntegralStatus.CONVERGED)
+    if y.status is not IntegralStatus.CONVERGED and x.stop_reason == "accelerated":
+        x = _one_sided(f, *first, params, policy, extrapolate=False)
+    reason = _worst_reason(x.stop_reason, y.stop_reason)
+    return IntegralResult(
+        value=x.value + sign * y.value,
+        terms_used=x.terms_used + y.terms_used,
+        tail_estimate=x.tail_estimate + y.tail_estimate,
+        regime=x.regime,
+        status=_STOP_STATUS[reason],
+        stop_reason=reason,
+    )
 
 
 def integral_zero_to(
     f: NumericFn, a: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
     """Truncated series for the integral of f over [0, a], 0 <= a < infinity."""
-    regime = _require_lattice(params)
+    _require_lattice(params)
     if not 0 <= a < math.inf:
         raise InvalidIntervalError(f"need a >= 0, got {a}")
-    if a == 0:
-        return IntegralResult(0.0, 0, 0.0, regime, IntegralStatus.CONVERGED)
-    return _lattice_integral(lattice_terms(f, a, params, to_zero=True), regime, policy)
+    return _one_sided(f, a, True, params, policy)
 
 
 def integral_to_infinity(
     f: NumericFn, a: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
     """Truncated series for the integral of f over [a, infinity), 0 < a < infinity."""
-    regime = _require_lattice(params)
+    _require_lattice(params)
     if not 0 < a < math.inf:
         raise InvalidIntervalError(f"need a > 0, got {a}")
-    return _lattice_integral(lattice_terms(f, a, params, to_zero=False), regime, policy)
+    return _one_sided(f, a, False, params, policy)
 
 
 def integral_improper(
@@ -186,9 +338,8 @@ def integral_improper(
     under the policy and a divergent direction shows up in the combined
     status.
     """
-    down = integral_zero_to(f, 1.0, params, policy)
-    up = integral_to_infinity(f, 1.0, params, policy)
-    return _combine(down, up, down.value + up.value)
+    _require_lattice(params)
+    return _two_sided(f, params, policy, (1.0, True), (1.0, False), 1.0)
 
 
 def integral(
@@ -203,9 +354,8 @@ def integral(
         raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
     if math.isinf(b):
         return integral_to_infinity(f, a, params, policy) if a else integral_improper(f, params, policy)
-    upper = integral_zero_to(f, b, params, policy)
-    lower = integral_zero_to(f, a, params, policy)
-    return _combine(upper, lower, upper.value - lower.value)
+    _require_lattice(params)
+    return _two_sided(f, params, policy, (b, True), (a, True), -1.0)
 
 
 def integral_riemann_stieltjes(
@@ -235,7 +385,7 @@ def integral_riemann_stieltjes(
             yield fn(x * rk / p) * (gn(x * rk) - gn(x * rk * ratio))
             rk *= ratio
 
-    return _lattice_integral(terms(), regime, policy)
+    return _lattice_integral(terms(), ratio, regime, policy)
 
 
 def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Polynomial:
@@ -251,6 +401,21 @@ def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Po
             raise DegenerateRegimeError(f"[{n + 1}] = 0 at p = -q; coefficient has no preimage")
         out.append(c / br)
     return Polynomial(out)
+
+
+def integral_exact(f: Polynomial, a: object, b: object, params: PqParams) -> Rat:
+    """The exact value F(b) - F(a) of the lattice integral of f over [a, b], F = antiderive_poly(f).
+
+    This is the fundamental theorem of the paper: the [0, x] series of a
+    polynomial sums to F(x) - F(0) in either regime, so the result is the
+    value the lattice series converges to, for rational 0 <= a < b.
+    """
+    _require_lattice(params)
+    a, b = rat(a), rat(b)
+    if not 0 <= a < b:
+        raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
+    F = antiderive_poly(f, params)
+    return eval_poly(F, b) - eval_poly(F, a)
 
 
 class BoundednessReport(NamedTuple):
@@ -316,4 +481,5 @@ def integrate_by_parts(
     right = integral(right_int, a, b, params, policy)
     lhs = left.value
     rhs = f(b) * g(b) - f(a) * g(a) - right.value
-    return GapReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), status=_worse(left.status, right.status))
+    status = _STOP_STATUS[_worst_reason(left.stop_reason, right.stop_reason)]
+    return GapReport(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs), status=status)

@@ -125,11 +125,15 @@ class FloatScalar(namedtuple("FloatScalar", "value")):
 class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
     """Stopping rules for all series evaluations.
 
-    ``tail_tol`` is absolute on the term magnitude: a sum converges after
-    three consecutive terms of magnitude at most ``tail_tol``, and stops
-    unconverged after ``max_terms`` terms.  The tail estimate it reports is
-    the magnitude of its last term, not a bound on the omitted tail, which
-    on a slowly decaying lattice can be many times larger.
+    ``tail_tol`` is absolute.  A sum converges after three consecutive
+    terms of magnitude at most ``tail_tol`` (stop reason ``small_terms``),
+    or, on a lattice series, when two successive extrapolants of its
+    partial sums agree within ``tail_tol`` plus a roundoff term
+    (``accelerated``); it stops unconverged after ``max_terms`` terms.
+    The tail estimate of an accelerated sum bounds its error.  Every other
+    stop reports the magnitude of the last term, which is not a bound on
+    the omitted tail: on a slowly decaying lattice that tail can be many
+    times larger.
     """
 
     __slots__ = ()
@@ -157,12 +161,17 @@ def bracket(n: int, params: PqParams) -> Rat:
     [n] = b / S^m for n >= 0 and [n] = -b S^m / (PQ)^m for n < 0, since
     [-m] = -[m] / (pq)^m.
     """
+    return Rat(*_bracket_ints(n, params))
+
+
+def _bracket_ints(n: int, params: PqParams) -> tuple[int, int]:
+    """[n] as an integer numerator and a positive denominator, not reduced (see ``bracket``)."""
     big_p, big_q, s = params.as_ints()
     m = abs(n)
     b = (big_p**m - big_q**m) // (big_p - big_q) * s
     if n >= 0:
-        return Rat(b, s**m)
-    return Rat(-b * s**m, (big_p * big_q) ** m)
+        return b, s**m
+    return -b * s**m, (big_p * big_q) ** m
 
 
 def bracket_numerators(n: int, params: PqParams) -> list[int]:
@@ -191,16 +200,21 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
 
     Computed as a plain product so it stays defined even when some bracket
     vanishes (p = -q), where the factorial ratio would be 0/0.  For
-    0 <= n < k the product passes [0] = 0 and is not multiplied out.
+    0 <= n < k the product passes [0] = 0 and is not multiplied out.  The
+    numerators and the denominators are multiplied as integers and the
+    quotient is normalised once.
     """
     if k < 0:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
     if 0 <= n < k:
         return rat(0)
-    out = rat(1)
+    num = den = 1
     for j in range(n - k + 1, n + 1):
-        out *= bracket(j, params)
-    return out
+        b, d = _bracket_ints(j, params)
+        g = math.gcd(b, d)  # reduced factors keep the one final gcd small
+        num *= b // g
+        den *= d // g
+    return Rat(num, den)
 
 
 def pq_binomial(n: int, k: int, params: PqParams) -> Rat:

@@ -202,7 +202,7 @@ def heine_series_eval(
     divides by [2] = 0 and raises :class:`DegenerateRegimeError`.
     """
     # imported here so that the Taylor layer alone does not load the integrals
-    from .integration import DIVERGENCE_WINDOW, IntegralStatus, _sum_series
+    from .integration import DIVERGENCE_WINDOW, _sum_series
 
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
@@ -217,8 +217,8 @@ def heine_series_eval(
                 raise DegenerateRegimeError(f"[{j + 1}] = 0 at p = -q; the series coefficients divide by it")
             coeff *= bracket(n + j, params) / divisor * p ** (1 - j)
 
-    total, used, _, status = _sum_series(terms(), policy)
-    if status is IntegralStatus.DIVERGENCE_DETECTED:
+    total, used, _, reason = _sum_series(terms(), policy)
+    if reason == "divergent":
         raise DivergenceError(
             f"term magnitudes non-decreasing for {DIVERGENCE_WINDOW} consecutive terms"
             f" at j={used - 1}"

@@ -1,12 +1,13 @@
 """CLI surface: output formats, JSON round trips, exit codes."""
 
 import json
+import sys
 
 import pytest
 
 from pqcalc import cli
 from pqcalc.cli import main
-from pqcalc.scalars import rat
+from pqcalc.scalars import rat, rat_str
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,24 @@ class TestDeriveCommand:
         assert code == 0
         assert out.startswith("-5 * pqpowrev(")
 
+    @pytest.mark.parametrize("expr", ["pqpow(a=1, n=-3)", "pqpowrev(a=2, n=1600, gamma=5/7)"])
+    def test_unprintable_coefficient_exits_two_before_computing(self, capsys, monkeypatch, expr):
+        from pqcalc import pqpower
+
+        def refuse(*args):
+            raise AssertionError("coefficient computed")
+
+        monkeypatch.setattr(pqpower, "derive_pq_power_iterated", refuse)
+        code, out, err = run_cli(capsys, "derive", expr, "--k", "1500", "--p", "3/2", "--q", "1/3")
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: the coefficient has over {limit} digits, the int-to-str limit"
+
+    @pytest.mark.parametrize("n, k", [(-3, 40), (60, 40), (39, 40)])
+    def test_printable_coefficient_still_prints(self, capsys, n, k):
+        code, out, _ = run_cli(capsys, "derive", f"pqpow(a=1, n={n})", "--k", str(k), "--p", "3/2", "--q", "1/3")
+        assert code == 0 and out.partition(" * ")[2] == f"pqpow(a=1, n={n - k}, gamma={rat_str(rat('3/2') ** k)})"
+
 
 class TestTaylorCommand:
     def test_expansion_json(self, capsys):
@@ -209,6 +228,17 @@ class TestIntegrateCommand:
         payload = json.loads(out)
         assert payload["status"] == "max_terms"
         assert payload["terms"] == 5
+        assert payload["stop_reason"] == "max_terms"
+
+    def test_slow_lattice_is_accelerated(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "integrate", "poly:1,-2,0,3", "0", "1", "--p", "1", "--q", "999/1000", "--json"
+        )
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["stop_reason"]) == (0, "converged", "accelerated")
+        assert payload["terms"] < 10_000
+        exact = rat("2998001999/3994003999")  # F(1) - F(0), F the exact antiderivative
+        assert abs(payload["value"] - float(exact)) <= payload["tail"] <= 1e-12
 
 
 class TestIdentitiesCommand:

@@ -98,7 +98,7 @@ class TestCountingRules:
         ]
 
     def test_nan_plain_integral_fails_riemann_stieltjes(self, monkeypatch):
-        nan = IntegralResult(float("nan"), 1, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED)
+        nan = IntegralResult(float("nan"), 1, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED, "small_terms")
         monkeypatch.setattr(identities, "integral_zero_to", lambda *args: nan)
         [result] = run_suite(seed=0, trials=10, only=["riemann-stieltjes"])
         assert (result.trials, result.failures) == (10, 10)

@@ -22,7 +22,7 @@ EXPORTED = {
     ),
     "integration": (
         "BoundednessReport", "GapReport", "IntegralResult", "IntegralStatus", "TruncationPolicy",
-        "antiderive_poly", "check_convergence_hypothesis", "integral", "integral_improper",
+        "antiderive_poly", "check_convergence_hypothesis", "integral", "integral_exact", "integral_improper",
         "integral_riemann_stieltjes", "integral_to_infinity", "integral_zero_to",
         "integrate_by_parts", "newton_leibniz_check",
     ),

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -11,6 +12,7 @@ from pqcalc.errors import DegenerateRegimeError, InvalidIntervalError, WrongRegi
 from pqcalc.integration import (
     DEFAULT_POLICY,
     DIVERGENCE_WINDOW,
+    STOP_REASONS,
     BoundednessReport,
     IntegralResult,
     IntegralStatus,
@@ -19,6 +21,7 @@ from pqcalc.integration import (
     antiderive_poly,
     check_convergence_hypothesis,
     integral,
+    integral_exact,
     integral_improper,
     integral_riemann_stieltjes,
     integral_to_infinity,
@@ -28,7 +31,7 @@ from pqcalc.integration import (
     newton_leibniz_check,
 )
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
-from pqcalc.scalars import PqParams, Regime, bracket, rat
+from pqcalc.scalars import PqParams, Regime, bracket, bracket_alpha, rat
 
 P1H = PqParams(1, rat("1/2"))  # Jackson regime, |q/p| < 1
 P21 = PqParams(2, 1)
@@ -346,21 +349,22 @@ class TestResultSerialization:
     def test_json_dict_shape(self):
         result = integral_zero_to(NumericFn(lambda x: x), 1.0, P1H)
         payload = result.to_json_dict()
-        assert set(payload) == {"value", "terms", "tail", "status", "regime"}
+        assert set(payload) == {"value", "terms", "tail", "status", "stop_reason", "regime"}
         assert payload["status"] == "converged"
+        assert payload["stop_reason"] == "accelerated"
         assert payload["regime"] == "lt1"
         gt = integral_zero_to(NumericFn(lambda x: x), 1.0, P13)
         assert gt.to_json_dict()["regime"] == "gt1"
 
     def test_result_value_semantics(self):
-        result = IntegralResult(1.5, 3, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED)
+        result = IntegralResult(1.5, 3, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED, "small_terms")
         assert repr(result) == (
             "IntegralResult(value=1.5, terms_used=3, tail_estimate=0.0, "
-            f"regime={Regime.RATIO_LT_ONE!r}, status={IntegralStatus.CONVERGED!r})"
+            f"regime={Regime.RATIO_LT_ONE!r}, status={IntegralStatus.CONVERGED!r}, stop_reason='small_terms')"
         )
         assert result == IntegralResult(
             value=1.5, terms_used=3, tail_estimate=0.0, regime=Regime.RATIO_LT_ONE,
-            status=IntegralStatus.CONVERGED,
+            status=IntegralStatus.CONVERGED, stop_reason="small_terms",
         )
         with pytest.raises(AttributeError):
             result.value = 2.0
@@ -412,13 +416,18 @@ class TestFloatHorner:
         assert captured.err.startswith("error:")
 
 
-def _naive_terms(f, a, params, to_zero):
-    """The lattice terms as the two per-direction generators wrote them, calling f(x)."""
+def _naive_walk(params, to_zero):
+    """(prefactor, numerator, denominator) of the step, as the two per-direction generators wrote them."""
     p, q = params.as_floats()
     if params.regime is Regime.RATIO_LT_ONE:
-        pre, num, den = ((p - q) * a, q, p) if to_zero else ((p - q) * a, p, q)
-    else:
-        pre, num, den = ((q - p) * a, p, q) if to_zero else ((q - p) * a, q, p)
+        return (p - q, q, p) if to_zero else (p - q, p, q)
+    return (q - p, p, q) if to_zero else (q - p, q, p)
+
+
+def _naive_terms(f, a, params, to_zero):
+    """The lattice terms, calling f(x)."""
+    pre, num, den = _naive_walk(params, to_zero)
+    pre *= a
     ratio = num / den
     w = 1.0 / den
     while True:
@@ -426,17 +435,30 @@ def _naive_terms(f, a, params, to_zero):
         w *= ratio
 
 
-def _naive_sum(f, a, params, to_zero):
-    return _sum_series(_naive_terms(f, a, params, to_zero), DEFAULT_POLICY)
+def _naive_sum(f, a, params, to_zero, extrapolate=True):
+    _, num, den = _naive_walk(params, to_zero)
+    ratio = num / den if extrapolate else None
+    return _sum_series(_naive_terms(f, a, params, to_zero), DEFAULT_POLICY, ratio)
 
 
-def _naive_pair(first, second, value):
-    worst = max(first[3], second[3], key=[*IntegralStatus].index)  # listed mildest first
-    return value, first[1] + second[1], first[2] + second[2], worst
+def _naive_pair(f, params, first, second, sign):
+    """Two sides combined; when one fails, an accelerated side is summed again without extrapolation."""
+    sums = [_naive_sum(f, a, params, to_zero) for a, to_zero in (first, second)]
+    if any(s[3] not in ("small_terms", "accelerated") for s in sums):
+        sums = [
+            _naive_sum(f, a, params, to_zero, extrapolate=False) if s[3] == "accelerated" else s
+            for (a, to_zero), s in zip((first, second), sums)
+        ]
+    x, y = sums
+    reason = max(x[3], y[3], key=STOP_REASONS.index)  # listed mildest first
+    return x[0] + sign * y[0], x[1] + y[1], x[2] + y[2], reason
 
 
 def _fields(result):
-    return result.value, result.terms_used, result.tail_estimate, result.status
+    """The fields _sum_series returns; the status must be the one the stop reason reports."""
+    converged = result.stop_reason in ("small_terms", "accelerated")
+    assert result.status is (IntegralStatus.CONVERGED if converged else IntegralStatus(result.stop_reason))
+    return result.value, result.terms_used, result.tail_estimate, result.stop_reason
 
 
 # positive coefficients: |x f(x)| falls monotonically towards 0, so [0, b] sums converge
@@ -469,8 +491,144 @@ class TestLatticeAgainstNaiveSums:
         f, naive = self.INTEGRANDS[kind]
         a, b = 0.75, 2.5
         assert _fields(integral_zero_to(f, b, params)) == _naive_sum(naive, b, params, True)
-        upper, lower = _naive_sum(naive, b, params, True), _naive_sum(naive, a, params, True)
-        assert _fields(integral(f, a, b, params)) == _naive_pair(upper, lower, upper[0] - lower[0])
+        assert _fields(integral(f, a, b, params)) == _naive_pair(naive, params, (b, True), (a, True), -1.0)
         assert _fields(integral_to_infinity(f, a, params)) == _naive_sum(naive, a, params, False)
-        down, up = _naive_sum(naive, 1.0, params, True), _naive_sum(naive, 1.0, params, False)
-        assert _fields(integral_improper(f, params)) == _naive_pair(down, up, down[0] + up[0])
+        assert _fields(integral_improper(f, params)) == _naive_pair(naive, params, (1.0, True), (1.0, False), 1.0)
+
+
+RATIOS = ("1/2", "9/10", "99/100", "999/1000")
+
+
+def _lattice(ratio, lt1, scale=1):
+    r = rat(ratio)
+    return PqParams(scale, scale * r) if lt1 else PqParams(scale * r, scale)
+
+
+def _plain_terms(f, a, params, to_zero):
+    """Terms the plain rules alone take: the summer without the lattice ratio."""
+    return _sum_series(lattice_terms(f, a, params, to_zero), DEFAULT_POLICY)[1]
+
+
+class TestIntegralExact:
+    def test_fundamental_theorem_value(self):
+        f = Polynomial([1, -2, 0, 3])
+        assert integral_exact(f, 0, 1, PqParams(1, rat("999/1000"))) == rat("2998001999/3994003999")
+        assert integral_exact(f, rat("1/2"), 2, P13) == (
+            eval_poly(antiderive_poly(f, P13), rat(2)) - eval_poly(antiderive_poly(f, P13), rat("1/2"))
+        )
+
+    def test_monomial_law(self):
+        for params in (P1H, P13, PqParams(rat("2/3"), rat(2))):
+            for n in range(7):
+                exact = integral_exact(Polynomial.monomial(n), 0, 2, params)
+                assert exact == rat(2) ** (n + 1) / bracket(n + 1, params)
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (-1, 1)])
+    def test_invalid_intervals(self, a, b):
+        with pytest.raises(InvalidIntervalError):
+            integral_exact(Polynomial([1]), a, b, P1H)
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegenerateRegimeError):
+            integral_exact(Polynomial([1]), 0, 1, PqParams(2, -2))
+
+
+class TestExtrapolation:
+    """Known-ratio Richardson on [0, a], observed-ratio Aitken on [a, infinity)."""
+
+    @staticmethod
+    def _polys():
+        rng = random.Random(12)
+        yield from (Polynomial.monomial(n) for n in range(7))
+        # on [0, 1] at p = 1, q = 1/2 (stride 2), 1 - (6/5) x has S_2 = 0 and
+        # 3/16 - (9/8) x + x^2 has S_2 = S_4 = 0: their first extrapolants
+        # agree on 0 before the Richardson table is exact
+        yield Polynomial([1, rat("-6/5")])
+        yield Polynomial([rat("3/16"), rat("-9/8"), 1])
+        for _ in range(12):
+            degree = rng.randint(0, 6)
+            yield Polynomial(
+                [rat(rng.randint(-9, 9)) / rng.randint(1, 9) for _ in range(degree)]
+                + [rat(rng.choice((-1, 1)) * rng.randint(1, 9)) / rng.randint(1, 9)]
+            )
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_polynomials_against_the_exact_integral(self, ratio, lt1):
+        accelerated = 0
+        for scale in (1, rat("1/3")):
+            params = _lattice(ratio, lt1, scale)
+            for f in self._polys():
+                for a in (rat("1/2"), rat(1), rat("9/4")):
+                    result = integral_zero_to(NumericFn.from_polynomial(f), float(a), params)
+                    if result.stop_reason != "accelerated":
+                        continue
+                    accelerated += 1
+                    exact = integral_exact(f, 0, a, params)
+                    error = abs(Fraction(result.value) - exact)
+                    assert result.status is IntegralStatus.CONVERGED
+                    assert error <= 1e-12 * max(1, abs(exact)), (f, a, params)
+                    assert result.tail_estimate >= error, (f, a, params)
+                    assert result.terms_used < _plain_terms(NumericFn.from_polynomial(f), float(a), params, True)
+        assert accelerated >= 40
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_power_tail_against_its_geometric_sum(self, ratio, lt1):
+        params = _lattice(ratio, lt1)
+        big, small = (params.p, params.q) if lt1 else (params.q, params.p)
+        # terms (big - small) a w_k (a w_k)^{-s}, w_k = (1/small) (big/small)^k
+        log_step = math.log1p(float((big - small) / small))
+        for s in (1.25, 1.5, 2.0, 3.0):
+            for a in (0.5, 1.0, 3.0):
+                f = NumericFn(lambda x, s=s: x**-s)
+                result = integral_to_infinity(f, a, params)
+                first = float(big - small) * a ** (1 - s) * float(1 / small) ** (1 - s)
+                exact = first / -math.expm1((1 - s) * log_step)
+                error = abs(result.value - exact)
+                assert result.stop_reason == "accelerated"
+                assert result.terms_used < _plain_terms(f, a, params, False)
+                assert error <= 1e-10 * exact
+                assert result.tail_estimate >= error
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_fractional_power_falls_back_or_covers(self, ratio, lt1):
+        # x^{-1/2} has the component ratio^{1/2}, which no Richardson level removes
+        params = _lattice(ratio, lt1)
+        for alpha in (-0.5, 0.5):
+            for a in (0.5, 1.0, 3.0):
+                result = integral_zero_to(NumericFn(lambda x, al=alpha: x**al), a, params)
+                exact = a ** (alpha + 1) / bracket_alpha(alpha + 1, params).value
+                assert result.stop_reason != "accelerated" or result.tail_estimate >= abs(result.value - exact)
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_divergent_integrands_never_converge(self, ratio, lt1):
+        params = _lattice(ratio, lt1)
+        for f in (NumericFn(lambda x: 1.0 / x), NumericFn(lambda x: x**-2.0)):
+            assert integral_zero_to(f, 1.0, params).status is IntegralStatus.DIVERGENCE_DETECTED
+        for r in (0.5, 1.5, 2.0, 3.0):
+            result = integral_improper(NumericFn(lambda x, r=r: x**-r), params)
+            assert result.status is not IntegralStatus.CONVERGED
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_results_the_plain_rules_stop_are_unchanged(self, ratio, lt1):
+        """A sum not stopped by extrapolation is, field for field, the plain sum."""
+        params = _lattice(ratio, lt1)
+        wavy = NumericFn.from_polynomial(Polynomial([rat(3), -7, 0, 2]))  # |x f(x)| rises and falls
+        integrands = (wavy, NumericFn(math.log), NumericFn(lambda x: x**-0.5), NumericFn(lambda x: 1.0 / x))
+        for f in integrands:
+            for a, to_zero in ((0.75, True), (2.5, True), (1.0, False)):
+                one_sided = integral_zero_to if to_zero else integral_to_infinity
+                result = one_sided(f, a, params)
+                if result.stop_reason != "accelerated":
+                    plain = _sum_series(lattice_terms(f, a, params, to_zero), DEFAULT_POLICY)
+                    assert _fields(result) == plain
+            result = integral(f, 0.75, 2.5, params)
+            if result.status is not IntegralStatus.CONVERGED:
+                upper = _sum_series(lattice_terms(f, 2.5, params, True), DEFAULT_POLICY)
+                lower = _sum_series(lattice_terms(f, 0.75, params, True), DEFAULT_POLICY)
+                assert result.value == upper[0] - lower[0]
+                assert result.terms_used == upper[1] + lower[1]
