@@ -228,7 +228,7 @@ def cmd_taylor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fn_spec(spec: str) -> NumericFn:
+def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
     from .polynomials import NumericFn, Polynomial
 
     if spec.startswith("poly:"):
@@ -243,6 +243,8 @@ def _parse_fn_spec(spec: str) -> NumericFn:
             r = float(rat(text))
         except (ValueError, ZeroDivisionError, TypeError):
             r = float(text)
+        if not r.is_integer() and (params.p < 0 or params.q < 0):
+            raise ValueError(f"{spec} needs p, q > 0: a non-integer power of a negative lattice point is complex")
         return NumericFn(lambda x: x**-r)
     raise ValueError(f"unknown function spec {spec!r} (use poly:…, recip, log, powneg:r)")
 
@@ -252,7 +254,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     params = _params(args)
     policy = TruncationPolicy(max_terms=args.max_terms, tail_tol=args.tail_tol)
-    f = _parse_fn_spec(args.fn)
+    f = _parse_fn_spec(args.fn, params)
     if args.improper:
         result = integral_improper(f, params, policy)
     elif args.to_inf:

@@ -22,10 +22,11 @@ what ``tail_estimate`` means:
 - ``divergent``: the magnitude of the last term;
 - ``max_terms``: the magnitude of the last term above ``tail_tol``.
 
-A sum stopped by a plain rule is the sum the plain rules alone give, and
-an integral over two lattices that fails on one side sums the other side
-plainly too.  The exact value of a polynomial integrand is
-:func:`integral_exact`.
+A sum stopped by a plain rule is the sum the plain rules alone give.  An
+integral over two lattices extrapolates both sides and stops for the
+worse of their stop reasons; if its second side fails after an
+accelerated first side, the first side is summed again plainly.  The
+exact value of a polynomial integrand is :func:`integral_exact`.
 
 A term is float work only: one generator, :func:`lattice_terms`, walks
 either direction and calls the integrand's plain ``fn``, and a polynomial
@@ -40,7 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import chain, cycle, islice, repeat
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from .polynomials import NumericFn, Polynomial, eval_poly, pq_derive_fn
@@ -148,8 +149,9 @@ def _sum_series(
     E_i is accepted only while the terms fall: the last term is below the
     last term of the previous block, and on [a, infinity) |kappa| < 1.
     It is also accepted only once two differences d_{i-1}, d_i of
-    extrapolants exist, so that no early extrapolant whose partial sum
-    happens to cancel is taken for the limit.
+    extrapolants exist and some checkpoint sum is not exactly 0.0, so that
+    no early extrapolant whose partial sums happen to cancel is taken for
+    the limit.
     With d_i = |E_i - E_{i-1}|, u = 2^-53 and the roundoff term
     R = (N+3) u (sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)), where
     kappa is the ratio of the extrapolated tail (lam on [0, a]), the bound
@@ -183,6 +185,7 @@ def _sum_series(
     block_mag = math.inf  # the last term of the previous block
     estimate = math.nan
     diff = math.nan
+    nonzero = False  # some checkpoint sum so far is not exactly 0.0
     it = iter(terms)
     for size, checkpoint in chunks:
         if count >= max_terms:
@@ -211,6 +214,7 @@ def _sum_series(
             prev_term = term
             continue
         falling, block_mag = mag < block_mag, mag
+        nonzero = nonzero or total != 0.0
         if known:
             new_row = [total]
             for factor, old in zip(factors, row):
@@ -227,7 +231,7 @@ def _sum_series(
             gain = 1.0 / (1.0 - abs(kappa))
         prev_diff, diff = diff, abs(latest - estimate)
         estimate = latest
-        if not falling or math.isnan(prev_diff):  # accept on two real differences only
+        if not falling or not nonzero or math.isnan(prev_diff):  # accept on two real differences only
             continue
         roundoff = (count + 3) * _U * (abs_total + 2.0 * gain * abs(latest - total))
         if diff <= roundoff:
@@ -253,9 +257,12 @@ def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> It
     a (p/q)^k / q (respectively a (q/p)^k / p), and together the two tile
     exactly the bilateral lattice of the improper integral.
     """
-    pre, w, ratio = _lattice_walk(params, to_zero)
+    return _walk_terms(f.fn, a, *_lattice_walk(params, to_zero))
+
+
+def _walk_terms(fn: Callable[[float], float], a: float, pre: float, w: float, ratio: float) -> Iterator[float]:
+    """pre a w_k fn(a w_k) for the weights w_k = w ratio^k."""
     pre *= a
-    fn = f.fn
     while True:
         yield pre * w * fn(a * w)
         w *= ratio
@@ -281,8 +288,9 @@ def _one_sided(
 ) -> IntegralResult:
     if a == 0:
         return IntegralResult(0.0, 0, 0.0, params.regime, IntegralStatus.CONVERGED, "small_terms")
-    ratio = _lattice_walk(params, to_zero)[2] if extrapolate else None
-    return _lattice_integral(lattice_terms(f, a, params, to_zero), ratio, params.regime, policy)
+    pre, w, ratio = _lattice_walk(params, to_zero)  # walked once: the summer needs the ratio too
+    terms = _walk_terms(f.fn, a, pre, w, ratio)
+    return _lattice_integral(terms, ratio if extrapolate else None, params.regime, policy)
 
 
 def _two_sided(
@@ -290,12 +298,12 @@ def _two_sided(
 ) -> IntegralResult:
     """first + sign * second, each side an (a, to_zero) pair.
 
-    A side may stop on an extrapolant only while both sides converge.  If
-    one does not, an accelerated side is summed again without
-    extrapolation, so a failed combined sum is the one the plain rules give.
+    Both sides are summed with extrapolation, and the worse stop reason
+    stops the whole.  If the second side fails after the first side was
+    accelerated, the first side is summed again without extrapolation.
     """
     x = _one_sided(f, *first, params, policy)
-    y = _one_sided(f, *second, params, policy, extrapolate=x.status is IntegralStatus.CONVERGED)
+    y = _one_sided(f, *second, params, policy)
     if y.status is not IntegralStatus.CONVERGED and x.stop_reason == "accelerated":
         x = _one_sided(f, *first, params, policy, extrapolate=False)
     reason = _worst_reason(x.stop_reason, y.stop_reason)

@@ -240,6 +240,25 @@ class TestIntegrateCommand:
         exact = rat("2998001999/3994003999")  # F(1) - F(0), F the exact antiderivative
         assert abs(payload["value"] - float(exact)) <= payload["tail"] <= 1e-12
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "spec,pq", [("powneg:1/2", ("1", "-1/2")), ("powneg:1.5", ("-1", "-1/2")), ("powneg:3/2", ("-2", "1"))]
+    )
+    def test_complex_power_on_a_negative_lattice_exits_two(self, capsys, spec, pq, json_flag):
+        # x**-r at a negative lattice point is complex for non-integer r
+        code, out, err = run_cli(capsys, "integrate", spec, "0", "1", "--p", pq[0], "--q", pq[1], *json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_integer_power_on_a_negative_lattice_still_works(self, capsys):
+        code, out, _ = run_cli(capsys, "integrate", "powneg:2", "1", "--to-inf", "--p", "1", "--q", "-1/2", "--json")
+        payload = json.loads(out)
+        # terms (3/2) (-1/2)^{k+1}: a geometric series summing to -1/2
+        assert (code, payload["status"]) == (0, "converged")
+        assert abs(payload["value"] + 0.5) <= payload["tail"]
+        code, out, _ = run_cli(capsys, "integrate", "powneg:2", "0", "1", "--p", "1", "--q", "-1/2")
+        assert code == 0 and out.startswith("value=") and "j " not in out
+
 
 class TestIdentitiesCommand:
     def test_small_run_passes(self, capsys):

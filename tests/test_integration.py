@@ -442,14 +442,10 @@ def _naive_sum(f, a, params, to_zero, extrapolate=True):
 
 
 def _naive_pair(f, params, first, second, sign):
-    """Two sides combined; when one fails, an accelerated side is summed again without extrapolation."""
-    sums = [_naive_sum(f, a, params, to_zero) for a, to_zero in (first, second)]
-    if any(s[3] not in ("small_terms", "accelerated") for s in sums):
-        sums = [
-            _naive_sum(f, a, params, to_zero, extrapolate=False) if s[3] == "accelerated" else s
-            for (a, to_zero), s in zip((first, second), sums)
-        ]
-    x, y = sums
+    """Two sides, both extrapolated; when the second fails, an accelerated first side is summed again plainly."""
+    x, y = (_naive_sum(f, a, params, to_zero) for a, to_zero in (first, second))
+    if y[3] not in ("small_terms", "accelerated") and x[3] == "accelerated":
+        x = _naive_sum(f, first[0], params, first[1], extrapolate=False)
     reason = max(x[3], y[3], key=STOP_REASONS.index)  # listed mildest first
     return x[0] + sign * y[0], x[1] + y[1], x[2] + y[2], reason
 
@@ -572,6 +568,16 @@ class TestExtrapolation:
                     assert result.terms_used < _plain_terms(NumericFn.from_polynomial(f), float(a), params, True)
         assert accelerated >= 40
 
+    def test_vanishing_checkpoint_sums_are_no_limit(self):
+        # on [0, 1] at p = 1, q = 1/2 (stride 2) this cubic has S_2 = S_4 = S_6 = 0 exactly in floats
+        f = Polynomial([-85, 2142, -9520, 7680])
+        params = PqParams(1, rat("1/2"))
+        result = integral_zero_to(NumericFn.from_polynomial(f), 1.0, params)
+        exact = integral_exact(f, 0, 1, params)
+        assert exact == -1
+        assert result.stop_reason == "accelerated"
+        assert abs(Fraction(result.value) - exact) <= result.tail_estimate <= 1e-12
+
     @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_power_tail_against_its_geometric_sum(self, ratio, lt1):
@@ -632,3 +638,44 @@ class TestExtrapolation:
                 lower = _sum_series(lattice_terms(f, 0.75, params, True), DEFAULT_POLICY)
                 assert result.value == upper[0] - lower[0]
                 assert result.terms_used == upper[1] + lower[1]
+
+
+class TestTwoSided:
+    """A two-sided integral extrapolates both of its sides."""
+
+    INTEGRANDS = {
+        "poly": NumericFn.from_polynomial(LATTICE_POLY),
+        "recip": NumericFn(lambda x: 1.0 / x),
+        "log": NumericFn(math.log),
+        "powneg": NumericFn(lambda x: x**-1.5),
+    }
+
+    def test_failing_first_side_leaves_the_second_extrapolated(self):
+        # the [0, 1] side diverges in 8 terms; the [1, infinity) side is Aitken-extrapolated
+        params = PqParams(1, rat("999/1000"))
+        f = NumericFn(lambda x: x**-1.5)
+        result = integral_improper(f, params)
+        assert result.status is IntegralStatus.DIVERGENCE_DETECTED
+        assert result.terms_used <= 1_100
+        tail = integral_to_infinity(f, 1.0, params)
+        assert tail.stop_reason == "accelerated"
+        assert result.value == integral_zero_to(f, 1.0, params).value + tail.value
+
+    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", ["1/2", "99/100"])
+    def test_converged_exactly_when_both_sides_converge(self, ratio, lt1, kind):
+        params = _lattice(ratio, lt1)
+        f = self.INTEGRANDS[kind]
+        cases = [
+            (integral(f, a, b, params), integral_zero_to(f, b, params), integral_zero_to(f, a, params), -1.0)
+            for a, b in ((0.75, 2.5), (0.5, 3.0))
+        ]
+        sides = (integral_zero_to(f, 1.0, params), integral_to_infinity(f, 1.0, params))
+        cases.append((integral_improper(f, params), *sides, 1.0))
+        for result, x, y, sign in cases:
+            both = x.status is y.status is IntegralStatus.CONVERGED
+            assert (result.status is IntegralStatus.CONVERGED) == both
+            if both:
+                assert result.value == x.value + sign * y.value
+                assert result.terms_used == x.terms_used + y.terms_used
