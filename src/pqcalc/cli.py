@@ -236,6 +236,8 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
     if spec == "recip":
         return NumericFn(lambda x: 1.0 / x)
     if spec == "log":
+        if params.p < 0 or params.q < 0:
+            raise ValueError("log needs p, q > 0: the logarithm of a negative lattice point is undefined")
         return NumericFn(math.log)
     if spec.startswith("powneg:"):
         text = spec[len("powneg:"):]
@@ -243,6 +245,8 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
             r = float(rat(text))
         except (ValueError, ZeroDivisionError, TypeError):
             r = float(text)
+        if not math.isfinite(r):
+            raise ValueError(f"{spec} needs a finite r")
         if not r.is_integer() and (params.p < 0 or params.q < 0):
             raise ValueError(f"{spec} needs p, q > 0: a non-integer power of a negative lattice point is complex")
         return NumericFn(lambda x: x**-r)

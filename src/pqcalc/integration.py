@@ -112,16 +112,6 @@ def _worst_reason(*reasons: str) -> str:
     return max(reasons, key=STOP_REASONS.index)
 
 
-def _richardson_factors(lam: float) -> list[float]:
-    """lam^j / (1 - lam^j) for the levels j >= 1 whose ratio lam^j is not below roundoff."""
-    factors = []
-    power = lam
-    while abs(power) >= _U:
-        factors.append(power / (1.0 - power))
-        power *= lam
-    return factors
-
-
 def _sum_series(
     terms: Iterator[float], policy: TruncationPolicy, ratio: Optional[float] = None
 ) -> tuple[float, int, float, str]:
@@ -139,6 +129,7 @@ def _sum_series(
       checkpoint sums feed a Richardson table, from S_0 = 0, whose level j
       removes lam^j with lam = ratio^m; E_i is its diagonal.  The stride
       keeps |lam| near e^{-1/2}, so the levels hardly amplify roundoff.
+      Level j is built with row j, and none once |lam^j| < u.
     - |ratio| > 1 (towards infinity): Aitken's delta-squared on the last
       two terms, E_i = S_N + t_{N-1} kappa / (1 - kappa) with the observed
       ratio kappa = t_{N-1} / t_{N-2}, exact for the single geometric
@@ -149,9 +140,11 @@ def _sum_series(
     E_i is accepted only while the terms fall: the last term is below the
     last term of the previous block, and on [a, infinity) |kappa| < 1.
     It is also accepted only once two differences d_{i-1}, d_i of
-    extrapolants exist and some checkpoint sum is not exactly 0.0, so that
-    no early extrapolant whose partial sums happen to cancel is taken for
-    the limit.
+    extrapolants exist and some checkpoint sum is not exactly 0.0.  This
+    does not keep a coincidence from being taken for the limit: while the
+    table has fewer rows than a polynomial has components, two extrapolants
+    can agree exactly, or checkpoint sums that vanish as rationals can
+    leave only roundoff in floats, and either is accepted.
     With d_i = |E_i - E_{i-1}|, u = 2^-53 and the roundoff term
     R = (N+3) u (sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)), where
     kappa is the ratio of the extrapolated tail (lam on [0, a]), the bound
@@ -170,8 +163,8 @@ def _sum_series(
         stride = max(2, math.ceil(0.5 / (1.0 - r)))
     if known:
         chunks = repeat((stride, True))
-        lam = ratio**stride
-        factors = _richardson_factors(lam)
+        lam = power = ratio**stride
+        factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
         gain = 1.0 / (1.0 - abs(lam))
         row = [0.0]  # the last row of the Richardson table
     elif ratio is not None:  # a run-up chunk, then a one-term chunk whose checkpoint sees the last two terms
@@ -216,6 +209,9 @@ def _sum_series(
         falling, block_mag = mag < block_mag, mag
         nonzero = nonzero or total != 0.0
         if known:
+            if abs(power) >= _U:  # one level more for the new row, until lam^j is roundoff
+                factors.append(power / (1.0 - power))
+                power *= lam
             new_row = [total]
             for factor, old in zip(factors, row):
                 cur = new_row[-1]
@@ -257,7 +253,7 @@ def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> It
     a (p/q)^k / q (respectively a (q/p)^k / p), and together the two tile
     exactly the bilateral lattice of the improper integral.
     """
-    return _walk_terms(f.fn, a, *_lattice_walk(params, to_zero))
+    return _walk_terms(f.fn, a, *_lattice_walk(params, _require_lattice(params), to_zero))
 
 
 def _walk_terms(fn: Callable[[float], float], a: float, pre: float, w: float, ratio: float) -> Iterator[float]:
@@ -268,10 +264,10 @@ def _walk_terms(fn: Callable[[float], float], a: float, pre: float, w: float, ra
         w *= ratio
 
 
-def _lattice_walk(params: PqParams, to_zero: bool) -> tuple[float, float, float]:
+def _lattice_walk(params: PqParams, regime: Regime, to_zero: bool) -> tuple[float, float, float]:
     """(prefactor per unit of a, first weight, step ratio) of one lattice direction."""
     p, q = params.as_floats()
-    lt1 = _require_lattice(params) is Regime.RATIO_LT_ONE
+    lt1 = regime is Regime.RATIO_LT_ONE
     num, den = (q, p) if lt1 == to_zero else (p, q)
     return (p - q if lt1 else q - p), 1.0 / den, num / den
 
@@ -284,17 +280,18 @@ def _lattice_integral(
 
 
 def _one_sided(
-    f: NumericFn, a: float, to_zero: bool, params: PqParams, policy: TruncationPolicy, extrapolate: bool = True
+    f: NumericFn, side: tuple, params: PqParams, regime: Regime, policy: TruncationPolicy, extrapolate: bool = True
 ) -> IntegralResult:
+    a, to_zero = side
     if a == 0:
-        return IntegralResult(0.0, 0, 0.0, params.regime, IntegralStatus.CONVERGED, "small_terms")
-    pre, w, ratio = _lattice_walk(params, to_zero)  # walked once: the summer needs the ratio too
+        return IntegralResult(0.0, 0, 0.0, regime, IntegralStatus.CONVERGED, "small_terms")
+    pre, w, ratio = _lattice_walk(params, regime, to_zero)  # walked once: the summer needs the ratio too
     terms = _walk_terms(f.fn, a, pre, w, ratio)
-    return _lattice_integral(terms, ratio if extrapolate else None, params.regime, policy)
+    return _lattice_integral(terms, ratio if extrapolate else None, regime, policy)
 
 
 def _two_sided(
-    f: NumericFn, params: PqParams, policy: TruncationPolicy, first: tuple, second: tuple, sign: float
+    f: NumericFn, params: PqParams, regime: Regime, policy: TruncationPolicy, first: tuple, second: tuple, sign: float
 ) -> IntegralResult:
     """first + sign * second, each side an (a, to_zero) pair.
 
@@ -302,16 +299,16 @@ def _two_sided(
     stops the whole.  If the second side fails after the first side was
     accelerated, the first side is summed again without extrapolation.
     """
-    x = _one_sided(f, *first, params, policy)
-    y = _one_sided(f, *second, params, policy)
+    x = _one_sided(f, first, params, regime, policy)
+    y = _one_sided(f, second, params, regime, policy)
     if y.status is not IntegralStatus.CONVERGED and x.stop_reason == "accelerated":
-        x = _one_sided(f, *first, params, policy, extrapolate=False)
+        x = _one_sided(f, first, params, regime, policy, extrapolate=False)
     reason = _worst_reason(x.stop_reason, y.stop_reason)
     return IntegralResult(
         value=x.value + sign * y.value,
         terms_used=x.terms_used + y.terms_used,
         tail_estimate=x.tail_estimate + y.tail_estimate,
-        regime=x.regime,
+        regime=regime,
         status=_STOP_STATUS[reason],
         stop_reason=reason,
     )
@@ -321,20 +318,20 @@ def integral_zero_to(
     f: NumericFn, a: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
     """Truncated series for the integral of f over [0, a], 0 <= a < infinity."""
-    _require_lattice(params)
+    regime = _require_lattice(params)
     if not 0 <= a < math.inf:
         raise InvalidIntervalError(f"need a >= 0, got {a}")
-    return _one_sided(f, a, True, params, policy)
+    return _one_sided(f, (a, True), params, regime, policy)
 
 
 def integral_to_infinity(
     f: NumericFn, a: float, params: PqParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> IntegralResult:
     """Truncated series for the integral of f over [a, infinity), 0 < a < infinity."""
-    _require_lattice(params)
+    regime = _require_lattice(params)
     if not 0 < a < math.inf:
         raise InvalidIntervalError(f"need a > 0, got {a}")
-    return _one_sided(f, a, False, params, policy)
+    return _one_sided(f, (a, False), params, regime, policy)
 
 
 def integral_improper(
@@ -346,8 +343,7 @@ def integral_improper(
     under the policy and a divergent direction shows up in the combined
     status.
     """
-    _require_lattice(params)
-    return _two_sided(f, params, policy, (1.0, True), (1.0, False), 1.0)
+    return _two_sided(f, params, _require_lattice(params), policy, (1.0, True), (1.0, False), 1.0)
 
 
 def integral(
@@ -362,8 +358,7 @@ def integral(
         raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
     if math.isinf(b):
         return integral_to_infinity(f, a, params, policy) if a else integral_improper(f, params, policy)
-    _require_lattice(params)
-    return _two_sided(f, params, policy, (b, True), (a, True), -1.0)
+    return _two_sided(f, params, _require_lattice(params), policy, (b, True), (a, True), -1.0)
 
 
 def integral_riemann_stieltjes(

@@ -65,7 +65,8 @@ class PqParams(namedtuple("PqParams", "p q")):
 
     Both restrictions are load bearing: p - q divides every bracket, and
     negative powers as well as the integral lattices divide by p and q.
-    The regime is always derived from the stored values, never cached.
+    The regime is always derived from the stored values, never cached: it
+    orders |q| against |p| in integers over their common denominator.
     """
 
     __slots__ = ()
@@ -81,12 +82,10 @@ class PqParams(namedtuple("PqParams", "p q")):
 
     @property
     def regime(self) -> Regime:
-        r = abs(self.q / self.p)
-        if r < 1:
+        p, q, _ = self.as_ints()
+        if abs(q) < abs(p):
             return Regime.RATIO_LT_ONE
-        if r > 1:
-            return Regime.RATIO_GT_ONE
-        return Regime.DEGENERATE
+        return Regime.RATIO_GT_ONE if abs(q) > abs(p) else Regime.DEGENERATE
 
     def swapped(self) -> "PqParams":
         return PqParams(self.q, self.p)
@@ -181,7 +180,9 @@ def bracket_numerators(n: int, params: PqParams) -> list[int]:
 
 
 def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
-    """Real-exponent bracket (p^alpha - q^alpha)/(p - q) in floating point."""
+    """Real-exponent bracket (p^alpha - q^alpha)/(p - q) in floating point, for finite alpha."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     p, q = params.as_floats()
     if p <= 0 or q <= 0:
         raise NonPositiveBaseError(f"real exponents need p, q > 0, got p={p}, q={q}")

@@ -36,6 +36,14 @@ class TestBracketCommand:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(2**2.5 - 1)
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+    def test_non_finite_real_exponent_exits_two(self, capsys, alpha, json_flag):
+        # at p = 1, q = 1/2 the alpha -> inf limit is 2.0, which is no bracket value
+        code, out, err = run_cli(capsys, "bracket", *json_flag, "--", alpha)
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha must be finite, got {alpha}"
+
     def test_exact_json_uses_rational_strings(self, capsys):
         code, out, _ = run_cli(capsys, "bracket", "3", "--p", "2", "--q", "1", "--json")
         assert json.loads(out) == {"value": "7"}
@@ -249,6 +257,20 @@ class TestIntegrateCommand:
         code, out, err = run_cli(capsys, "integrate", spec, "0", "1", "--p", pq[0], "--q", pq[1], *json_flag)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize("r", ["nan", "inf", "-inf"])
+    def test_non_finite_power_exits_two(self, capsys, r, json_flag):
+        code, out, err = run_cli(capsys, "integrate", f"powneg:{r}", "1", "--to-inf", *json_flag)
+        assert (code, out) == (2, "")
+        assert err == f"error: powneg:{r} needs a finite r"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize("pq", [("1", "-1/2"), ("-2", "1"), ("-1", "-1/2")])
+    def test_log_on_a_negative_lattice_exits_two(self, capsys, pq, json_flag):
+        code, out, err = run_cli(capsys, "integrate", "log", "0", "1", "--p", pq[0], "--q", pq[1], *json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: log needs p, q > 0")
 
     def test_integer_power_on_a_negative_lattice_still_works(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "powneg:2", "1", "--to-inf", "--p", "1", "--q", "-1/2", "--json")

@@ -578,6 +578,25 @@ class TestExtrapolation:
         assert result.stop_reason == "accelerated"
         assert abs(Fraction(result.value) - exact) <= result.tail_estimate <= 1e-12
 
+    @pytest.mark.xfail(
+        strict=True, reason="two early extrapolants that agree by coincidence are taken for the limit"
+    )
+    @pytest.mark.parametrize(
+        "coeffs,q",
+        [
+            # c_2/c_3 = -119/96 makes the third extrapolant equal the second exactly; exact -2185
+            ("-85,-2142,-4760,3840", "1/2"),
+            # the first checkpoint sums vanish as rationals but leave roundoff; exact 32768/1279395
+            ("49664/98415,-412832/85293,14744/1215,-8", "2/3"),
+        ],
+        ids=["equal-extrapolants", "rational-zero-sums"],
+    )
+    def test_coincident_extrapolants_are_no_limit(self, coeffs, q):
+        f = Polynomial.from_string(coeffs)
+        params = PqParams(1, rat(q))
+        result = integral_zero_to(NumericFn.from_polynomial(f), 1.0, params)
+        assert abs(Fraction(result.value) - integral_exact(f, 0, 1, params)) <= result.tail_estimate
+
     @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_power_tail_against_its_geometric_sum(self, ratio, lt1):
@@ -679,3 +698,42 @@ class TestTwoSided:
             if both:
                 assert result.value == x.value + sign * y.value
                 assert result.terms_used == x.terms_used + y.terms_used
+
+
+class TestRegimeOncePerCall:
+    """Each public lattice entry derives the regime once and passes it down."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        count = [0]
+        derive = PqParams.regime.fget
+
+        def counted(params):
+            count[0] += 1
+            return derive(params)
+
+        monkeypatch.setattr(PqParams, "regime", property(counted))
+        return count
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("kind", ["poly", "recip"])
+    def test_each_entry_reads_the_regime_once(self, reads, kind, lt1):
+        params = P1H if lt1 else P13
+        f = TestTwoSided.INTEGRANDS[kind]
+        calls = [
+            lambda: integral_zero_to(f, 1.5, params),
+            lambda: integral_zero_to(f, 0.0, params),
+            lambda: integral_to_infinity(f, 1.5, params),
+            lambda: integral_improper(f, params),
+            lambda: integral(f, 0.5, 2.0, params),
+            lambda: integral(f, 0.0, 2.0, params),
+            lambda: integral(f, 1.0, math.inf, params),
+            lambda: integral(f, 0.0, math.inf, params),
+        ]
+        if lt1:
+            calls.append(lambda: integral_riemann_stieltjes(f, NumericFn(lambda x: x * x), 1.0, params))
+        for call in calls:
+            reads[0] = 0
+            result = call()
+            assert reads[0] == 1
+            assert result.regime is (Regime.RATIO_LT_ONE if lt1 else Regime.RATIO_GT_ONE)

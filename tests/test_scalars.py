@@ -69,6 +69,20 @@ class TestPqParams:
         # negative ratio still classifies by absolute value
         assert PqParams(2, -1).regime is Regime.RATIO_LT_ONE
 
+    def test_regime_matches_the_ratio(self):
+        # the integer comparison classifies exactly as |q/p| against 1
+        big = 10**30
+        values = [rat(v) for v in ("1", "2", "1/2", "3/7", "7/3", "999/1000", "1000/999")]
+        values += [rat(big), rat(big + 1), rat(big - 1), Rat(1, big), Rat(big, big + 1), Rat(big + 1, big)]
+        values += [-v for v in values]
+        expected = {-1: Regime.RATIO_LT_ONE, 0: Regime.DEGENERATE, 1: Regime.RATIO_GT_ONE}
+        for p in values:
+            for q in values:
+                if p == q:
+                    continue
+                r = abs(q / p)
+                assert PqParams(p, q).regime is expected[(r > 1) - (r < 1)], (p, q)
+
     def test_swapped(self):
         params = PqParams(rat("3/2"), rat("1/3"))
         assert params.swapped() == PqParams(rat("1/3"), rat("3/2"))
@@ -159,6 +173,11 @@ class TestBracketAlpha:
     def test_nonpositive_base_rejected(self):
         with pytest.raises(NonPositiveBaseError):
             bracket_alpha(0.5, PqParams(-2, 1))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            bracket_alpha(alpha, PqParams(1, rat("1/2")))
 
     def test_float_scalar_guards(self):
         with pytest.raises(ValueError, match=r"^FloatScalar must be finite, got nan$"):
