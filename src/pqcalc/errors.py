@@ -14,7 +14,7 @@ class NegativeArgumentError(PqError):
 
 
 class OutOfRangeError(PqError):
-    """Index pair outside the valid 0 <= k <= n range."""
+    """An index pair outside 0 <= k <= n, or a p or q outside the double range."""
 
 
 class PoleError(PqError):

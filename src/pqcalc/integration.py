@@ -44,7 +44,7 @@ from itertools import chain, cycle, islice, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
-from .polynomials import NumericFn, Polynomial, eval_poly, pq_derive_fn
+from .polynomials import NumericFn, Polynomial, _pq_derive_at, eval_poly
 from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket, rat
 
 
@@ -457,7 +457,8 @@ def newton_leibniz_check(
     The claim behind it needs F continuous at 0 (the caller asserts this);
     b may be math.inf, in which case F must accept infinity.
     """
-    integrand = NumericFn(lambda t: pq_derive_fn(F, t, params))
+    p, q = params.as_floats()
+    integrand = NumericFn(lambda t: _pq_derive_at(F, t, p, q))
     result = integral(integrand, a, b, params, policy)
     rhs = F(b) - F(a)
     return GapReport(lhs=result.value, rhs=rhs, gap=abs(result.value - rhs), status=result.status)
@@ -478,8 +479,8 @@ def integrate_by_parts(
     numerically, so f and g should be ordinarily differentiable near 0.
     """
     p, q = params.as_floats()
-    left_int = NumericFn(lambda t: f(p * t) * pq_derive_fn(g, t, params))
-    right_int = NumericFn(lambda t: g(q * t) * pq_derive_fn(f, t, params))
+    left_int = NumericFn(lambda t: f(p * t) * _pq_derive_at(g, t, p, q))
+    right_int = NumericFn(lambda t: g(q * t) * _pq_derive_at(f, t, p, q))
     left = integral(left_int, a, b, params, policy)
     right = integral(right_int, a, b, params, policy)
     lhs = left.value

@@ -9,6 +9,13 @@ back to a shrinking-h probe at x = 0.
 ``pq_difference_quotient`` is the same quotient over exact rationals;
 the identity suite leans on it as the model-free oracle for every
 derivative law.
+
+A polynomial's coefficients are converted to doubles once, on its first
+evaluation at a float: :func:`eval_poly` and
+:meth:`NumericFn.from_polynomial` both read a tuple of them, highest
+first, that the polynomial keeps from then on.  Each is
+:func:`~pqcalc.scalars.rat_float` of its coefficient, bit for bit
+``float(c)``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import MissingDerivativeAtZeroError
-from .scalars import PqParams, Rat, bracket, rat, rat_str
+from .scalars import PqParams, Rat, bracket, rat, rat_float, rat_str
 
 _NEG_INF = float("-inf")
 
@@ -26,10 +33,12 @@ class Polynomial:
     """Immutable dense polynomial; coeffs[i] is the coefficient of x^i.
 
     Trailing zeros are stripped, so equal polynomials compare equal and
-    the zero polynomial is the empty tuple (degree -inf).
+    the zero polynomial is the empty tuple (degree -inf).  ``_floats``, the
+    coefficients as doubles, is filled by the first float evaluation only
+    (see ``_float_coeffs``), and equality and hashing never read it.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
         cs = [rat(c) for c in coeffs]
@@ -114,12 +123,26 @@ class Polynomial:
         return f"Polynomial({self.to_string()!r})"
 
 
+def _float_coeffs(f: Polynomial) -> tuple[float, ...]:
+    """f's coefficients as doubles, highest first: converted on the first call, then kept on f."""
+    try:
+        return f._floats
+    except AttributeError:
+        floats = tuple(map(rat_float, reversed(f.coeffs)))
+        object.__setattr__(f, "_floats", floats)
+        return floats
+
+
 def eval_poly(f: Polynomial, x: object) -> object:
-    """Horner evaluation; exact for rational x, double for float x."""
+    """Horner evaluation; exact for rational x, double for float x.
+
+    The float branch runs over ``f``'s float coefficients, converted once
+    per polynomial, so it is bit for bit Horner with ``float(c)``.
+    """
     if isinstance(x, float):
         acc = 0.0
-        for c in reversed(f.coeffs):
-            acc = acc * x + float(c)
+        for c in _float_coeffs(f):
+            acc = acc * x + c
         return acc
     x = rat(x)
     # Horner on ints over the common denominator den * xd^deg; scale carries
@@ -173,9 +196,9 @@ class NumericFn(NamedTuple):
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NumericFn":
-        """Float Horner over coefficients floated once, bit for bit eval_poly's float branch."""
-        d0 = float(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0
-        cs = [float(c) for c in reversed(f.coeffs)]
+        """Float Horner over the tuple eval_poly's float branch reads, so the two agree bit for bit."""
+        cs = _float_coeffs(f)
+        d0 = cs[-2] if len(cs) > 1 else 0.0
 
         def horner(x: float) -> float:
             acc = 0.0
@@ -199,7 +222,11 @@ def pq_derive_fn(f: NumericFn, x: float, params: PqParams) -> float:
     derivative that is genuinely zero can settle too); the quotient
     tends to f'(0) for functions ordinarily differentiable near 0.
     """
-    p, q = params.as_floats()
+    return _pq_derive_at(f, x, *params.as_floats())
+
+
+def _pq_derive_at(f: NumericFn, x: float, p: float, q: float) -> float:
+    """``pq_derive_fn`` with p and q already floated, for callers that evaluate it on a lattice."""
     if x != 0.0:
         return (f(p * x) - f(q * x)) / ((p - q) * x)
     if f.deriv_at_zero is not None:

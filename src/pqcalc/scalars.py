@@ -52,6 +52,16 @@ def rat_str(value: object) -> str:
     return str(rat(value))
 
 
+def rat_float(x: Rat) -> float:
+    """The double nearest to ``x``, bit for bit ``float(x)``.
+
+    ``numbers.Rational.__float__`` is this same int/int true division,
+    reached through a slower Python-level method.  A value past the
+    double range raises ``OverflowError``; one below it rounds to 0.0.
+    """
+    return x.numerator / x.denominator
+
+
 class Regime(enum.Enum):
     """Classification of |q/p| against 1, selecting the integral lattice."""
 
@@ -91,7 +101,8 @@ class PqParams(namedtuple("PqParams", "p q")):
         return PqParams(self.q, self.p)
 
     def as_floats(self) -> tuple[float, float]:
-        return float(self.p), float(self.q)
+        """(p, q) as doubles; a p or q that overflows a double or rounds to 0.0 is refused by name."""
+        return _float_view("p", self.p), _float_view("q", self.q)
 
     def as_ints(self) -> tuple[int, int, int]:
         """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd."""
@@ -100,6 +111,16 @@ class PqParams(namedtuple("PqParams", "p q")):
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
+
+
+def _float_view(name: str, x: Rat) -> float:
+    try:
+        value = rat_float(x)
+    except OverflowError:
+        raise OutOfRangeError(f"{name} is outside the double range: its float view overflows") from None
+    if value == 0.0:
+        raise OutOfRangeError(f"{name} is outside the double range: its float view is 0.0")
+    return value
 
 
 class FloatScalar(namedtuple("FloatScalar", "value")):
@@ -143,6 +164,8 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
             raise ValueError("max_terms must be >= 1")
         if not tail_tol > 0:
             raise ValueError("tail_tol must be > 0")
+        if tail_tol == math.inf:  # every term would count as small
+            raise ValueError("tail_tol must be finite")
         return super().__new__(cls, max_terms, tail_tol)
 
 
@@ -186,7 +209,10 @@ def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
     p, q = params.as_floats()
     if p <= 0 or q <= 0:
         raise NonPositiveBaseError(f"real exponents need p, q > 0, got p={p}, q={q}")
-    return FloatScalar((p**alpha - q**alpha) / (p - q))
+    try:
+        return FloatScalar((p**alpha - q**alpha) / (p - q))
+    except OverflowError:
+        raise OverflowError(f"p**alpha or q**alpha overflows a double at alpha={alpha!r}") from None
 
 
 def pq_factorial(n: int, params: PqParams) -> Rat:

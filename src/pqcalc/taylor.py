@@ -33,7 +33,7 @@ from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from .polynomials import Polynomial
 from .pqpower import Orientation, PqPowerExpr, expand_expr
 from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, bracket_numerators
-from .scalars import pq_binomial, rat, rat_str
+from .scalars import pq_binomial, rat, rat_float, rat_str
 
 
 class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeffs")):
@@ -210,7 +210,7 @@ def heine_series_eval(
     def terms():
         coeff, p = rat(1), params.p
         for j in count():
-            yield float(coeff) * x**j
+            yield rat_float(coeff) * x**j
             # c_{j+1} / c_j = [n+j]/[j+1] * p^{1-j}
             divisor = bracket(j + 1, params)
             if divisor == 0:

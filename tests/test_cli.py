@@ -44,6 +44,26 @@ class TestBracketCommand:
         assert (code, out) == (2, "")
         assert err == f"error: alpha must be finite, got {alpha}"
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "pq, message",
+        [
+            (("1e400", "1"), "p is outside the double range: its float view overflows"),
+            (("1", "1e-400"), "q is outside the double range: its float view is 0.0"),
+        ],
+    )
+    def test_real_exponent_outside_the_double_range_exits_two(self, capsys, pq, message, json_flag):
+        code, out, err = run_cli(capsys, "bracket", "0.5", "--p", pq[0], "--q", pq[1], *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
+        code, out, _ = run_cli(capsys, "bracket", "2", "--p", pq[0], "--q", pq[1], *json_flag)
+        assert code == 0 and out  # the exact bracket needs no float view
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    def test_real_exponent_overflow_names_alpha(self, capsys, json_flag):
+        code, out, err = run_cli(capsys, "bracket", "1e308", "--p", "2", "--q", "1", *json_flag)
+        assert (code, out) == (2, "")
+        assert err == "error: p**alpha or q**alpha overflows a double at alpha=1e+308"
+
     def test_exact_json_uses_rational_strings(self, capsys):
         code, out, _ = run_cli(capsys, "bracket", "3", "--p", "2", "--q", "1", "--json")
         assert json.loads(out) == {"value": "7"}
@@ -222,6 +242,26 @@ class TestIntegrateCommand:
         code, out, err = run_cli(capsys, "integrate", "poly:0,1", "0", "1e400")
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("recip", "1", "--to-inf", "--q", "1/1" + "0" * 400), "q is outside the double range: its float view is 0.0"),
+            (("poly:1,1", "0", "1", "--p", "1" + "0" * 400), "p is outside the double range: its float view overflows"),
+        ],
+        ids=["q-underflows", "p-overflows"],
+    )
+    def test_lattice_outside_the_double_range_exits_two(self, capsys, argv, message, json_flag):
+        code, out, err = run_cli(capsys, "integrate", *argv, *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize("tol, message", [("inf", "tail_tol must be finite"), ("nan", "tail_tol must be > 0")])
+    def test_non_finite_tail_tol_exits_two(self, capsys, tol, message, json_flag):
+        # with an infinite tolerance the sum stopped at 0.875 as converged; the exact value is 1
+        code, out, err = run_cli(capsys, "integrate", "poly:1", "0", "1", "--tail-tol", tol, *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
 
     def test_unknown_spec_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "tan", "0", "1")

@@ -59,6 +59,13 @@ class TestTruncationPolicy:
             TruncationPolicy(**kwargs)
         assert str(info.value) == {"max_terms": "max_terms must be >= 1", "tail_tol": "tail_tol must be > 0"}[field]
 
+    @pytest.mark.parametrize("tail_tol", [math.inf, math.nan])
+    def test_non_finite_tail_tol_rejected(self, tail_tol):
+        # an infinite tolerance would count every term as small and stop after three
+        with pytest.raises(ValueError) as info:
+            TruncationPolicy(tail_tol=tail_tol)
+        assert str(info.value) == ("tail_tol must be finite" if tail_tol > 0 else "tail_tol must be > 0")
+
 
 class TestZeroTo:
     def test_constant_telescopes(self):
@@ -343,6 +350,25 @@ class TestIntegrationByParts:
         direct = newton_leibniz_check(g, 0.0, 1.0, P1H)
         assert byparts.lhs == pytest.approx(direct.lhs, abs=1e-10)
         assert byparts.rhs == pytest.approx(direct.rhs, abs=1e-10)
+
+
+class TestFloatsOncePerIntegral:
+    """The derivative integrands take p and q as floats once per integral, not once per term."""
+
+    @pytest.mark.parametrize("params", [P1H, PqParams(1, rat("99/100")), PqParams(rat("1/2"), 1)])
+    def test_conversions_do_not_grow_with_terms(self, monkeypatch, params):
+        F = NumericFn.from_polynomial(Polynomial([0, 1, 0, 1]))
+        g = NumericFn(math.exp, deriv_at_zero=1.0)
+        calls = []
+        real = PqParams.as_floats
+        monkeypatch.setattr(PqParams, "as_floats", lambda self: calls.append(self) or real(self))
+        report = newton_leibniz_check(F, 1.0, 2.0, params)
+        assert report.status is IntegralStatus.CONVERGED
+        assert len(calls) <= 4  # once for the integrand, once or twice per lattice side
+        calls.clear()
+        report = integrate_by_parts(F, g, 0.5, 1.5, params)
+        assert report.status is IntegralStatus.CONVERGED
+        assert len(calls) <= 7
 
 
 class TestResultSerialization:

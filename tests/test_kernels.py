@@ -11,12 +11,14 @@ kernels they judge.
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 from pqcalc.errors import DegenerateRegimeError, PoleError
-from pqcalc.polynomials import Polynomial, eval_poly
+from pqcalc import polynomials
+from pqcalc.polynomials import NumericFn, Polynomial, eval_poly
 from pqcalc.pqpower import Orientation, PqPowerExpr, eval_pq_power, expand_expr, pq_power_value
 from pqcalc.scalars import PqParams, Rat, bracket, rat
 from pqcalc.taylor import (
@@ -229,6 +231,93 @@ class TestExactHorner:
     def test_float_branch_stays_float(self):
         f = Polynomial(["1/2", "3"])
         assert eval_poly(f, 0.25) == 0.5 + 3 * 0.25
+
+
+def ref_float_horner(coeffs, x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + float(c)
+    return acc
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+FLOAT_POINTS = (0.0, -0.0, -3.5, 1e300, math.inf, math.nan)
+
+
+def float_horner_cases():
+    """Two-digit polynomials, then ones whose coefficients have 400-digit numerators and denominators."""
+    rng = random.Random(53)
+    for _ in range(150):
+        yield Polynomial([two_digit(rng) for _ in range(rng.randint(0, 12))])
+    for _ in range(60):
+        coeffs = []
+        for _ in range(rng.randint(1, 9)):
+            den = rng.randrange(10**399, 10**400)
+            num = rng.randrange(-(10**400), 10**400) // 10 ** rng.randint(0, 5)
+            coeffs.append(Fraction(num * 10 ** rng.randint(0, 5), den))
+        yield Polynomial(coeffs)
+
+
+class TestFloatHorner:
+    """The float branch of eval_poly reads each polynomial's coefficients, converted once."""
+
+    def test_matches_reference_bit_for_bit(self):
+        checked = 0
+        for f in float_horner_cases():
+            for x in FLOAT_POINTS:
+                assert bits(eval_poly(f, x)) == bits(ref_float_horner(f.coeffs, x)), (f, x)
+                assert bits(f(x)) == bits(ref_float_horner(f.coeffs, x))
+                checked += 1
+        assert checked == 210 * len(FLOAT_POINTS)
+
+    def test_huge_coefficients_fit_a_double(self):
+        f = list(float_horner_cases())[-1]
+        assert all(len(str(c.denominator)) >= 390 and math.isfinite(float(c)) for c in f.coeffs)
+
+    def test_numeric_fn_is_eval_poly_bit_for_bit(self):
+        for f in float_horner_cases():
+            g = NumericFn.from_polynomial(f)
+            for x in FLOAT_POINTS + (0.7, -1e-300):
+                assert bits(g.fn(x)) == bits(eval_poly(f, x))
+            assert g.deriv_at_zero == (float(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0)
+
+    def test_view_filled_once_per_polynomial(self, monkeypatch):
+        calls = []
+        real = polynomials.rat_float
+        monkeypatch.setattr(polynomials, "rat_float", lambda c: calls.append(c) or real(c))
+        f = Polynomial(["1/3", "-2", "5/7", "1/9"])
+        assert eval_poly(f, rat("1/2")) == Fraction(1, 3) - 1 + Fraction(5, 28) + Fraction(1, 72)
+        assert calls == []  # building and exact evaluation convert nothing
+        for x in (0.5, -3.5, 0.5):
+            eval_poly(f, x)
+        NumericFn.from_polynomial(f)(0.25)
+        NumericFn.from_polynomial(f)
+        assert calls == list(reversed(f.coeffs))
+        g = Polynomial(f.coeffs)  # an equal polynomial keeps its own view
+        eval_poly(g, 0.5)
+        assert len(calls) == 2 * len(f.coeffs)
+
+    def test_view_leaves_value_semantics(self):
+        f, g = Polynomial(["1/3", "-2", "5/7"]), Polynomial(["1/3", "-2", "5/7"])
+        eval_poly(f, 0.5)
+        assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+        assert f.coeffs == g.coeffs and repr(f) == repr(g)
+        with pytest.raises(AttributeError, match="immutable"):
+            f._floats = (1.0, 2.0)
+        with pytest.raises(AttributeError, match="immutable"):
+            g._floats = (1.0, 2.0)
+        assert bits(eval_poly(f, 0.5)) == bits(ref_float_horner(f.coeffs, 0.5))
+
+    def test_overflowing_coefficient_raises_as_float_does(self):
+        f = Polynomial([1, Fraction(10**400, 3)])
+        with pytest.raises(OverflowError):
+            float(f.coeffs[1])
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                eval_poly(f, 0.5)
 
 
 class TestBracket:

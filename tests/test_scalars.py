@@ -24,6 +24,7 @@ from pqcalc.scalars import (
     pq_binomial,
     pq_factorial,
     rat,
+    rat_float,
     rat_str,
 )
 from pqcalc.taylor import PowerBasisExpansion
@@ -159,6 +160,50 @@ class TestBracket:
             assert bracket(-n, params) == -bracket(n, params) / (params.p * params.q) ** n
 
 
+class TestRatFloat:
+    def test_bit_for_bit_float(self):
+        rng = random.Random(29)
+        digits = [(1, 1), (20, 1), (1, 20), (20, 20), (400, 400), (400, 390), (390, 400), (1, 400)]
+        values = [Rat(rng.randrange(-(10**k), 10**k), rng.randrange(1, 10**j)) for k, j in digits for _ in range(20)]
+        values += [Rat(1, 3), Rat(-7, 2), Rat(0), Rat(1, 10**320), Rat(10**308), Rat(2**1024 - 2**970 - 1)]
+        for x in values:
+            got = rat_float(x)
+            assert type(got) is float and got.hex() == float(x).hex(), x
+
+    def test_out_of_range_like_float(self):
+        with pytest.raises(OverflowError):
+            rat_float(Rat(2**1024 - 2**970))  # half way to 2**1024 rounds up
+        assert rat_float(Rat(-1, 10**400)) == float(Rat(-1, 10**400)) == 0.0
+
+
+class TestFloatView:
+    """PqParams.as_floats refuses, by name, a p or q that has no usable double."""
+
+    def test_in_range_values_convert_exactly(self):
+        for p, q in [("1", "1/2"), ("-3/7", "10/3"), (10**308, 1), (Rat(1, 10**310), "1/3")]:
+            params = PqParams(p, q)
+            assert params.as_floats() == (float(params.p), float(params.q))
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (10**400, 1, "p is outside the double range: its float view overflows"),
+            (1, -(10**400), "q is outside the double range: its float view overflows"),
+            (Rat(1, 10**400), 1, "p is outside the double range: its float view is 0.0"),
+            (1, Rat(-1, 10**400), "q is outside the double range: its float view is 0.0"),
+            (10**400, Rat(1, 10**400), "p is outside the double range: its float view overflows"),
+        ],
+    )
+    def test_outside_the_double_range_refused(self, p, q, message):
+        params = PqParams(p, q)  # the exact pair is valid; only its float view is not
+        assert bracket(2, params) == params.p + params.q
+        with pytest.raises(OutOfRangeError) as info:
+            params.as_floats()
+        assert str(info.value) == message
+        with pytest.raises(OutOfRangeError, match=message):
+            bracket_alpha(0.5, params)
+
+
 class TestBracketAlpha:
     def test_integer_agreement(self):
         params = PqParams(2, 1)
@@ -178,6 +223,12 @@ class TestBracketAlpha:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             bracket_alpha(alpha, PqParams(1, rat("1/2")))
+
+    @pytest.mark.parametrize("alpha, p, q", [(1e308, 2, 1), (-1e308, "1/2", 1), (2000.0, 1, 3)])
+    def test_overflow_names_alpha(self, alpha, p, q):
+        with pytest.raises(OverflowError) as info:
+            bracket_alpha(alpha, PqParams(p, q))
+        assert str(info.value) == f"p**alpha or q**alpha overflows a double at alpha={alpha!r}"
 
     def test_float_scalar_guards(self):
         with pytest.raises(ValueError, match=r"^FloatScalar must be finite, got nan$"):
