@@ -14,7 +14,7 @@ class NegativeArgumentError(PqError):
 
 
 class OutOfRangeError(PqError):
-    """An index pair outside 0 <= k <= n, or a p or q outside the double range."""
+    """An index pair outside 0 <= k <= n, or a p, q pair that doubles cannot hold."""
 
 
 class PoleError(PqError):

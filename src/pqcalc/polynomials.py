@@ -10,12 +10,11 @@ back to a shrinking-h probe at x = 0.
 the identity suite leans on it as the model-free oracle for every
 derivative law.
 
-A polynomial's coefficients are converted to doubles once, on its first
-evaluation at a float: :func:`eval_poly` and
-:meth:`NumericFn.from_polynomial` both read a tuple of them, highest
-first, that the polynomial keeps from then on.  Each is
-:func:`~pqcalc.scalars.rat_float` of its coefficient, bit for bit
-``float(c)``.
+At a float, :func:`eval_poly` converts each coefficient to a double as it
+reaches it, once per evaluation; :meth:`NumericFn.from_polynomial`
+converts them once per evaluator.  Both convert with
+:func:`~pqcalc.scalars.rat_float`, bit for bit ``float(c)``, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,12 +32,10 @@ class Polynomial:
     """Immutable dense polynomial; coeffs[i] is the coefficient of x^i.
 
     Trailing zeros are stripped, so equal polynomials compare equal and
-    the zero polynomial is the empty tuple (degree -inf).  ``_floats``, the
-    coefficients as doubles, is filled by the first float evaluation only
-    (see ``_float_coeffs``), and equality and hashing never read it.
+    the zero polynomial is the empty tuple (degree -inf).
     """
 
-    __slots__ = ("coeffs", "_floats")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
         cs = [rat(c) for c in coeffs]
@@ -123,26 +120,16 @@ class Polynomial:
         return f"Polynomial({self.to_string()!r})"
 
 
-def _float_coeffs(f: Polynomial) -> tuple[float, ...]:
-    """f's coefficients as doubles, highest first: converted on the first call, then kept on f."""
-    try:
-        return f._floats
-    except AttributeError:
-        floats = tuple(map(rat_float, reversed(f.coeffs)))
-        object.__setattr__(f, "_floats", floats)
-        return floats
-
-
 def eval_poly(f: Polynomial, x: object) -> object:
     """Horner evaluation; exact for rational x, double for float x.
 
-    The float branch runs over ``f``'s float coefficients, converted once
-    per polynomial, so it is bit for bit Horner with ``float(c)``.
+    The float branch converts each coefficient with ``rat_float``, so it is
+    bit for bit Horner with ``float(c)``.
     """
     if isinstance(x, float):
         acc = 0.0
-        for c in _float_coeffs(f):
-            acc = acc * x + c
+        for c in reversed(f.coeffs):
+            acc = acc * x + rat_float(c)
         return acc
     x = rat(x)
     # Horner on ints over the common denominator den * xd^deg; scale carries
@@ -196,8 +183,8 @@ class NumericFn(NamedTuple):
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NumericFn":
-        """Float Horner over the tuple eval_poly's float branch reads, so the two agree bit for bit."""
-        cs = _float_coeffs(f)
+        """Float Horner over coefficients floated once, bit for bit eval_poly's float branch."""
+        cs = [rat_float(c) for c in reversed(f.coeffs)]
         d0 = cs[-2] if len(cs) > 1 else 0.0
 
         def horner(x: float) -> float:

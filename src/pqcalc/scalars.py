@@ -101,8 +101,11 @@ class PqParams(namedtuple("PqParams", "p q")):
         return PqParams(self.q, self.p)
 
     def as_floats(self) -> tuple[float, float]:
-        """(p, q) as doubles; a p or q that overflows a double or rounds to 0.0 is refused by name."""
-        return _float_view("p", self.p), _float_view("q", self.q)
+        """(p, q) as doubles; refused by name if one overflows or is 0.0, or both are one double."""
+        p, q = _float_view("p", self.p), _float_view("q", self.q)
+        if p == q:  # p - q would be 0.0, though the exact p and q differ
+            raise OutOfRangeError(f"p and q round to the same double {p!r}")
+        return p, q
 
     def as_ints(self) -> tuple[int, int, int]:
         """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd."""
@@ -210,9 +213,12 @@ def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
     if p <= 0 or q <= 0:
         raise NonPositiveBaseError(f"real exponents need p, q > 0, got p={p}, q={q}")
     try:
-        return FloatScalar((p**alpha - q**alpha) / (p - q))
+        value = (p**alpha - q**alpha) / (p - q)
     except OverflowError:
-        raise OverflowError(f"p**alpha or q**alpha overflows a double at alpha={alpha!r}") from None
+        value = math.inf
+    if not math.isfinite(value):  # a power, or their quotient by a small p - q, left the double range
+        raise OverflowError(f"(p**alpha - q**alpha)/(p - q) overflows a double at alpha={alpha!r}")
+    return FloatScalar(value)
 
 
 def pq_factorial(n: int, params: PqParams) -> Rat:

@@ -50,6 +50,7 @@ class TestBracketCommand:
         [
             (("1e400", "1"), "p is outside the double range: its float view overflows"),
             (("1", "1e-400"), "q is outside the double range: its float view is 0.0"),
+            (("1" + "0" * 20 + "1/1" + "0" * 21, "1"), "p and q round to the same double 1.0"),
         ],
     )
     def test_real_exponent_outside_the_double_range_exits_two(self, capsys, pq, message, json_flag):
@@ -59,10 +60,11 @@ class TestBracketCommand:
         assert code == 0 and out  # the exact bracket needs no float view
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
-    def test_real_exponent_overflow_names_alpha(self, capsys, json_flag):
-        code, out, err = run_cli(capsys, "bracket", "1e308", "--p", "2", "--q", "1", *json_flag)
+    @pytest.mark.parametrize("alpha, p", [("1e308", "2"), ("1750.0", "3/2")], ids=["power", "quotient"])
+    def test_real_exponent_overflow_names_alpha(self, capsys, alpha, p, json_flag):
+        code, out, err = run_cli(capsys, "bracket", alpha, "--p", p, "--q", "1", *json_flag)
         assert (code, out) == (2, "")
-        assert err == "error: p**alpha or q**alpha overflows a double at alpha=1e+308"
+        assert err == f"error: (p**alpha - q**alpha)/(p - q) overflows a double at alpha={float(alpha)!r}"
 
     def test_exact_json_uses_rational_strings(self, capsys):
         code, out, _ = run_cli(capsys, "bracket", "3", "--p", "2", "--q", "1", "--json")
@@ -249,8 +251,9 @@ class TestIntegrateCommand:
         [
             (("recip", "1", "--to-inf", "--q", "1/1" + "0" * 400), "q is outside the double range: its float view is 0.0"),
             (("poly:1,1", "0", "1", "--p", "1" + "0" * 400), "p is outside the double range: its float view overflows"),
+            (("poly:1", "1", "--to-inf", "--q", "1" + "0" * 20 + "1/1" + "0" * 21), "p and q round to the same double 1.0"),
         ],
-        ids=["q-underflows", "p-overflows"],
+        ids=["q-underflows", "p-overflows", "same-double"],
     )
     def test_lattice_outside_the_double_range_exits_two(self, capsys, argv, message, json_flag):
         code, out, err = run_cli(capsys, "integrate", *argv, *json_flag)

@@ -262,7 +262,7 @@ def float_horner_cases():
 
 
 class TestFloatHorner:
-    """The float branch of eval_poly reads each polynomial's coefficients, converted once."""
+    """The float branch of eval_poly converts with rat_float, bit for bit float(c)."""
 
     def test_matches_reference_bit_for_bit(self):
         checked = 0
@@ -284,31 +284,31 @@ class TestFloatHorner:
                 assert bits(g.fn(x)) == bits(eval_poly(f, x))
             assert g.deriv_at_zero == (float(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0)
 
-    def test_view_filled_once_per_polynomial(self, monkeypatch):
+    def test_conversions_per_evaluation(self, monkeypatch):
         calls = []
         real = polynomials.rat_float
         monkeypatch.setattr(polynomials, "rat_float", lambda c: calls.append(c) or real(c))
         f = Polynomial(["1/3", "-2", "5/7", "1/9"])
         assert eval_poly(f, rat("1/2")) == Fraction(1, 3) - 1 + Fraction(5, 28) + Fraction(1, 72)
         assert calls == []  # building and exact evaluation convert nothing
-        for x in (0.5, -3.5, 0.5):
-            eval_poly(f, x)
-        NumericFn.from_polynomial(f)(0.25)
-        NumericFn.from_polynomial(f)
-        assert calls == list(reversed(f.coeffs))
-        g = Polynomial(f.coeffs)  # an equal polynomial keeps its own view
-        eval_poly(g, 0.5)
+        eval_poly(f, 0.5)
+        assert calls == list(reversed(f.coeffs))  # each coefficient once, highest first
+        eval_poly(f, -3.5)
         assert len(calls) == 2 * len(f.coeffs)
+        g = NumericFn.from_polynomial(f)
+        assert len(calls) == 3 * len(f.coeffs)
+        g(0.25), g(0.5)
+        assert len(calls) == 3 * len(f.coeffs)  # the evaluator converted once, when built
 
-    def test_view_leaves_value_semantics(self):
+    def test_float_evaluation_keeps_no_state(self):
         f, g = Polynomial(["1/3", "-2", "5/7"]), Polynomial(["1/3", "-2", "5/7"])
         eval_poly(f, 0.5)
+        NumericFn.from_polynomial(f)
         assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
         assert f.coeffs == g.coeffs and repr(f) == repr(g)
+        assert Polynomial.__slots__ == ("coeffs",) and not hasattr(f, "__dict__")
         with pytest.raises(AttributeError, match="immutable"):
-            f._floats = (1.0, 2.0)
-        with pytest.raises(AttributeError, match="immutable"):
-            g._floats = (1.0, 2.0)
+            f.coeffs = (Fraction(1),)
         assert bits(eval_poly(f, 0.5)) == bits(ref_float_horner(f.coeffs, 0.5))
 
     def test_overflowing_coefficient_raises_as_float_does(self):

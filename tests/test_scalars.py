@@ -1,6 +1,7 @@
 """Exact scalar layer: brackets, factorials, binomials, parameter guards."""
 
 import math
+import re
 import random
 
 import pytest
@@ -177,7 +178,7 @@ class TestRatFloat:
 
 
 class TestFloatView:
-    """PqParams.as_floats refuses, by name, a p or q that has no usable double."""
+    """PqParams.as_floats refuses, by name, a p or q that has no usable double, or two that share one."""
 
     def test_in_range_values_convert_exactly(self):
         for p, q in [("1", "1/2"), ("-3/7", "10/3"), (10**308, 1), (Rat(1, 10**310), "1/3")]:
@@ -192,6 +193,9 @@ class TestFloatView:
             (Rat(1, 10**400), 1, "p is outside the double range: its float view is 0.0"),
             (1, Rat(-1, 10**400), "q is outside the double range: its float view is 0.0"),
             (10**400, Rat(1, 10**400), "p is outside the double range: its float view overflows"),
+            (10**20 + 1, 10**20, "p and q round to the same double 1e+20"),
+            (1 + Rat(1, 10**20), 1, "p and q round to the same double 1.0"),
+            (-1, -1 - Rat(1, 10**20), "p and q round to the same double -1.0"),
         ],
     )
     def test_outside_the_double_range_refused(self, p, q, message):
@@ -200,7 +204,7 @@ class TestFloatView:
         with pytest.raises(OutOfRangeError) as info:
             params.as_floats()
         assert str(info.value) == message
-        with pytest.raises(OutOfRangeError, match=message):
+        with pytest.raises(OutOfRangeError, match=re.escape(message)):
             bracket_alpha(0.5, params)
 
 
@@ -224,11 +228,14 @@ class TestBracketAlpha:
         with pytest.raises(ValueError, match="alpha"):
             bracket_alpha(alpha, PqParams(1, rat("1/2")))
 
-    @pytest.mark.parametrize("alpha, p, q", [(1e308, 2, 1), (-1e308, "1/2", 1), (2000.0, 1, 3)])
+    @pytest.mark.parametrize(
+        "alpha, p, q", [(1e308, 2, 1), (-1e308, "1/2", 1), (2000.0, 1, 3), (1750.0, "3/2", 1), (1750.0, "3/2", "5/4")]
+    )
     def test_overflow_names_alpha(self, alpha, p, q):
+        # the last two overflow only in the quotient: 1.5**1750 ~ 1.4e308 is finite, p - q is 1/2 or 1/4
         with pytest.raises(OverflowError) as info:
             bracket_alpha(alpha, PqParams(p, q))
-        assert str(info.value) == f"p**alpha or q**alpha overflows a double at alpha={alpha!r}"
+        assert str(info.value) == f"(p**alpha - q**alpha)/(p - q) overflows a double at alpha={alpha!r}"
 
     def test_float_scalar_guards(self):
         with pytest.raises(ValueError, match=r"^FloatScalar must be finite, got nan$"):
