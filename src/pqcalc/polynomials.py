@@ -10,6 +10,13 @@ back to a shrinking-h probe at x = 0.
 the identity suite leans on it as the model-free oracle for every
 derivative law.
 
+The exact kernels ``scale``, exact Horner and ``pq_derive_poly`` are
+fraction-free: they multiply integer numerators and build one ``Rat`` per
+output coefficient; ``pq_derive_poly`` reads [n] = B_n / S^(n-1) from
+:func:`~pqcalc.scalars.bracket_numerators`.  ``+``, ``-`` and ``*`` stay
+plain ``Fraction`` arithmetic: the identity suite calls them too rarely
+for an integer form of them to pay.
+
 At a float, :func:`eval_poly` converts each coefficient to a double as it
 reaches it, once per evaluation; :meth:`NumericFn.from_polynomial`
 converts them once per evaluator.  Both convert with
@@ -23,7 +30,7 @@ import math
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import MissingDerivativeAtZeroError
-from .scalars import PqParams, Rat, bracket, rat, rat_float, rat_str
+from .scalars import PqParams, Rat, bracket_numerators, rat, rat_float, rat_str
 
 _NEG_INF = float("-inf")
 
@@ -111,7 +118,10 @@ class Polynomial:
 
     def scale(self, c: object) -> "Polynomial":
         c = rat(c)
-        return Polynomial(c * a for a in self.coeffs)
+        cn, cd = c.numerator, c.denominator
+        if not cn:
+            return Polynomial.zero()
+        return Polynomial([Rat(cn * a.numerator, cd * a.denominator) for a in self.coeffs])
 
     def __call__(self, x: object) -> object:
         return eval_poly(self, x)
@@ -123,12 +133,15 @@ class Polynomial:
 def eval_poly(f: Polynomial, x: object) -> object:
     """Horner evaluation; exact for rational x, double for float x.
 
-    The float branch converts each coefficient with ``rat_float``, so it is
-    bit for bit Horner with ``float(c)``.
+    The float branch converts each coefficient with ``rat_float`` and starts
+    from the leading one, so it is bit for bit that Horner with ``float(c)``:
+    at x = +-inf a polynomial whose leading coefficient is a nonzero double
+    reads its limit, not NaN, and the zero polynomial reads 0.0.
     """
     if isinstance(x, float):
-        acc = 0.0
-        for c in reversed(f.coeffs):
+        cs = f.coeffs
+        acc = rat_float(cs[-1]) if cs else 0.0
+        for c in reversed(cs[:-1]):
             acc = acc * x + rat_float(c)
         return acc
     x = rat(x)
@@ -146,8 +159,20 @@ def eval_poly(f: Polynomial, x: object) -> object:
 
 
 def pq_derive_poly(f: Polynomial, params: PqParams) -> Polynomial:
-    """Exact (p,q)-derivative: the x^n coefficient moves to x^{n-1} times [n]."""
-    return Polynomial(bracket(n, params) * c for n, c in enumerate(f.coeffs) if n >= 1)
+    """Exact (p,q)-derivative: the x^n coefficient moves to x^{n-1} times [n].
+
+    With [n] = B_n / S^(n-1) from ``bracket_numerators``, each new
+    coefficient is one ``Rat`` of integer products, normalised once.
+    """
+    cs = f.coeffs
+    if len(cs) < 2:
+        return Polynomial.zero()
+    s = params.as_ints()[2]
+    out, s_pow = [], 1
+    for b, c in zip(bracket_numerators(len(cs) - 1, params)[1:], cs[1:]):
+        out.append(Rat(b * c.numerator, s_pow * c.denominator))
+        s_pow *= s
+    return Polynomial(out)
 
 
 def pq_derive_poly_k(f: Polynomial, k: int, params: PqParams) -> Polynomial:
@@ -186,10 +211,11 @@ class NumericFn(NamedTuple):
         """Float Horner over coefficients floated once, bit for bit eval_poly's float branch."""
         cs = [rat_float(c) for c in reversed(f.coeffs)]
         d0 = cs[-2] if len(cs) > 1 else 0.0
+        lead, rest = (cs[0], cs[1:]) if cs else (0.0, ())
 
         def horner(x: float) -> float:
-            acc = 0.0
-            for c in cs:
+            acc = lead
+            for c in rest:
                 acc = acc * x + c
             return acc
 

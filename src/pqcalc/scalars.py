@@ -5,7 +5,8 @@ arithmetic.  The scalar type ``Rat`` is ``fractions.Fraction``: values in
 lowest terms with a positive denominator, parsed from and printed as
 ``"num/den"`` literals.
 
-The hot exact kernels (brackets, Horner, the power product at every n,
+The hot exact kernels (brackets, Horner, polynomial ``scale``,
+``pq_derive_poly``, the power product at every n,
 ``expand_expr``, and the Taylor formulas, reconstruction and connection
 coefficients) work fraction-free: they read ``numerator``/``denominator``,
 carry integer numerators over one common denominator, and normalise once

@@ -312,6 +312,13 @@ class TestNewtonLeibniz:
         assert report.status is IntegralStatus.CONVERGED
         assert report.gap < 1e-8
 
+    def test_polynomial_antiderivative_at_infinity(self):
+        # F(inf) of a polynomial F is read by float Horner; a constant F has no gap
+        report = newton_leibniz_check(NumericFn.from_polynomial(Polynomial([5])), 1.0, math.inf, P1H)
+        assert report.rhs == 0.0
+        assert report.gap == 0
+        assert report.status is IntegralStatus.CONVERGED
+
     def test_logarithm_case_diverges(self):
         # the antiderivative of 1/x exists but is not continuous at 0, and
         # the series sees constant-magnitude terms: divergence, not a value

@@ -1,7 +1,8 @@
 """The fraction-free exact kernels against naive Fraction reference code.
 
 ``pq_power_value``, ``eval_pq_power`` (every integer n), ``expand_expr``,
-exact ``eval_poly``, ``bracket`` and the Taylor layer (the expansion
+exact ``eval_poly``, polynomial ``scale``, ``pq_derive_poly``,
+``bracket`` and the Taylor layer (the expansion
 formulas, ``PowerBasisExpansion.to_polynomial`` and the connection
 coefficients) carry integer numerators over a common denominator and
 normalise once per result.  The references below multiply and add plain
@@ -13,12 +14,13 @@ import math
 import random
 import struct
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from pqcalc.errors import DegenerateRegimeError, PoleError
 from pqcalc import polynomials
-from pqcalc.polynomials import NumericFn, Polynomial, eval_poly
+from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
 from pqcalc.pqpower import Orientation, PqPowerExpr, eval_pq_power, expand_expr, pq_power_value
 from pqcalc.scalars import PqParams, Rat, bracket, rat
 from pqcalc.taylor import (
@@ -84,6 +86,21 @@ def ref_poly_add(f, g):
     for i, c in enumerate(g):
         out[i] += c
     return out
+
+
+def ref_poly_scale(f, c):
+    return [c * a for a in f]
+
+
+def ref_derive(f, p, q):
+    return [ref_bracket(n, p, q) * c for n, c in enumerate(f) if n]
+
+
+def trimmed(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def ref_reconstruct(coeffs, a, p, q, orientation):
@@ -233,9 +250,111 @@ class TestExactHorner:
         assert eval_poly(f, 0.25) == 0.5 + 3 * 0.25
 
 
+def huge_rat(rng):
+    """A rational with a 400-digit denominator and a numerator of up to 400 digits."""
+    den = rng.randrange(10**399, 10**400)
+    return Fraction(rng.randrange(-(10**400), 10**400) // 10 ** rng.randint(0, 5), den)
+
+
+def assert_canonical(f):
+    """Lowest-terms Rat coefficients and no trailing zero."""
+    assert not f.coeffs or f.coeffs[-1] != 0
+    for c in f.coeffs:
+        assert_lowest_rat(c)
+
+
+def kernel_pairs():
+    """Two-digit operands of degree -inf..12, then ones with 400-digit denominators."""
+    rng = random.Random(61)
+    for _ in range(300):
+        yield (Polynomial([two_digit(rng) for _ in range(rng.randint(0, 13))]),
+               Polynomial([two_digit(rng) for _ in range(rng.randint(0, 13))]))
+    for _ in range(30):
+        yield (Polynomial([huge_rat(rng) for _ in range(rng.randint(1, 7))]),
+               Polynomial([huge_rat(rng) for _ in range(rng.randint(1, 7))]))
+
+
+class TestPolynomialKernels:
+    """+, -, *, scale and pq_derive_poly against the naive Fraction references."""
+
+    def test_mul_add_sub_match_reference(self):
+        for f, g in kernel_pairs():
+            a, b = f.coeffs, g.coeffs
+            product = f * g
+            assert product.coeffs == (trimmed(ref_poly_mul(a, b)) if a and b else ())
+            assert (f + g).coeffs == trimmed(ref_poly_add(a, b))
+            assert (f - g).coeffs == trimmed(ref_poly_add(a, [-c for c in b]))
+            for h in (product, f + g, f - g):
+                assert_canonical(h)
+
+    def test_zero_operands(self):
+        zero = Polynomial.zero()
+        for f, _ in islice(kernel_pairs(), 0, None, 11):
+            assert (f * zero).is_zero() and (zero * f).is_zero()
+            assert f + zero == f == zero + f
+            assert f - zero == f
+            assert (zero - f).coeffs == tuple(-c for c in f.coeffs)
+            assert (f - f).is_zero() and (f + (-f)).is_zero()
+        assert (zero * zero).is_zero() and (zero + zero).is_zero()
+
+    def test_sums_that_lose_their_leading_terms(self):
+        rng = random.Random(67)
+        for _ in range(100):
+            n = rng.randint(0, 5)  # at n = 0 every sum cancels to the zero polynomial
+            top = [two_digit(rng) or Fraction(1) for _ in range(rng.randint(1, 4))]
+            f = Polynomial([two_digit(rng) for _ in range(n)] + top)
+            g = Polynomial([two_digit(rng) for _ in range(n)] + [-c for c in top])
+            h = Polynomial([two_digit(rng) for _ in range(n)] + top)
+            for got, ref in ((f + g, ref_poly_add(f.coeffs, g.coeffs)),
+                             (f - h, ref_poly_add(f.coeffs, [-c for c in h.coeffs]))):
+                assert got.coeffs == trimmed(ref)
+                assert got.degree < n
+                assert_canonical(got)
+
+    def test_scale_by_every_exact_kind(self):
+        for f, _ in kernel_pairs():
+            for c in (0, 3, -1, "-7/4", Fraction(5, 6), f.coeffs[-1] if f.coeffs else Fraction(2)):
+                got = f.scale(c)
+                assert got.coeffs == trimmed(ref_poly_scale(f.coeffs, Fraction(c)))
+                assert_canonical(got)
+                assert c * f == got == f * c
+        assert Polynomial(["1/2", "3"]).scale(0).is_zero()
+        with pytest.raises(TypeError):
+            Polynomial(["1/2", "3"]).scale(0.5)
+        with pytest.raises(TypeError):
+            Polynomial(["1/2", "3"]) * 0.5
+
+    @pytest.mark.parametrize("p, q", param_cases(71, 12))
+    def test_derive_matches_reference(self, p, q):
+        params = PqParams(p, q)
+        for f, g in islice(kernel_pairs(), 0, None, 7):
+            for h in (f, g):
+                got = pq_derive_poly(h, params)
+                assert got.coeffs == trimmed(ref_derive(h.coeffs, p, q))
+                assert_canonical(got)
+
+    def test_derive_at_p_equal_minus_q(self):
+        # [n] = 0 for even n there, so x^2 differentiates to 0 and x^4 + x^3 to [3] x^2
+        for p in (Fraction(3, 4), Fraction(-5)):
+            params = PqParams(p, -p)
+            assert pq_derive_poly(Polynomial.monomial(2, "7/3"), params).is_zero()
+            got = pq_derive_poly(Polynomial([0, 0, 0, 1, 1]), params)
+            assert got == Polynomial([0, 0, p**2])
+            assert_canonical(got)
+
+    def test_derive_of_constants_and_zero(self):
+        params = PqParams(-2, Fraction(1, 3))
+        assert pq_derive_poly(Polynomial.zero(), params).is_zero()
+        assert pq_derive_poly(Polynomial(["-9/4"]), params).is_zero()
+        assert pq_derive_poly(Polynomial([5, "2/7"]), params) == Polynomial(["2/7"])
+
+
 def ref_float_horner(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
+    """Horner with float(c), started from the leading coefficient; 0.0 for the zero polynomial."""
+    if not coeffs:
+        return 0.0
+    acc = float(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + float(c)
     return acc
 
@@ -310,6 +429,18 @@ class TestFloatHorner:
         with pytest.raises(AttributeError, match="immutable"):
             f.coeffs = (Fraction(1),)
         assert bits(eval_poly(f, 0.5)) == bits(ref_float_horner(f.coeffs, 0.5))
+
+    def test_polynomials_are_finite_or_infinite_at_infinity(self):
+        # Horner starts from the leading coefficient, so no 0.0 * inf turns into NaN
+        for coeffs, at_inf, at_minus_inf in (([5], 5.0, 5.0), ([0, 0, 1], math.inf, math.inf),
+                                             ([1, 2, 3], math.inf, math.inf), ([0, -1], -math.inf, math.inf)):
+            f = Polynomial(coeffs)
+            g = NumericFn.from_polynomial(f)
+            assert eval_poly(f, math.inf) == at_inf == g.fn(math.inf)
+            assert eval_poly(f, -math.inf) == at_minus_inf == g.fn(-math.inf)
+        zero = Polynomial.zero()
+        for x in (math.inf, -math.inf, math.nan, 2.5):
+            assert bits(eval_poly(zero, x)) == bits(0.0) == bits(NumericFn.from_polynomial(zero).fn(x))
 
     def test_overflowing_coefficient_raises_as_float_does(self):
         f = Polynomial([1, Fraction(10**400, 3)])
