@@ -1,5 +1,6 @@
 """Lattice integrals, convergence policy, and the two-sided identities."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from pqcalc.integration import (
 )
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
 from pqcalc.scalars import PqParams, Regime, bracket, bracket_alpha, rat
+from pqcalc.taylor import heine_series_eval
 
 P1H = PqParams(1, rat("1/2"))  # Jackson regime, |q/p| < 1
 P21 = PqParams(2, 1)
@@ -770,3 +772,98 @@ class TestRegimeOncePerCall:
             result = call()
             assert reads[0] == 1
             assert result.regime is (Regime.RATIO_LT_ONE if lt1 else Regime.RATIO_GT_ONE)
+
+
+def _digest(rows):
+    """sha256 of the result rows, one line each, and how many rows stopped for each reason."""
+    text = "\n".join(" ".join(map(str, row)) for row in rows)
+    reasons = {}
+    for row in rows:
+        reasons[row[-1]] = reasons.get(row[-1], 0) + 1
+    return hashlib.sha256(text.encode()).hexdigest(), reasons
+
+
+def _row(value, terms, tail, reason):
+    return value.hex(), terms, tail.hex(), reason
+
+
+class TestSummerPins:
+    """The lattice summer's results, bit for bit, on the public entries and on raw sequences.
+
+    The pins were computed once and must not move when the summer is
+    restructured: a changed digest means some result changed in some bit,
+    and the per-reason counts show which stopping rule moved.
+    """
+
+    # built from +, * and / only, so no value depends on the platform's libm
+    INTEGRANDS = (
+        NumericFn.from_polynomial(Polynomial([rat("3/7"), rat("1/2"), 0, rat("1/4")])),  # monotone cubic
+        NumericFn.from_polynomial(Polynomial([3, -7, 0, 2])),  # |x f(x)| rises and falls
+        NumericFn(lambda x: 1.0 / x),
+        NumericFn(lambda x: 1.0 / (x * x)),
+    )
+    # the checkpoint stride m on each side; at 9/10, 0.5 / (1 - 0.9) rounds above 5 on [0, a]
+    STRIDES = {"1/2": (2,), "9/10": (5, 6), "99/100": (50,)}
+    ENTRY_DIGEST = "d88eac190c89ffd03486c9a2b3efc1a75db169f6a2652ac97a2db849729b8a82"
+    ENTRY_REASONS = {"accelerated": 74, "divergent": 339, "small_terms": 4, "max_terms": 815, "heine": 2}
+    RAW_DIGEST = "9509906e490eeafeae6d40c518288363f35c40c64ab799d65bdaf0d2973c0c53"
+    RAW_REASONS = {"max_terms": 8310, "small_terms": 1739, "accelerated": 467, "divergent": 554}
+
+    def _entry_rows(self):
+        g = NumericFn(lambda x: x * x)
+        for ratio, strides in self.STRIDES.items():
+            counts = sorted({n for m in strides for n in (1, 2, 3, m - 1, m, m + 1, m + 2, 2 * m)})
+            policies = [DEFAULT_POLICY, TruncationPolicy(tail_tol=1e-3)]
+            policies += [TruncationPolicy(max_terms=n) for n in counts]
+            for lt1 in (True, False):
+                params = _lattice(ratio, lt1)
+                for f in self.INTEGRANDS:
+                    for policy in policies:
+                        results = [
+                            integral_zero_to(f, 2.5, params, policy),
+                            integral_to_infinity(f, 0.75, params, policy),
+                            integral(f, 0.75, 2.5, params, policy),
+                            integral(f, 0.0, 2.5, params, policy),
+                            integral_improper(f, params, policy),
+                        ]
+                        if lt1:
+                            results.append(integral_riemann_stieltjes(f, g, 1.5, params, policy))
+                        for result in results:
+                            yield _row(*_fields(result))
+        for n, x, params in ((2, 0.5, P1H), (3, -0.25, PqParams(1, rat("2/3")))):
+            yield _row(heine_series_eval(n, x, params), 0, 0.0, "heine")
+
+    def test_public_lattice_entries(self):
+        digest, reasons = _digest(list(self._entry_rows()))
+        assert reasons == self.ENTRY_REASONS
+        assert digest == self.ENTRY_DIGEST
+
+    @staticmethod
+    def _raw_rows():
+        rng = random.Random(1717)
+        values = (0.0, 1e-13, -1e-13, 1.0, -0.5, 1e300, math.inf, math.nan)
+        ratios = [None]
+        for r in (0.5, 0.9, 2.0, -3.0):
+            ratios += [r, 1.0 / r]
+        for ratio in ratios:
+            for max_terms in (1, 2, 3, 4, 5, 6, 7, 10, 20, 10_000):
+                for tail_tol in (1e-12, 1e-3, 0.6):
+                    policy = TruncationPolicy(max_terms=max_terms, tail_tol=tail_tol)
+                    for length in range(41):
+                        if length % 2:  # drawn from the special values
+                            terms = [rng.choice(values) for _ in range(length)]
+                        else:  # geometric in the ratio or its reciprocal, with some draws mixed in
+                            step = rng.choice((ratio or 0.5, 1.0 / (ratio or 2.0)))
+                            terms = [rng.choice((1.0, -0.5))]
+                            while len(terms) < length:
+                                terms.append(terms[-1] * step)
+                            del terms[length:]
+                            for _ in range(rng.randrange(3)):
+                                if terms:
+                                    terms[rng.randrange(length)] = rng.choice(values)
+                        yield _row(*_sum_series(iter(terms), policy, ratio))
+
+    def test_raw_sequences(self):
+        digest, reasons = _digest(list(self._raw_rows()))
+        assert reasons == self.RAW_REASONS
+        assert digest == self.RAW_DIGEST
