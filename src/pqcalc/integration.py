@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import chain, cycle, islice, repeat
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
@@ -120,25 +120,25 @@ def _sum_series(
     The plain rules stop the sum on three small terms, on divergence or on
     ``max_terms``, exactly as if nothing else ran.  ``ratio`` is the step
     of the lattice points of a lattice series, None for any other series,
-    which is only summed.  Between the plain stops, at checkpoints m terms
-    apart, with r = min(|ratio|, 1/|ratio|) and m = max(2, ceil(1/(2(1-r)))),
-    a lattice partial sum S_N is extrapolated to E_i:
+    which is only summed.  With r = min(|ratio|, 1/|ratio|) and the stride
+    m = max(2, ceil(1/(2(1-r)))), the sum S_N of the first N terms is
+    extrapolated to E_i at checkpoints N, after the plain rules saw term N:
 
-    - |ratio| < 1 (towards 0): a polynomial integrand's partial sums miss
-      geometric components of the known ratios ratio^{n+1}, so the
-      checkpoint sums feed a Richardson table, from S_0 = 0, whose level j
-      removes lam^j with lam = ratio^m; E_i is its diagonal.  The stride
-      keeps |lam| near e^{-1/2}, so the levels hardly amplify roundoff.
-      Level j is built with row j, and none once |lam^j| < u.
-    - |ratio| > 1 (towards infinity): Aitken's delta-squared on the last
-      two terms, E_i = S_N + t_{N-1} kappa / (1 - kappa) with the observed
-      ratio kappa = t_{N-1} / t_{N-2}, exact for the single geometric
-      series of x^{-s}.  Comparing E_i a stride apart, not a term apart,
-      exposes a slower second component that moves E_i too little per
-      term to show above roundoff.
+    - |ratio| < 1 (towards 0), N = m, 2m, 3m, ...: a polynomial integrand's
+      partial sums miss geometric components of the known ratios ratio^{n+1},
+      so the checkpoint sums feed a Richardson table, from S_0 = 0, whose
+      level j removes lam^j with lam = ratio^m; E_i is its diagonal.  The
+      stride keeps |lam| near e^{-1/2}, so the levels hardly amplify
+      roundoff.  Level j is built with row j, and none once |lam^j| < u.
+    - |ratio| > 1 (towards infinity), N = 2, m+2, 2m+2, ... (a run-up to two
+      terms): Aitken's delta-squared on the last two terms, E_i = S_N +
+      t_{N-1} kappa / (1 - kappa) with the observed ratio kappa = t_{N-1} /
+      t_{N-2}, exact for the single geometric series of x^{-s}.  Comparing
+      E_i a stride apart, not a term apart, exposes a slower second
+      component that moves E_i too little per term to show above roundoff.
 
-    E_i is accepted only while the terms fall: the last term is below the
-    last term of the previous block, and on [a, infinity) |kappa| < 1.
+    E_i is accepted only while the terms fall: |t_{N-1}| is below the term
+    at the previous checkpoint, and on [a, infinity) |kappa| < 1.
     It is also accepted only once two differences d_{i-1}, d_i of
     extrapolants exist and some checkpoint sum is not exactly 0.0.  This
     does not keep a coincidence from being taken for the limit: while the
@@ -154,58 +154,49 @@ def _sum_series(
     ``accelerated``, when the bound is at most ``tail_tol + R``, and the
     tail estimate is the bound plus R.
     """
-    tail_tol, max_terms = policy.tail_tol, policy.max_terms
+    tail_tol = policy.tail_tol
     known = ratio is not None and abs(ratio) < 1
-    if ratio is None:  # one chunk, no checkpoint is ever reached
-        chunks = repeat((max_terms + 1, True))
-    else:
+    checkpoint = 0  # the count of the next checkpoint; no term has count 0
+    if ratio is not None:
         r = abs(ratio) if known else 1.0 / abs(ratio)
         stride = max(2, math.ceil(0.5 / (1.0 - r)))
+        checkpoint = stride if known else 2
     if known:
-        chunks = repeat((stride, True))
         lam = power = ratio**stride
         factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
         gain = 1.0 / (1.0 - abs(lam))
         row = [0.0]  # the last row of the Richardson table
-    elif ratio is not None:  # a run-up chunk, then a one-term chunk whose checkpoint sees the last two terms
-        chunks = chain([(1, False)], cycle([(1, True), (stride - 1, False)]))
     total = abs_total = 0.0
     count = 0
     run = 1
     small_run = 0
     last_mag = 0.0
-    mag = prev_term = 0.0
-    block_mag = math.inf  # the last term of the previous block
+    prev_term = 0.0
+    block_mag = math.inf  # |term| at the previous checkpoint
     estimate = math.nan
     diff = math.nan
     nonzero = False  # some checkpoint sum so far is not exactly 0.0
-    it = iter(terms)
-    for size, checkpoint in chunks:
-        if count >= max_terms:
-            break
-        start = count
-        for count, term in enumerate(islice(it, min(size, max_terms - count)), count + 1):
-            total += term
-            mag = abs(term)
-            abs_total += mag
-            if mag <= tail_tol:
-                small_run += 1
-                if small_run >= _SMALL_RUN:
-                    return total, count, mag, "small_terms"
+    for count, term in enumerate(islice(terms, policy.max_terms), 1):
+        total += term
+        mag = abs(term)
+        abs_total += mag
+        if mag <= tail_tol:
+            small_run += 1
+            if small_run >= _SMALL_RUN:
+                return total, count, mag, "small_terms"
+        else:
+            small_run = 0
+            if count > 1 and mag >= last_mag:
+                run += 1
+                if run >= DIVERGENCE_WINDOW:
+                    return total, count, mag, "divergent"
             else:
-                small_run = 0
-                if count > 1 and mag >= last_mag:
-                    run += 1
-                    if run >= DIVERGENCE_WINDOW:
-                        return total, count, mag, "divergent"
-                else:
-                    run = 1
-                last_mag = mag
-        if count - start < size:
-            break
-        if not checkpoint:
+                run = 1
+            last_mag = mag
+        if count != checkpoint:
             prev_term = term
             continue
+        checkpoint += stride
         falling, block_mag = mag < block_mag, mag
         nonzero = nonzero or total != 0.0
         if known:
