@@ -29,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import PqError
-from .scalars import PqParams, bracket, bracket_alpha, rat, rat_str
+from .scalars import PqParams, _float_view, bracket, bracket_alpha, rat, rat_str
 
 if TYPE_CHECKING:
     from .polynomials import NumericFn
@@ -242,9 +242,11 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
     if spec.startswith("powneg:"):
         text = spec[len("powneg:"):]
         try:
-            r = float(rat(text))
-        except (ValueError, ZeroDivisionError, TypeError):
-            r = float(text)
+            exact = rat(text)
+        except (ValueError, ZeroDivisionError):
+            r = float(text)  # "nan" and "inf" are no rationals
+        else:
+            r = _float_view("r", exact)
         if not math.isfinite(r):
             raise ValueError(f"{spec} needs a finite r")
         if not r.is_integer() and (params.p < 0 or params.q < 0):
@@ -264,11 +266,11 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     elif args.to_inf:
         if args.a is None:
             raise ValueError("--to-inf needs the lower bound a")
-        result = integral_to_infinity(f, float(rat(args.a)), params, policy)
+        result = integral_to_infinity(f, _float_view("a", rat(args.a)), params, policy)
     else:
         if args.a is None or args.b is None:
             raise ValueError("need both bounds a and b (or --improper / --to-inf)")
-        result = integral(f, float(rat(args.a)), float(rat(args.b)), params, policy)
+        result = integral(f, _float_view("a", rat(args.a)), _float_view("b", rat(args.b)), params, policy)
     payload = result.to_json_dict()
     human = (
         f"value={result.value:.12g} status={result.status.value} "

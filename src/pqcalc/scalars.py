@@ -118,11 +118,12 @@ class PqParams(namedtuple("PqParams", "p q")):
 
 
 def _float_view(name: str, x: Rat) -> float:
+    """``rat_float(x)``, refused by name if it overflows or if a nonzero x rounds to 0.0."""
     try:
         value = rat_float(x)
     except OverflowError:
         raise OutOfRangeError(f"{name} is outside the double range: its float view overflows") from None
-    if value == 0.0:
+    if value == 0.0 and x:
         raise OutOfRangeError(f"{name} is outside the double range: its float view is 0.0")
     return value
 

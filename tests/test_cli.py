@@ -242,8 +242,30 @@ class TestIntegrateCommand:
 
     def test_bound_overflow_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "integrate", "poly:0,1", "0", "1e400")
-        assert (code, out) == (2, "")
-        assert err.startswith("error:")
+        assert (code, out, err) == (2, "", "error: b is outside the double range: its float view overflows")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a bound that rounds to 0.0 used to integrate silently over [0, 1]
+            (("recip", "1e-400", "1"), "a is outside the double range: its float view is 0.0"),
+            (("recip", "1e-400", "--to-inf"), "a is outside the double range: its float view is 0.0"),
+            (("poly:1", "1e-400", "1e400"), "a is outside the double range: its float view is 0.0"),
+            (("poly:1", "0", "1e400"), "b is outside the double range: its float view overflows"),
+            (("powneg:1e400", "1", "--to-inf"), "r is outside the double range: its float view overflows"),
+            (("powneg:-1e-400", "1", "--to-inf"), "r is outside the double range: its float view is 0.0"),
+        ],
+        ids=["a-underflows", "to-inf-a-underflows", "both-out", "b-overflows", "r-overflows", "r-underflows"],
+    )
+    def test_bound_or_power_outside_the_double_range_exits_two(self, capsys, argv, message, json_flag):
+        code, out, err = run_cli(capsys, "integrate", *argv, *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
+
+    def test_exact_zero_bound_and_power_still_work(self, capsys):
+        code, out, _ = run_cli(capsys, "integrate", "powneg:0", "0", "1", "--json")
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["value"]) == (0, "converged", 1.0)
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
     @pytest.mark.parametrize(

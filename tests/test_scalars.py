@@ -24,6 +24,7 @@ from pqcalc.scalars import (
     bracket_falling,
     pq_binomial,
     pq_factorial,
+    _float_view,
     rat,
     rat_float,
     rat_str,
@@ -206,6 +207,12 @@ class TestFloatView:
         assert str(info.value) == message
         with pytest.raises(OutOfRangeError, match=re.escape(message)):
             bracket_alpha(0.5, params)
+
+    def test_only_a_nonzero_value_may_not_round_to_zero(self):
+        assert _float_view("a", Rat(0)).hex() == "0x0.0p+0"
+        assert _float_view("a", Rat(-3, 7)) == float(Rat(-3, 7))
+        with pytest.raises(OutOfRangeError, match="^a is outside the double range: its float view is 0.0$"):
+            _float_view("a", Rat(-1, 10**400))
 
 
 class TestBracketAlpha:
