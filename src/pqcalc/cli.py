@@ -242,11 +242,9 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
     if spec.startswith("powneg:"):
         text = spec[len("powneg:"):]
         try:
-            exact = rat(text)
+            r = _float_view("r", rat(text))
         except (ValueError, ZeroDivisionError):
             r = float(text)  # "nan" and "inf" are no rationals
-        else:
-            r = _float_view("r", exact)
         if not math.isfinite(r):
             raise ValueError(f"{spec} needs a finite r")
         if not r.is_integer() and (params.p < 0 or params.q < 0):

@@ -262,11 +262,6 @@ class TestIntegrateCommand:
         code, out, err = run_cli(capsys, "integrate", *argv, *json_flag)
         assert (code, out, err) == (2, "", f"error: {message}")
 
-    def test_exact_zero_bound_and_power_still_work(self, capsys):
-        code, out, _ = run_cli(capsys, "integrate", "powneg:0", "0", "1", "--json")
-        payload = json.loads(out)
-        assert (code, payload["status"], payload["value"]) == (0, "converged", 1.0)
-
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
     @pytest.mark.parametrize(
         "argv, message",
