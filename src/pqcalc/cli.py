@@ -295,15 +295,11 @@ def _select_labels(queries: Optional[list[str]]) -> Optional[list[str]]:
 
 
 def cmd_identities(args: argparse.Namespace) -> int:
-    from .identities import run_suite
+    from .identities import CheckResult, run_suite
 
-    labels = _select_labels(args.only)
-    results = run_suite(
-        seed=args.seed,
-        trials=args.trials,
-        only=labels,
-        include_forced_failure=args.self_test_fail,
-    )
+    results = run_suite(seed=args.seed, trials=args.trials, only=_select_labels(args.only))
+    if args.self_test_fail:  # a deliberately false identity shows that failures are reported
+        results.append(CheckResult("self-test-forced-failure", args.trials, args.trials, ("intentional failure",)))
     passed = all(r.passed for r in results)
     if args.json:
         print(

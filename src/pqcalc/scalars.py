@@ -14,8 +14,8 @@ per result instead of after every multiply.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
-:class:`FloatScalar` with a fixed comparison tolerance and summed under the
-stopping rules of :class:`TruncationPolicy`.
+:class:`FloatScalar` (a finite double) and summed under the stopping rules
+of :class:`TruncationPolicy`.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _float_view(name: str, x: Rat) -> float:
 
 
 class FloatScalar(namedtuple("FloatScalar", "value")):
-    """A double that compares with 1e-12 relative and absolute tolerance."""
+    """A finite double; the tolerance of a comparison belongs to the law that makes it."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))
@@ -138,10 +138,6 @@ class FloatScalar(namedtuple("FloatScalar", "value")):
         if not math.isfinite(value):
             raise ValueError(f"FloatScalar must be finite, got {value!r}")
         return super().__new__(cls, value)
-
-    def close_to(self, other: float | "FloatScalar") -> bool:
-        other_value = other.value if isinstance(other, FloatScalar) else other
-        return math.isclose(self.value, other_value, rel_tol=1e-12, abs_tol=1e-12)
 
     def __float__(self) -> float:
         return self.value

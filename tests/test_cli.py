@@ -364,6 +364,31 @@ class TestIdentitiesCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_forced_failure_is_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "identities", "--trials", "3", "--only", "linearity", "--self-test-fail")
+        assert code == 1
+        assert out.splitlines() == [
+            f"{'linearity':28s}      3 trials     0 failures  PASS",
+            f"{'self-test-forced-failure':28s}      3 trials     3 failures  FAIL",
+            "    intentional failure",
+            "overall: FAIL (2 checks, 6 trials)",
+        ]
+        code, out, _ = run_cli(
+            capsys, "identities", "--trials", "3", "--only", "linearity", "--self-test-fail", "--json"
+        )
+        payload = json.loads(out)
+        assert (code, payload["passed"]) == (1, False)
+        assert payload["results"] == [
+            {"label": "linearity", "trials": 3, "failures": 0, "passed": True, "notes": []},
+            {
+                "label": "self-test-forced-failure",
+                "trials": 3,
+                "failures": 3,
+                "passed": False,
+                "notes": ["intentional failure"],
+            },
+        ]
+
     def test_only_prefix_match_heine(self, capsys):
         code, out, _ = run_cli(capsys, "identities", "--only", "heine", "--trials", "2")
         assert code == 0

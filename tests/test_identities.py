@@ -48,13 +48,6 @@ class TestSuiteHarness:
         with pytest.raises(KeyError):
             run_suite(seed=0, trials=5, only=["bogus-label"])
 
-    def test_forced_failure_is_reported(self):
-        results = run_suite(seed=0, trials=3, only=["linearity"], include_forced_failure=True)
-        assert [r.label for r in results] == ["linearity", "self-test-forced-failure"]
-        assert results[0].passed
-        assert not results[1].passed
-        assert results[1].failures == 3
-
     def test_exact_law_labels_are_registered(self):
         assert set(EXACT_LAW_LABELS) <= set(CHECKS)
         assert len(EXACT_LAW_LABELS) == 15

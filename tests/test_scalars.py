@@ -218,8 +218,8 @@ class TestFloatView:
 class TestBracketAlpha:
     def test_integer_agreement(self):
         params = PqParams(2, 1)
-        assert bracket_alpha(2.0, params).close_to(3.0)
-        assert bracket_alpha(1.0, params).close_to(1.0)
+        assert math.isclose(bracket_alpha(2.0, params).value, 3.0, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(bracket_alpha(1.0, params).value, 1.0, rel_tol=1e-12, abs_tol=1e-12)
 
     def test_half_power(self):
         # (sqrt(4) - sqrt(1)) / (4 - 1) = 1/3
