@@ -29,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import PqError
-from .scalars import PqParams, _float_view, bracket, bracket_alpha, rat, rat_str
+from .scalars import PqParams, _falling_vanishes, _float_view, bracket, bracket_alpha, rat, rat_str
 
 if TYPE_CHECKING:
     from .polynomials import NumericFn
@@ -136,12 +136,15 @@ def _log10(x) -> float:
 
 
 def _falling_log10(n: int, k: int, params: PqParams) -> tuple[float, float]:
-    """Bounds lo <= log10|[n][n-1]...[n-k+1]| <= hi, for |p| != |q| and no factor [0].
+    """Bounds lo <= log10|[n][n-1]...[n-k+1]| <= hi; a zero product gets (-inf, inf), which refuses nothing.
 
-    With M = max(|p|,|q|) and m = min(|p|,|q|) < M, the bounds
-    M^j (1 - m/M) <= |p^j - q^j| <= 2 M^j bound |[j]| = |p^j - q^j| / |p - q|
-    for j >= 1, and [-j] = -[j]/(pq)^j; the sums over j are closed forms.
+    With M = max(|p|,|q|) and m = min(|p|,|q|), the bounds
+    M^j (1 - m/M) <= |p^j - q^j| <= 2 M^j for m < M, and |p^j - q^j| = 2 M^j
+    for odd j at p = -q, bound |[j]| = |p^j - q^j| / |p - q| for j >= 1;
+    [-j] = -[j]/(pq)^j, and the sums over j are closed forms.
     """
+    if _falling_vanishes(n, k, params):
+        return -math.inf, math.inf
     big, small = sorted((abs(params.p), abs(params.q)), reverse=True)
     first = n - k + 1
     if first > 0:
@@ -149,7 +152,8 @@ def _falling_log10(n: int, k: int, params: PqParams) -> tuple[float, float]:
     else:  # no factor [0], so every j is negative
         total = negative = _triangle(-first) - _triangle(-n - 1)
     mid = total * _log10(big) - negative * _log10(params.p * params.q) - k * _log10(params.p - params.q)
-    return mid + k * _log10(1 - small / big), mid + k * math.log10(2)
+    low = math.log10(2) if big == small else _log10(1 - small / big)
+    return mid + k * low, mid + k * math.log10(2)
 
 
 def _triangle(m: int) -> int:
@@ -174,8 +178,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     except ValueError:
         n = None
     if n is not None:
-        if n and abs(params.p) != abs(params.q):
-            _require_printable(*_falling_log10(n, 1, params), f"[{n}]")
+        _require_printable(*_falling_log10(n, 1, params), f"[{n}]")
         value = bracket(n, params)
         _emit(args, {"value": rat_str(value)}, rat_str(value))
     else:
@@ -194,7 +197,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
         raise ValueError(f"--k must be >= 0, got {k}")
     if args.expr.lstrip().startswith("pqpow"):
         expr = parse_power_expr(args.expr, params)
-        if k and expr.gamma and not 0 <= expr.n < k and abs(params.p) != abs(params.q):
+        if expr.gamma:
             # the coefficient g^k base^C(k,2) [n]...[n-k+1] of derive_pq_power_iterated
             base, _ = expr.orientation.base_sign(params)
             scale = k * _log10(expr.gamma) + k * (k - 1) // 2 * _log10(base)

@@ -182,7 +182,8 @@ def bracket(n: int, params: PqParams) -> Rat:
     With p = P/S and q = Q/S (:meth:`PqParams.as_ints`) and m = |n|, the
     division in the integer b = ((P^m - Q^m) // (P - Q)) S is exact, and
     [n] = b / S^m for n >= 0 and [n] = -b S^m / (PQ)^m for n < 0, since
-    [-m] = -[m] / (pq)^m.
+    [-m] = -[m] / (pq)^m.  At p = -q, [n] = 0 for every even n, returned
+    without forming a power.
     """
     return Rat(*_bracket_ints(n, params))
 
@@ -191,6 +192,8 @@ def _bracket_ints(n: int, params: PqParams) -> tuple[int, int]:
     """[n] as an integer numerator and a positive denominator, not reduced (see ``bracket``)."""
     big_p, big_q, s = params.as_ints()
     m = abs(n)
+    if big_p == -big_q and not m % 2:
+        return 0, 1
     b = (big_p**m - big_q**m) // (big_p - big_q) * s
     if n >= 0:
         return b, s**m
@@ -230,14 +233,14 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
     """The product [n][n-1]...[n-k+1], i.e. [n]!/[n-k]! without the division.
 
     Computed as a plain product so it stays defined even when some bracket
-    vanishes (p = -q), where the factorial ratio would be 0/0.  For
-    0 <= n < k the product passes [0] = 0 and is not multiplied out.  The
-    numerators and the denominators are multiplied as integers and the
+    vanishes (p = -q), where the factorial ratio would be 0/0.  A product
+    with a zero factor (see ``_falling_vanishes``) is not multiplied out.
+    The numerators and the denominators are multiplied as integers and the
     quotient is normalised once.
     """
     if k < 0:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
-    if 0 <= n < k:
+    if _falling_vanishes(n, k, params):
         return rat(0)
     num = den = 1
     for j in range(n - k + 1, n + 1):
@@ -246,6 +249,11 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
         num *= b // g
         den *= d // g
     return Rat(num, den)
+
+
+def _falling_vanishes(n: int, k: int, params: PqParams) -> bool:
+    """Whether [n][n-1]...[n-k+1] has a zero factor: [0] (0 <= n < k), or an even j at p = -q."""
+    return 0 <= n < k or (k > 1 or k == 1 and not n % 2) and params.p == -params.q
 
 
 def pq_binomial(n: int, k: int, params: PqParams) -> Rat:

@@ -1,13 +1,14 @@
 """CLI surface: output formats, JSON round trips, exit codes."""
 
 import json
+import math
 import sys
 
 import pytest
 
 from pqcalc import cli
 from pqcalc.cli import main
-from pqcalc.scalars import rat, rat_str
+from pqcalc.scalars import PqParams, bracket_falling, rat, rat_str
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,27 @@ class TestBracketCommand:
         code, out, _ = run_cli(capsys, "bracket", n, "--p", "1", "--q", "-1")
         assert (code, out) == (0, value)
 
+    def test_opposite_parameters_refuse_an_unprintable_bracket_by_name(self, capsys):
+        # at p = -q, |[j]| = |p|^(j-1) for odd j: 3^10000000 has 4.8 million digits
+        code, out, err = run_cli(capsys, "bracket", "10000001", "--p", "3", "--q", "-3")
+        assert (code, out) == (2, "")
+        assert err == f"error: [10000001] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+
+    def test_opposite_parameters_even_bracket_is_zero(self, capsys):
+        assert run_cli(capsys, "bracket", "10000000", "--p", "3", "--q", "-3") == (0, "0", "")
+
+    @pytest.mark.parametrize("p, q", [("3", "-3"), ("-1/2", "1/2"), ("3/2", "1/3"), ("-2", "5/7")])
+    def test_falling_bounds_hold(self, p, q):
+        params = PqParams(rat(p), rat(q))
+        for n in range(-8, 13):
+            for k in range(5):
+                lo, hi = cli._falling_log10(n, k, params)
+                value = bracket_falling(n, k, params)
+                if value == 0:  # a zero product refuses nothing
+                    assert (lo, hi) == (-math.inf, math.inf)
+                else:
+                    assert lo - 1e-9 <= cli._log10(value) <= hi + 1e-9
+
 
 class TestDeriveCommand:
     def test_polynomial(self, capsys):
@@ -153,6 +175,16 @@ class TestDeriveCommand:
         assert (code, out) == (2, "")
         limit = sys.get_int_max_str_digits()
         assert err == f"error: the coefficient has over {limit} digits, the int-to-str limit"
+
+    def test_opposite_parameters_refuse_an_unprintable_coefficient(self, capsys):
+        code, out, err = run_cli(capsys, "derive", "pqpow(a=1,n=10000001)", "--k", "1", "--p", "3", "--q", "-3")
+        assert (code, out) == (2, "")
+        assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+
+    def test_opposite_parameters_zero_coefficient(self, capsys):
+        # the falling product [10000001][10000000] holds [10000000] = 0
+        code, out, err = run_cli(capsys, "derive", "pqpow(a=1,n=10000001)", "--k", "2", "--p", "3", "--q", "-3")
+        assert (code, out, err) == (0, "0 * pqpow(a=1, n=9999999, gamma=9)", "")
 
     @pytest.mark.parametrize("n, k", [(-3, 40), (60, 40), (39, 40)])
     def test_printable_coefficient_still_prints(self, capsys, n, k):

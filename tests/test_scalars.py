@@ -19,6 +19,7 @@ from pqcalc.scalars import (
     Rat,
     Regime,
     TruncationPolicy,
+    _bracket_ints,
     bracket,
     bracket_alpha,
     bracket_falling,
@@ -160,6 +161,24 @@ class TestBracket:
         params = PqParams(rat("3/2"), rat("2/3"))
         for n in range(1, 6):
             assert bracket(-n, params) == -bracket(n, params) / (params.p * params.q) ** n
+
+    @pytest.mark.parametrize("p", [rat(3), rat("-1/2"), rat("5/7")])
+    def test_opposite_parameters_match_the_definition(self, p):
+        params = PqParams(p, -p)
+        for n in range(-9, 10):
+            assert bracket(n, params) == (p**n - (-p) ** n) / (2 * p)
+        for n in range(-6, 8):
+            for k in range(5):
+                assert bracket_falling(n, k, params) == math.prod(bracket(j, params) for j in range(n - k + 1, n + 1))
+
+    def test_opposite_parameters_vanish_without_forming_a_power(self):
+        # [j] = 0 for even j at p = -q; the odd neighbour 3^10000000 would take seconds to form
+        params = PqParams(3, -3)
+        assert _bracket_ints(10_000_000, params) == (0, 1)
+        assert _bracket_ints(-10_000_000, params) == (0, 1)
+        assert bracket(10_000_000, params) == 0
+        assert bracket_falling(10_000_001, 2, params) == 0
+        assert bracket_falling(10_000_001, 3, params) == 0
 
 
 class TestRatFloat:
