@@ -14,7 +14,7 @@ Examples::
     pq identities --only heine
 
 Exit codes: 0 success, 1 identity-suite failure, 2 usage, parse, domain
-or overflow error.
+or overflow error, 141 a closed stdout.
 Rationals are written as "num/den" or "int" everywhere, on input and in
 JSON output.
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -235,7 +236,10 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
     from .polynomials import NumericFn, Polynomial
 
     if spec.startswith("poly:"):
-        return NumericFn.from_polynomial(Polynomial.from_string(spec[len("poly:"):]))
+        f = Polynomial.from_string(spec[len("poly:"):])
+        for i, c in enumerate(f.coeffs):
+            _float_view(f"coefficient {i} of {spec}", c)
+        return NumericFn.from_polynomial(f)
     if spec == "recip":
         return NumericFn(lambda x: 1.0 / x)
     if spec == "log":
@@ -263,10 +267,14 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     policy = TruncationPolicy(max_terms=args.max_terms, tail_tol=args.tail_tol)
     f = _parse_fn_spec(args.fn, params)
     if args.improper:
+        if args.a is not None:  # b is read only after a
+            raise ValueError(f"--improper integrates over [0, infinity) and reads no bound a, got a={args.a}")
         result = integral_improper(f, params, policy)
     elif args.to_inf:
         if args.a is None:
             raise ValueError("--to-inf needs the lower bound a")
+        if args.b is not None:
+            raise ValueError(f"--to-inf integrates over [a, infinity) and reads no bound b, got b={args.b}")
         result = integral_to_infinity(f, _float_view("a", rat(args.a)), params, policy)
     else:
         if args.a is None or args.b is None:
@@ -355,7 +363,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """Run ``pq``; a reader that closed stdout ends it with 141 (128 + SIGPIPE) and no traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the flush at exit would fail again on what is left in the buffer
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from pqcalc import cli
 from pqcalc.cli import main
 from pqcalc.scalars import PqParams, bracket_falling, rat, rat_str
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +181,9 @@ class TestDeriveCommand:
         limit = sys.get_int_max_str_digits()
         assert err == f"error: the coefficient has over {limit} digits, the int-to-str limit"
 
+    def test_negative_k_exits_two(self, capsys):
+        assert run_cli(capsys, "derive", "0,1", "--k", "-1") == (2, "", "error: --k must be >= 0, got -1")
+
     def test_opposite_parameters_refuse_an_unprintable_coefficient(self, capsys):
         code, out, err = run_cli(capsys, "derive", "pqpow(a=1,n=10000001)", "--k", "1", "--p", "3", "--q", "-3")
         assert (code, out) == (2, "")
@@ -315,6 +323,44 @@ class TestIntegrateCommand:
         code, out, err = run_cli(capsys, "integrate", "poly:1", "0", "1", "--tail-tol", tol, *json_flag)
         assert (code, out, err) == (2, "", f"error: {message}")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # these used to integrate over [0, inf) or [1, inf) and drop the bounds without a word
+            (("poly:1", "0", "1", "--improper"), "--improper integrates over [0, infinity) and reads no bound a, got a=0"),
+            (("poly:1", "0", "--improper"), "--improper integrates over [0, infinity) and reads no bound a, got a=0"),
+            (("poly:1", "1", "2", "--to-inf"), "--to-inf integrates over [a, infinity) and reads no bound b, got b=2"),
+            (("poly:1", "--to-inf"), "--to-inf needs the lower bound a"),
+        ],
+        ids=["improper-a-b", "improper-a", "to-inf-b", "to-inf-no-a"],
+    )
+    def test_mode_refuses_a_bound_it_does_not_read(self, capsys, argv, message, json_flag):
+        code, out, err = run_cli(capsys, "integrate", *argv, *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("poly:1e400", "coefficient 0 of poly:1e400 is outside the double range: its float view overflows"),
+            # this one used to integrate silently with the coefficient as 0.0
+            ("poly:1e-400,1", "coefficient 0 of poly:1e-400,1 is outside the double range: its float view is 0.0"),
+            ("poly:0,2,-1e400", "coefficient 2 of poly:0,2,-1e400 is outside the double range: its float view overflows"),
+        ],
+        ids=["overflows", "underflows", "last-overflows"],
+    )
+    def test_poly_coefficient_outside_the_double_range_exits_two(self, capsys, spec, message, json_flag):
+        code, out, err = run_cli(capsys, "integrate", spec, "0", "1", *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
+
+    def test_log_is_accelerated_to_its_closed_form(self, capsys):
+        # a ln(a/p) + a r ln r / (1 - r) at a = 1, p = 1, r = q/p = 1/2 is ln(1/2)
+        code, out, _ = run_cli(capsys, "integrate", "log", "0", "1", "--p", "1", "--q", "1/2", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["stop_reason"] == "accelerated"
+        assert abs(payload["value"] - math.log(0.5)) <= payload["tail"]
+
     def test_unknown_spec_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "integrate", "tan", "0", "1")
         assert code == 2
@@ -433,6 +479,14 @@ class TestIdentitiesCommand:
         assert code == 2
         assert "no identity label" in err
 
+    def test_non_integer_trials_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", "--trials", "x"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --trials: invalid int value: 'x'" in captured.err
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_rejected(self, capsys, trials):
         with pytest.raises(SystemExit) as exc:
@@ -441,3 +495,24 @@ class TestIdentitiesCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--trials" in captured.err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["bracket", "3"], ["identities", "--trials", "1"]], ids=["bracket", "identities"])
+    def test_exits_141_without_a_word(self, argv, unbuffered):
+        # the read end closes before pq writes, as when `pq identities | head -1` stops reading
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pqcalc.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
