@@ -12,6 +12,7 @@ from pqcalc.errors import (
     NonPositiveBaseError,
     OutOfRangeError,
 )
+from pqcalc import scalars
 from pqcalc.pqpower import Orientation, PqPowerExpr
 from pqcalc.scalars import (
     FloatScalar,
@@ -171,14 +172,19 @@ class TestBracket:
             for k in range(5):
                 assert bracket_falling(n, k, params) == math.prod(bracket(j, params) for j in range(n - k + 1, n + 1))
 
-    def test_opposite_parameters_vanish_without_forming_a_power(self):
-        # [j] = 0 for even j at p = -q; the odd neighbour 3^10000000 would take seconds to form
-        params = PqParams(3, -3)
-        assert _bracket_ints(10_000_000, params) == (0, 1)
-        assert _bracket_ints(-10_000_000, params) == (0, 1)
-        assert bracket(10_000_000, params) == 0
-        assert bracket_falling(10_000_001, 2, params) == 0
-        assert bracket_falling(10_000_001, 3, params) == 0
+    def test_opposite_parameters_vanish_without_forming_a_power(self, monkeypatch):
+        # [j] = 0 for even j at p = -q, as 0 over 1 rather than over S^j
+        for n in (2, -4, 10_000_000, -10_000_000):
+            assert _bracket_ints(n, PqParams(rat("3/2"), rat("-3/2"))) == (0, 1)
+        assert bracket(10_000_000, PqParams(3, -3)) == 0
+
+        def refuse(n, params):  # an odd neighbour such as 3^10000000 takes seconds to form
+            raise AssertionError(f"[{n}] formed")
+
+        monkeypatch.setattr(scalars, "_bracket_ints", refuse)
+        for k in (2, 3, 5):
+            assert bracket_falling(10_000_001, k, PqParams(3, -3)) == 0
+        assert bracket_falling(-10_000_000, 1, PqParams(3, -3)) == 0
 
 
 class TestRatFloat:

@@ -8,7 +8,7 @@ import pytest
 from pqcalc.errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from pqcalc.polynomials import Polynomial
 from pqcalc.pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, pq_binomial, rat
+from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, pq_binomial, rat, rat_float
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
@@ -287,6 +287,21 @@ class TestReciprocalSeries:
         params3 = PqParams(1, rat("1/3"))
         target = 1.0 / ((1 - 0.2) * (1 - 0.2 / 3))
         assert heine_series_eval(2, 0.2, params3) == pytest.approx(target, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "p, q", [(1, "1/2"), (1, "-1/3"), (2, "1/2"), (3, 2), ("3/2", "1/3"), ("5/2", "-1/2")]
+    )
+    def test_series_eval_sums_the_claimed_coefficients(self, p, q):
+        # the summer builds its coefficients by a recurrence of its own; it must state heine_coeff's claim
+        params = PqParams(rat(p), rat(q))
+        for n in (1, 2, 4):
+            for x in (0.3, -0.2):
+                for num_terms in (1, 5, 12):
+                    policy = TruncationPolicy(max_terms=num_terms, tail_tol=1e-300)
+                    expected = 0.0
+                    for j in range(num_terms):
+                        expected += rat_float(heine_coeff(n, j, params)) * x**j
+                    assert heine_series_eval(n, x, params, policy).hex() == expected.hex()
 
     @pytest.mark.parametrize("max_terms", [2, 100])
     def test_series_eval_at_p_minus_q(self, max_terms):
