@@ -253,7 +253,10 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
 
 def _falling_vanishes(n: int, k: int, params: PqParams) -> bool:
     """Whether [n][n-1]...[n-k+1] has a zero factor: [0] (0 <= n < k), or an even j at p = -q."""
-    return 0 <= n < k or (k > 1 or k == 1 and not n % 2) and params.p == -params.q
+    if 0 <= n < k:
+        return True
+    p, q = params  # p = -q read from the lowest terms, without the cost of forming -q
+    return (k > 1 or k == 1 and not n % 2) and p.numerator == -q.numerator and p.denominator == q.denominator
 
 
 def pq_binomial(n: int, k: int, params: PqParams) -> Rat:
