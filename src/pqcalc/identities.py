@@ -415,7 +415,8 @@ def _bracket_invariants(rng: Random) -> bool:
     if pq_binomial(m, k, params) != p ** (k * (m - k)) * pq_binomial(m, k, scaled):
         return False
     if p > 0 and q > 0:
-        if not math.isclose(bracket_alpha(float(m), params).value, float(bracket(m, params)), rel_tol=1e-12, abs_tol=1e-12):
+        real = bracket_alpha(float(m), params).value
+        if not math.isclose(real, float(bracket(m, params)), rel_tol=1e-12, abs_tol=1e-12):
             return False
     return True
 
