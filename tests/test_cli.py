@@ -327,7 +327,7 @@ class TestIntegrateCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # these used to integrate over [0, inf) or [1, inf) and drop the bounds without a word
+            # a dropped bound would answer another question than the one asked
             (("poly:1", "0", "1", "--improper"), "--improper integrates over [0, infinity) and reads no bound a, got a=0"),
             (("poly:1", "0", "--improper"), "--improper integrates over [0, infinity) and reads no bound a, got a=0"),
             (("poly:1", "1", "2", "--to-inf"), "--to-inf integrates over [a, infinity) and reads no bound b, got b=2"),
@@ -344,7 +344,7 @@ class TestIntegrateCommand:
         "spec, message",
         [
             ("poly:1e400", "coefficient 0 of poly:1e400 is outside the double range: its float view overflows"),
-            # this one used to integrate silently with the coefficient as 0.0
+            # a coefficient that rounds to 0.0 would be integrated as 0
             ("poly:1e-400,1", "coefficient 0 of poly:1e-400,1 is outside the double range: its float view is 0.0"),
             ("poly:0,2,-1e400", "coefficient 2 of poly:0,2,-1e400 is outside the double range: its float view overflows"),
         ],
