@@ -33,6 +33,8 @@ from .errors import PqError
 from .scalars import PqParams, _falling_vanishes, _float_view, bracket, bracket_alpha, rat, rat_str
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .polynomials import NumericFn
 
 # Each command imports its own layers inside its function, so a cold
@@ -169,7 +171,23 @@ def _require_printable(lo: float, hi: float, what: str) -> None:
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and max(lo, -hi) > limit:
-        raise ValueError(f"{what} has over {limit} digits, the int-to-str limit")
+        raise _over_limit(what, limit)
+
+
+def _over_limit(what: str, limit: int) -> ValueError:
+    return ValueError(f"{what} has over {limit} digits, the int-to-str limit")
+
+
+def _printed(fmt: Callable[[object], str], value: object, what: str) -> str:
+    """``fmt(value)``, refused in ``_require_printable``'s words if it prints an int past the int-to-str limit.
+
+    The guard bounds only |value|; a numerator or denominator can still be
+    too long to print, and Python's own message would not name the value.
+    """
+    try:
+        return fmt(value)
+    except ValueError:
+        raise _over_limit(what, sys.get_int_max_str_digits()) from None
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
@@ -180,8 +198,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         n = None
     if n is not None:
         _require_printable(*_falling_log10(n, 1, params), f"[{n}]")
-        value = bracket(n, params)
-        _emit(args, {"value": rat_str(value)}, rat_str(value))
+        text = _printed(rat_str, bracket(n, params), f"[{n}]")
+        _emit(args, {"value": text}, text)
     else:
         value = bracket_alpha(float(args.n), params).value
         _emit(args, {"value": value}, repr(value))
@@ -205,12 +223,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
             lo, hi = _falling_log10(expr.n, k, params)
             _require_printable(lo + scale, hi + scale, "the coefficient")
         coeff, residual = derive_pq_power_iterated(expr, k)
-        text = format_power_expr(residual)
-        _emit(
-            args,
-            {"coeff": rat_str(coeff), "expr": text},
-            f"{rat_str(coeff)} * {text}",
-        )
+        coeff_text = _printed(rat_str, coeff, "the coefficient")
+        text = _printed(format_power_expr, residual, "the residual's gamma")
+        _emit(args, {"coeff": coeff_text, "expr": text}, f"{coeff_text} * {text}")
     else:
         result = pq_derive_poly_k(Polynomial.from_string(args.expr), k, params)
         _emit(args, {"poly": result.to_string()}, result.to_string())

@@ -66,6 +66,7 @@ from .scalars import (
     bracket_alpha,
     pq_binomial,
     rat,
+    rat_from_ints,
 )
 from .taylor import (
     connect_monomial,
@@ -130,7 +131,7 @@ def _rand_rat(rng: Random, max_num: int = 8, max_den: int = 5, nonzero: bool = F
     while True:
         num, den = rng.randint(-max_num, max_num), rng.randint(1, max_den)
         if num or not nonzero:
-            return Rat(num, den)
+            return rat_from_ints(num, den)
 
 
 def _rand_params(rng: Random, pool: list = _PARAM_POOL, spread: Rat | None = None) -> PqParams:

@@ -30,7 +30,7 @@ import math
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import MissingDerivativeAtZeroError
-from .scalars import PqParams, Rat, bracket_numerators, rat, rat_float, rat_str
+from .scalars import PqParams, Rat, bracket_numerators, rat, rat_float, rat_from_ints, rat_str
 
 _NEG_INF = float("-inf")
 
@@ -45,8 +45,8 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is Rat else rat(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -121,7 +121,7 @@ class Polynomial:
         cn, cd = c.numerator, c.denominator
         if not cn:
             return Polynomial.zero()
-        return Polynomial([Rat(cn * a.numerator, cd * a.denominator) for a in self.coeffs])
+        return Polynomial([rat_from_ints(cn * a.numerator, cd * a.denominator) for a in self.coeffs])
 
     def __call__(self, x: object) -> object:
         return eval_poly(self, x)
@@ -136,11 +136,15 @@ def eval_poly(f: Polynomial, x: object) -> object:
     The float branch converts each coefficient with ``rat_float`` and starts
     from the leading one, so it is bit for bit that Horner with ``float(c)``:
     at x = +-inf a polynomial whose leading coefficient is a nonzero double
-    reads its limit, not NaN, and the zero polynomial reads 0.0.
+    reads its limit, not NaN, and the zero polynomial reads 0.0.  A leading
+    coefficient whose double underflows to 0.0 would start Horner at
+    0.0 * inf; there the limit is read from the exact coefficient instead.
     """
     if isinstance(x, float):
         cs = f.coeffs
         acc = rat_float(cs[-1]) if cs else 0.0
+        if not acc and len(cs) > 1 and math.isinf(x):
+            return _limit_at_inf(cs[-1], len(cs) - 1, x)
         for c in reversed(cs[:-1]):
             acc = acc * x + rat_float(c)
         return acc
@@ -155,7 +159,13 @@ def eval_poly(f: Polynomial, x: object) -> object:
     for c in reversed(f.coeffs):
         num = num * xn + c.numerator * (den // c.denominator) * scale
         scale *= xd
-    return Rat(num * xd, den * scale)
+    return rat_from_ints(num * xd, den * scale)
+
+
+def _limit_at_inf(lead: Rat, degree: int, x: float) -> float:
+    """The limit at x = +-inf of a polynomial of degree >= 1 with nonzero leading coefficient ``lead``."""
+    negative = (lead.numerator < 0) != (x < 0 and degree % 2 == 1)
+    return -math.inf if negative else math.inf
 
 
 def pq_derive_poly(f: Polynomial, params: PqParams) -> Polynomial:
@@ -170,7 +180,7 @@ def pq_derive_poly(f: Polynomial, params: PqParams) -> Polynomial:
     s = params.as_ints()[2]
     out, s_pow = [], 1
     for b, c in zip(bracket_numerators(len(cs) - 1, params)[1:], cs[1:]):
-        out.append(Rat(b * c.numerator, s_pow * c.denominator))
+        out.append(rat_from_ints(b * c.numerator, s_pow * c.denominator))
         s_pow *= s
     return Polynomial(out)
 
@@ -208,7 +218,11 @@ class NumericFn(NamedTuple):
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NumericFn":
-        """Float Horner over coefficients floated once, bit for bit eval_poly's float branch."""
+        """Float Horner over coefficients floated once, bit for bit eval_poly's float branch.
+
+        Only a polynomial whose leading coefficient floats to 0.0 gets the
+        closure that reads x = +-inf as the limit, so the others pay nothing per call.
+        """
         cs = [rat_float(c) for c in reversed(f.coeffs)]
         d0 = cs[-2] if len(cs) > 1 else 0.0
         lead, rest = (cs[0], cs[1:]) if cs else (0.0, ())
@@ -218,6 +232,12 @@ class NumericFn(NamedTuple):
             for c in rest:
                 acc = acc * x + c
             return acc
+
+        if not lead and rest:
+            plain, top, degree = horner, f.coeffs[-1], len(rest)
+
+            def horner(x: float) -> float:
+                return _limit_at_inf(top, degree, x) if math.isinf(x) else plain(x)
 
         return cls(fn=horner, deriv_at_zero=d0)
 

@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .errors import NegativeArgumentError, PoleError
 from .polynomials import Polynomial
-from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_str
+from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_from_ints, rat_str
 
 
 class Orientation(enum.Enum):
@@ -77,7 +77,7 @@ def pq_power_value(first: object, second: object, n: int, params: PqParams) -> R
         raise NegativeArgumentError(f"need n >= 0, got {n}")
     u, v = rat(first), rat(second)
     ud, vd = u.denominator, v.denominator
-    return Rat(*_power_ints(u.numerator * vd, v.numerator * ud, ud * vd, n, params))
+    return rat_from_ints(*_power_ints(u.numerator * vd, v.numerator * ud, ud * vd, n, params))
 
 
 def eval_pq_power(e: PqPowerExpr, x: object) -> Rat:
@@ -89,7 +89,7 @@ def eval_pq_power(e: PqPowerExpr, x: object) -> Rat:
     num, den = _power_ints(first, second, gx_d * e.a.denominator, e.n, e.params)
     if den == 0:
         raise PoleError(f"denominator of {format_power_expr(e)} vanishes at x = {rat_str(x)}")
-    return Rat(num, den)
+    return rat_from_ints(num, den)
 
 
 def expand_expr(e: PqPowerExpr) -> Polynomial:
@@ -111,7 +111,7 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
         lo *= lo_step
         hi *= hi_step
     den = (e.a.denominator * e.gamma.denominator) ** e.n * s ** (e.n * (e.n - 1) // 2)
-    return Polynomial([Rat(c, den) for c in out])
+    return Polynomial([rat_from_ints(c, den) for c in out])
 
 
 def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
@@ -146,7 +146,7 @@ def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
         return falling, residual
     # the three factors over one denominator, normalised once
     num = (sign * g.numerator) ** k * base.numerator**c * falling.numerator
-    return Rat(num, g.denominator**k * base.denominator**c * falling.denominator), residual
+    return rat_from_ints(num, g.denominator**k * base.denominator**c * falling.denominator), residual
 
 
 _POWER_RE = re.compile(

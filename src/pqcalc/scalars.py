@@ -10,7 +10,10 @@ The hot exact kernels (brackets, Horner, polynomial ``scale``,
 ``expand_expr``, and the Taylor formulas, reconstruction and connection
 coefficients) work fraction-free: they read ``numerator``/``denominator``,
 carry integer numerators over one common denominator, and normalise once
-per result instead of after every multiply.
+per result instead of after every multiply.  Each result is built by
+:func:`rat_from_ints`, one gcd and a sign fix without ``Fraction``'s type
+dispatch, and the integers they start from come from the form
+(P, Q, S) that a :class:`PqParams` stores when it is made.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
@@ -48,6 +51,27 @@ def rat(value: object) -> Rat:
     return Rat(value)
 
 
+_new_object = object.__new__
+
+
+def rat_from_ints(num: int, den: int) -> Rat:
+    """``Rat(num, den)`` for ints: one gcd and a sign fix, without ``Fraction``'s type dispatch.
+
+    It fills the two slots ``Fraction`` declares, the only place in the
+    package that touches them; a ``Fraction`` with other slots fails the
+    test that pins them.  ``den == 0`` raises ``ZeroDivisionError``.
+    """
+    g = math.gcd(num, den)
+    if den <= 0:
+        if not den:
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+        g = -g
+    value = _new_object(Rat)
+    value._numerator = num // g
+    value._denominator = den // g
+    return value
+
+
 def rat_str(value: object) -> str:
     """Literal form of an exact rational: ``"7"`` or ``"3/2"``."""
     return str(rat(value))
@@ -76,11 +100,14 @@ class PqParams(namedtuple("PqParams", "p q")):
 
     Both restrictions are load bearing: p - q divides every bracket, and
     negative powers as well as the integral lattices divide by p and q.
-    The regime is always derived from the stored values, never cached: it
-    orders |q| against |p| in integers over their common denominator.
+    The integer form (P, Q, S) of :meth:`as_ints` is computed once, in
+    ``__new__``, and kept in the instance dict (a namedtuple subclass cannot
+    have non-empty ``__slots__``); ``__setattr__`` refuses every name, and
+    copies and pickles are rebuilt through ``__new__``.  The regime is
+    derived from that form: it orders |q| against |p| in integers over
+    their common denominator.
     """
 
-    __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(cls, p: object, q: object) -> "PqParams":
@@ -89,7 +116,16 @@ class PqParams(namedtuple("PqParams", "p q")):
             raise ValueError("p and q must differ (p - q appears in every denominator)")
         if p == 0 or q == 0:
             raise ValueError("p and q must be nonzero")
-        return super().__new__(cls, p, q)
+        self = super().__new__(cls, p, q)
+        pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+        object.__setattr__(self, "_ints", (pn * qd, qn * pd, pd * qd))
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("PqParams is immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
     @property
     def regime(self) -> Regime:
@@ -109,9 +145,8 @@ class PqParams(namedtuple("PqParams", "p q")):
         return p, q
 
     def as_ints(self) -> tuple[int, int, int]:
-        """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd."""
-        p, q = self.p, self.q
-        return p.numerator * q.denominator, q.numerator * p.denominator, p.denominator * q.denominator
+        """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd, stored by ``__new__``."""
+        return self._ints
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"
@@ -185,7 +220,7 @@ def bracket(n: int, params: PqParams) -> Rat:
     [-m] = -[m] / (pq)^m.  At p = -q, [n] = 0 for every even n, returned
     without forming a power.
     """
-    return Rat(*_bracket_ints(n, params))
+    return rat_from_ints(*_bracket_ints(n, params))
 
 
 def _bracket_ints(n: int, params: PqParams) -> tuple[int, int]:
@@ -248,7 +283,7 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
         g = math.gcd(b, d)  # reduced factors keep the one final gcd small
         num *= b // g
         den *= d // g
-    return Rat(num, den)
+    return rat_from_ints(num, den)
 
 
 def _falling_vanishes(n: int, k: int, params: PqParams) -> bool:

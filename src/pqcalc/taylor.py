@@ -33,7 +33,7 @@ from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from .polynomials import Polynomial
 from .pqpower import Orientation, PqPowerExpr, expand_expr
 from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, bracket_numerators
-from .scalars import pq_binomial, rat, rat_float, rat_str
+from .scalars import pq_binomial, rat, rat_float, rat_from_ints, rat_str
 
 
 class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeffs")):
@@ -63,7 +63,7 @@ class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeff
                 lo_j, hi_j = lo * lo_step ** (k - 1), hi * hi_step ** (k - 1)
                 out = [lo_j * c + hi_j * d for c, d in zip(out + [0], [0] + out)]
                 scale *= ad * s ** (k - 1)
-        return Polynomial([Rat(c, den * scale) for c in out])
+        return Polynomial([rat_from_ints(c, den * scale) for c in out])
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,7 +97,7 @@ def _expand_by_formula(
             num = num * yn + c * scale
             scale *= z
         e = k * (k - 1) // 2
-        coeffs.append(Rat(sign**k * num * z * bd**e, den * scale * fact * bn**e))
+        coeffs.append(rat_from_ints(sign**k * num * z * bd**e, den * scale * fact * bn**e))
     return PowerBasisExpansion(a=a, orientation=orientation, coeffs=tuple(coeffs))
 
 
@@ -155,7 +155,7 @@ def connect_power_to_power(
     # a list, not a generator: CPython builds tuple(<generator>) by resizing,
     # which parks one tuple per call on its free lists
     return tuple([
-        Rat(fact[n] * prods[m], fact[n - m] * fact[m] * d**m * s ** (m * (2 * n - m - 1) // 2))
+        rat_from_ints(fact[n] * prods[m], fact[n - m] * fact[m] * d**m * s ** (m * (2 * n - m - 1) // 2))
         for m in reversed(range(n + 1))
     ])
 

@@ -119,6 +119,13 @@ class TestBracketCommand:
         assert (code, out) == (2, "")
         assert err == f"error: [10000001] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
+    def test_long_denominator_is_refused_by_name(self, capsys):
+        # |[6040]| is about 10^882, inside the guard, but its numerator and denominator are too long to print
+        code, out, err = run_cli(capsys, "bracket", "6040", "--p", "7/5", "--q", "2/3")
+        assert (code, out) == (2, "")
+        assert err == f"error: [6040] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+        assert "Traceback" not in err
+
     def test_opposite_parameters_even_bracket_is_zero(self, capsys):
         assert run_cli(capsys, "bracket", "10000000", "--p", "3", "--q", "-3") == (0, "0", "")
 
@@ -188,6 +195,20 @@ class TestDeriveCommand:
         code, out, err = run_cli(capsys, "derive", "pqpow(a=1,n=10000001)", "--k", "1", "--p", "3", "--q", "-3")
         assert (code, out) == (2, "")
         assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_long_coefficient_denominator_is_refused_by_name(self, capsys, json_flag):
+        argv = ["derive", "pqpowrev(a=3/2, n=-7, gamma=-2)", "--k", "966", "--p", "7/5", "--q", "-1/2", *json_flag]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+        assert "Traceback" not in err
+
+    def test_long_residual_gamma_is_refused_by_name(self, capsys):
+        # the coefficient is 0 (n < k), but gamma (7/5)^7000 has a 4,893-digit denominator
+        code, out, err = run_cli(capsys, "derive", "pqpow(a=1, n=3)", "--k", "7000", "--p", "7/5", "--q", "2/3")
+        assert (code, out) == (2, "")
+        assert err == f"error: the residual's gamma has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
     def test_opposite_parameters_zero_coefficient(self, capsys):
         # the falling product [10000001][10000000] holds [10000000] = 0

@@ -10,11 +10,13 @@ normalise once per result.  The references below multiply and add plain
 kernels they judge.
 """
 
+import ast
 import math
 import random
 import struct
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -442,6 +444,19 @@ class TestFloatHorner:
         for x in (math.inf, -math.inf, math.nan, 2.5):
             assert bits(eval_poly(zero, x)) == bits(0.0) == bits(NumericFn.from_polynomial(zero).fn(x))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_underflowing_leading_coefficient_reads_the_limit(self, degree, sign):
+        # the leading double is 0.0, so plain Horner would start from 0.0 * inf = nan
+        f = Polynomial([1, -3][:degree] + [sign * Fraction(1, 10**400)])
+        assert f.degree == degree
+        g = NumericFn.from_polynomial(f)
+        at_minus_inf = sign * math.inf * (-1) ** degree
+        assert eval_poly(f, math.inf) == sign * math.inf == g.fn(math.inf)
+        assert eval_poly(f, -math.inf) == at_minus_inf == g.fn(-math.inf)
+        assert bits(g.fn(2.0)) == bits(eval_poly(f, 2.0)) == bits(ref_float_horner(f.coeffs, 2.0))
+        assert math.isnan(g.fn(math.nan))
+
     def test_overflowing_coefficient_raises_as_float_does(self):
         f = Polynomial([1, Fraction(10**400, 3)])
         with pytest.raises(OverflowError):
@@ -648,3 +663,41 @@ class TestRat:
     def test_float_rejected(self, value):
         with pytest.raises(TypeError):
             rat(value)
+
+
+KERNEL_MODULES = ("scalars.py", "pqpower.py", "polynomials.py", "taylor.py")
+
+
+def two_argument_rat_calls(source):
+    """(line, enclosing function) of each Rat/Fraction call with two arguments or a starred one."""
+    found, scopes = [], []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scopes.append(node.name)
+            self.generic_visit(node)
+            scopes.pop()
+
+        def visit_Call(self, node):
+            name = node.func.id if isinstance(node.func, ast.Name) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            if name in ("Rat", "Fraction") and (len(node.args) + len(node.keywords) > 1 or starred):
+                found.append((node.lineno, scopes[-1] if scopes else None))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+class TestOneNormalisingConstructor:
+    """The exact kernels build a Rat from integers only through ``rat_from_ints``."""
+
+    @pytest.mark.parametrize("module", KERNEL_MODULES)
+    def test_no_two_argument_rat_call(self, module):
+        source = (Path(polynomials.__file__).parent / module).read_text()
+        calls = [(line, scope) for line, scope in two_argument_rat_calls(source) if scope != "rat_from_ints"]
+        assert calls == [], f"{module}: build these with rat_from_ints: {calls}"
+
+    def test_the_scan_sees_each_spelling(self):
+        source = "def f(n, d):\n    return Rat(n, d), Rat(*p), Fraction(n, denominator=d), Rat(n)\n"
+        assert two_argument_rat_calls(source) == [(2, "f")] * 3

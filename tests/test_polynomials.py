@@ -15,13 +15,25 @@ from pqcalc.polynomials import (
     pq_derive_poly_k,
     pq_difference_quotient,
 )
-from pqcalc.scalars import PqParams, bracket, rat
+from pqcalc.scalars import PqParams, Rat, bracket, rat
 
 
 class TestPolynomialBasics:
     def test_trailing_zeros_stripped(self):
         assert Polynomial([1, 2, 0, 0]).coeffs == Polynomial([1, 2]).coeffs
         assert Polynomial([0, 0]).is_zero()
+
+    def test_zero_coefficients_of_either_type_are_trimmed(self):
+        assert Polynomial([Rat(0), 0, Rat(0, 5)]).is_zero()
+        assert Polynomial([Rat(1, 2), Rat(0), 0]).coeffs == (Rat(1, 2),)
+
+    def test_rat_coefficients_are_kept_and_others_coerced(self):
+        half = Rat(1, 2)
+        f = Polynomial([half, 3, "-2/4"])
+        assert f.coeffs[0] is half
+        assert f.coeffs == (half, Rat(3), Rat(-1, 2)) and all(type(c) is Rat for c in f.coeffs)
+        with pytest.raises(TypeError, match="refusing to coerce float"):
+            Polynomial([half, 0.5])
 
     def test_degree(self):
         assert Polynomial([3, 0, 5]).degree == 2

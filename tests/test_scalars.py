@@ -1,6 +1,8 @@
 """Exact scalar layer: brackets, factorials, binomials, parameter guards."""
 
+import copy
 import math
+import pickle
 import re
 import random
 
@@ -29,6 +31,7 @@ from pqcalc.scalars import (
     _float_view,
     rat,
     rat_float,
+    rat_from_ints,
     rat_str,
 )
 from pqcalc.taylor import PowerBasisExpansion
@@ -55,6 +58,49 @@ class TestRatLiterals:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             rat(1) / rat(0)
+
+
+class TestRatFromInts:
+    """``rat_from_ints(n, d)`` is ``Rat(n, d)``: type, lowest terms, sign and hash."""
+
+    @staticmethod
+    def assert_same(num, den):
+        value, expected = rat_from_ints(num, den), Rat(num, den)
+        assert type(value) is Rat
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator), (num, den)
+        assert hash(value) == hash(expected) and value == expected
+
+    @pytest.mark.parametrize(
+        "num, den",
+        [(3, -6), (-3, -6), (0, 7), (0, -7), (12, 18), (-12, 18), (7, 1), (1, -1), (-1, 1)],
+    )
+    def test_edge_pairs(self, num, den):
+        self.assert_same(num, den)
+
+    def test_large_and_unit_pairs(self):
+        big = 10**40
+        for num, den in [(big, 3), (3, big), (-big, big + 1), (big * 6, -big * 4), (big, -1), (-1, big), (1, 1)]:
+            self.assert_same(num, den)
+
+    def test_random_pairs(self):
+        rng = random.Random(20260419)
+        for _ in range(2000):
+            scale = 10 ** rng.randrange(1, 45)
+            num = rng.randrange(-scale, scale)
+            den = rng.choice([-1, 1]) * rng.randrange(1, scale)
+            if rng.random() < 0.3:  # a shared factor to cancel
+                g = rng.randrange(2, 10**6)
+                num, den = num * g, den * g
+            self.assert_same(num, den)
+
+    @pytest.mark.parametrize("num", [0, 1, -5, 10**40])
+    def test_zero_denominator_raises(self, num):
+        with pytest.raises(ZeroDivisionError):
+            rat_from_ints(num, 0)
+
+    def test_fraction_slots_are_the_ones_filled(self):
+        # rat_from_ints sets exactly these two slots; a Fraction that changes them must fail here
+        assert Rat.__slots__ == ("_numerator", "_denominator")
 
 
 class TestPqParams:
@@ -122,6 +168,40 @@ class TestPqParams:
         assert repr(params) == f"PqParams(p={rat(1)!r}, q={rat('1/2')!r})"
         with pytest.raises(AttributeError):
             params.p = rat(2)
+
+    @pytest.mark.parametrize("p, q", [("3/2", "-1/3"), (2, "7/5"), ("-10/3", "9/4")])
+    def test_as_ints_is_the_integer_form(self, p, q):
+        params = PqParams(p, q)
+        big_p, big_q, s = params.as_ints()
+        assert (Rat(big_p, s), Rat(big_q, s)) == (params.p, params.q)
+        assert s == params.p.denominator * params.q.denominator
+
+    def test_as_ints_follows_every_rebuild(self):
+        params = PqParams("3/2", "-1/3")
+        other = PqParams("-1/3", "3/2")
+        rebuilt = [
+            (params._replace(p="5/7"), PqParams("5/7", "-1/3")),
+            (PqParams._make(["-1/3", "3/2"]), other),
+            (params.swapped(), other),
+            (copy.copy(params), params),
+            (copy.deepcopy(params), params),
+            (pickle.loads(pickle.dumps(params)), params),
+        ]
+        for value, expected in rebuilt:
+            assert type(value) is PqParams and value == expected
+            assert value.as_ints() == expected.as_ints()
+            assert value.as_ints() == tuple(PqParams(*value).as_ints())
+
+    def test_copies_are_rebuilt_by_calling_the_class(self):
+        # so a copy or an unpickled value is validated and gets its integer form from __new__
+        assert PqParams(1, 2).__reduce__() == (PqParams, (rat(1), rat(2)))
+
+    @pytest.mark.parametrize("name", ["p", "q", "_ints", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        params = PqParams(1, "1/2")
+        with pytest.raises(AttributeError):
+            setattr(params, name, (1, 2, 3))
+        assert params.as_ints() == (2, 1, 2)
 
 
 class TestBracket:
