@@ -12,8 +12,11 @@ derivative law.
 
 The exact kernels ``scale``, exact Horner and ``pq_derive_poly`` are
 fraction-free: they multiply integer numerators and build one ``Rat`` per
-output coefficient; ``pq_derive_poly`` reads [n] = B_n / S^(n-1) from
-:func:`~pqcalc.scalars.bracket_numerators`.  ``+``, ``-`` and ``*`` stay
+output coefficient with :func:`~pqcalc.scalars.rat_from_ints`;
+``pq_derive_poly`` reads [n] = B_n / S^(n-1) from
+:func:`~pqcalc.scalars.bracket_numerators` and S from the integer form
+(P, Q, S) that :class:`~pqcalc.scalars.PqParams` stores.  ``Polynomial``
+keeps a coefficient that is already a ``Rat`` as it is.  ``+``, ``-`` and ``*`` stay
 plain ``Fraction`` arithmetic: the identity suite calls them too rarely
 for an integer form of them to pay.
 

@@ -11,7 +11,7 @@ import pytest
 
 from pqcalc import cli
 from pqcalc.cli import main
-from pqcalc.scalars import PqParams, bracket_falling, rat, rat_str
+from pqcalc.scalars import PqParams, bracket, bracket_falling, rat, rat_str
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,10 +119,12 @@ class TestBracketCommand:
         assert (code, out) == (2, "")
         assert err == f"error: [10000001] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
-    def test_long_denominator_is_refused_by_name(self, capsys):
+    def test_long_denominator_is_refused_by_name(self, capsys, monkeypatch):
         # |[6040]| is about 10^882, inside the guard, but its numerator and denominator are too long to print
+        computed = []
+        monkeypatch.setattr(cli, "bracket", lambda *args: computed.append(args) or bracket(*args))
         code, out, err = run_cli(capsys, "bracket", "6040", "--p", "7/5", "--q", "2/3")
-        assert (code, out) == (2, "")
+        assert (code, out, len(computed)) == (2, "", 1)
         assert err == f"error: [6040] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
         assert "Traceback" not in err
 
@@ -197,10 +199,15 @@ class TestDeriveCommand:
         assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
-    def test_long_coefficient_denominator_is_refused_by_name(self, capsys, json_flag):
-        argv = ["derive", "pqpowrev(a=3/2, n=-7, gamma=-2)", "--k", "966", "--p", "7/5", "--q", "-1/2", *json_flag]
+    def test_long_coefficient_denominator_is_refused_by_name(self, capsys, monkeypatch, json_flag):
+        # the guard passes this coefficient, whose denominator holds 2^C(200,2); --k 966 takes the same path
+        from pqcalc import pqpower
+
+        computed, derive = [], pqpower.derive_pq_power_iterated
+        monkeypatch.setattr(pqpower, "derive_pq_power_iterated", lambda *a: computed.append(a) or derive(*a))
+        argv = ["derive", "pqpowrev(a=3/2, n=-7, gamma=-2)", "--k", "200", "--p", "7/5", "--q", "-1/2", *json_flag]
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, "")
+        assert (code, out, len(computed)) == (2, "", 1)
         assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
         assert "Traceback" not in err
 

@@ -190,7 +190,6 @@ class TestPqParams:
         for value, expected in rebuilt:
             assert type(value) is PqParams and value == expected
             assert value.as_ints() == expected.as_ints()
-            assert value.as_ints() == tuple(PqParams(*value).as_ints())
 
     def test_copies_are_rebuilt_by_calling_the_class(self):
         # so a copy or an unpickled value is validated and gets its integer form from __new__
