@@ -8,7 +8,7 @@ stop a sum on ``_SMALL_RUN`` (3) consecutive terms of magnitude at most
 magnitudes (divergence, reported as a status, never raised, so failure
 cases such as 1/x can be demonstrated rather than crashed on), or on
 ``max_terms``.  Between them the lattice ratio, known before the first
-term, lets the summer extrapolate the partial sums (:func:`_sum_series`):
+term, lets the summer extrapolate the partial sums (:func:`_sum_walk`):
 a Richardson table at the known ratios on [0, a], Aitken's delta-squared
 on the observed ratio on [a, infinity).
 
@@ -28,10 +28,16 @@ worse of their stop reasons; if its second side fails after an
 accelerated first side, the first side is summed again plainly.  The
 exact value of a polynomial integrand is :func:`integral_exact`.
 
-A term is float work only: one generator, :func:`lattice_terms`, walks
-either direction and calls the integrand's plain ``fn``, and a polynomial
-integrand arrives with its coefficients already floated
-(:meth:`NumericFn.from_polynomial`).
+A term is float work only.  The summer walks the lattice itself: its one
+loop (:func:`_sum_walk`) computes each term pre * w * fn(a * w) from the
+integrand's plain ``fn`` when it reaches it and steps the weight w, in
+either direction.  Sides pass plain (value, terms, tail, reason) tuples,
+and each integral builds its one :class:`IntegralResult` at the end.
+A ready-made term stream (the Heine series, the Riemann-Stieltjes sum)
+goes through the same loop as the integrand of a walk that stays at one
+point (:func:`_sum_series`).  :func:`lattice_terms` yields the same terms
+for callers that read them one by one.  A polynomial integrand arrives
+with its coefficients already floated (:meth:`NumericFn.from_polynomial`).
 
 The |q/p| = 1 regime has no defined lattice and is rejected outright.
 """
@@ -40,8 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from .polynomials import NumericFn, Polynomial, _pq_derive_at, eval_poly
@@ -112,10 +117,41 @@ def _worst_reason(*reasons: str) -> str:
     return max(reasons, key=STOP_REASONS.index)
 
 
+class _StreamEnd(Exception):
+    """A ready-made term stream read by :func:`_sum_series` ran out."""
+
+
 def _sum_series(
-    terms: Iterator[float], policy: TruncationPolicy, ratio: Optional[float] = None
+    terms: Iterable[float], policy: TruncationPolicy, ratio: Optional[float] = None
 ) -> tuple[float, int, float, str]:
-    """Sum series terms; return (value, terms used, tail estimate, stop reason).
+    """Sum a ready-made term stream through :func:`_sum_walk`.
+
+    The stream is read as the integrand of a walk that stays at one point,
+    pre = a = w = step = 1.0, so each term is 1.0 * 1.0 * t, which is t bit
+    for bit for every float.  A stream that runs out stops the sum as
+    ``max_terms`` with the count of terms read.
+    """
+    stream = iter(terms)
+
+    def read(_x: float) -> float:
+        for term in stream:  # a StopIteration from the stream ends this loop, never the summer's
+            return term
+        raise _StreamEnd
+
+    return _sum_walk(read, 1.0, 1.0, 1.0, 1.0, policy, ratio)
+
+
+def _sum_walk(
+    fn: Callable[[float], float], a: float, pre: float, w: float, step: float,
+    policy: TruncationPolicy, ratio: Optional[float],
+) -> tuple[float, int, float, str]:
+    """Sum the lattice terms pre a w_k fn(a w_k) with the weights w_k = w step^k.
+
+    Return (value, terms used, tail estimate, stop reason).  Each term is
+    computed in the summing loop itself when the loop reaches it, so no
+    lattice point past the stop is evaluated.  An integrand's
+    ``StopIteration`` is raised as a ``RuntimeError``, never taken for the
+    end of the series.
 
     The plain rules stop the sum on three small terms, on divergence or on
     ``max_terms``, exactly as if nothing else ran.  ``ratio`` is the step
@@ -167,7 +203,6 @@ def _sum_series(
         gain = 1.0 / (1.0 - abs(lam))
         row = [0.0]  # the last row of the Richardson table
     total = abs_total = 0.0
-    count = 0
     run = 1
     small_run = 0
     last_mag = 0.0
@@ -176,7 +211,15 @@ def _sum_series(
     estimate = math.nan
     diff = math.nan
     nonzero = False  # some checkpoint sum so far is not exactly 0.0
-    for count, term in enumerate(islice(terms, policy.max_terms), 1):
+    pre *= a
+    for count in range(1, policy.max_terms + 1):
+        try:
+            term = pre * w * fn(a * w)
+        except _StreamEnd:
+            return total, count - 1, last_mag, "max_terms"
+        except StopIteration as exc:  # the integrand's, never the end of a series
+            raise RuntimeError("integrand raised StopIteration") from exc
+        w *= step
         total += term
         mag = abs(term)
         abs_total += mag
@@ -186,7 +229,7 @@ def _sum_series(
                 return total, count, mag, "small_terms"
         else:
             small_run = 0
-            if count > 1 and mag >= last_mag:
+            if mag >= last_mag and count > 1:
                 run += 1
                 if run >= DIVERGENCE_WINDOW:
                     return total, count, mag, "divergent"
@@ -242,13 +285,14 @@ def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> It
     it is termwise the classical Jackson sum (1-q) a q^k f(a q^k).  The
     [a, infinity) series keeps the prefactor on the reciprocal lattice,
     a (p/q)^k / q (respectively a (q/p)^k / p), and together the two tile
-    exactly the bilateral lattice of the improper integral.
+    exactly the bilateral lattice of the improper integral.  The integrals
+    compute the same terms in the summing loop of :func:`_sum_walk`.
     """
     return _walk_terms(f.fn, a, *_lattice_walk(params, _require_lattice(params), to_zero))
 
 
 def _walk_terms(fn: Callable[[float], float], a: float, pre: float, w: float, ratio: float) -> Iterator[float]:
-    """pre a w_k fn(a w_k) for the weights w_k = w ratio^k."""
+    """pre a w_k fn(a w_k) for the weights w_k = w ratio^k, the term of :func:`_sum_walk`."""
     pre *= a
     while True:
         yield pre * w * fn(a * w)
@@ -263,27 +307,25 @@ def _lattice_walk(params: PqParams, regime: Regime, to_zero: bool) -> tuple[floa
     return (p - q if lt1 else q - p), 1.0 / den, num / den
 
 
-def _lattice_integral(
-    terms: Iterator[float], ratio: float, regime: Regime, policy: TruncationPolicy
-) -> IntegralResult:
-    value, count, tail, reason = _sum_series(terms, policy, ratio)
+def _result(regime: Regime, summed: tuple[float, int, float, str]) -> IntegralResult:
+    value, count, tail, reason = summed
     return IntegralResult(value, count, tail, regime, _STOP_STATUS[reason], reason)
 
 
 def _one_sided(
     f: NumericFn, side: tuple, params: PqParams, regime: Regime, policy: TruncationPolicy, extrapolate: bool = True
-) -> IntegralResult:
+) -> tuple[float, int, float, str]:
+    """(value, terms used, tail estimate, stop reason) of one side, an (a, to_zero) pair."""
     a, to_zero = side
     if a == 0:
-        return IntegralResult(0.0, 0, 0.0, regime, IntegralStatus.CONVERGED, "small_terms")
-    pre, w, ratio = _lattice_walk(params, regime, to_zero)  # walked once: the summer needs the ratio too
-    terms = _walk_terms(f.fn, a, pre, w, ratio)
-    return _lattice_integral(terms, ratio if extrapolate else None, regime, policy)
+        return 0.0, 0, 0.0, "small_terms"
+    pre, w, step = _lattice_walk(params, regime, to_zero)
+    return _sum_walk(f.fn, a, pre, w, step, policy, step if extrapolate else None)
 
 
 def _two_sided(
     f: NumericFn, params: PqParams, regime: Regime, policy: TruncationPolicy, first: tuple, second: tuple, sign: float
-) -> IntegralResult:
+) -> tuple[float, int, float, str]:
     """first + sign * second, each side an (a, to_zero) pair.
 
     Both sides are summed with extrapolation, and the worse stop reason
@@ -292,17 +334,10 @@ def _two_sided(
     """
     x = _one_sided(f, first, params, regime, policy)
     y = _one_sided(f, second, params, regime, policy)
-    if y.status is not IntegralStatus.CONVERGED and x.stop_reason == "accelerated":
+    if _STOP_STATUS[y[3]] is not IntegralStatus.CONVERGED and x[3] == "accelerated":
         x = _one_sided(f, first, params, regime, policy, extrapolate=False)
-    reason = _worst_reason(x.stop_reason, y.stop_reason)
-    return IntegralResult(
-        value=x.value + sign * y.value,
-        terms_used=x.terms_used + y.terms_used,
-        tail_estimate=x.tail_estimate + y.tail_estimate,
-        regime=regime,
-        status=_STOP_STATUS[reason],
-        stop_reason=reason,
-    )
+    (x_value, x_terms, x_tail, x_reason), (y_value, y_terms, y_tail, y_reason) = x, y
+    return x_value + sign * y_value, x_terms + y_terms, x_tail + y_tail, _worst_reason(x_reason, y_reason)
 
 
 def integral_zero_to(
@@ -312,7 +347,7 @@ def integral_zero_to(
     regime = _require_lattice(params)
     if not 0 <= a < math.inf:
         raise InvalidIntervalError(f"need a >= 0, got {a}")
-    return _one_sided(f, (a, True), params, regime, policy)
+    return _result(regime, _one_sided(f, (a, True), params, regime, policy))
 
 
 def integral_to_infinity(
@@ -322,7 +357,7 @@ def integral_to_infinity(
     regime = _require_lattice(params)
     if not 0 < a < math.inf:
         raise InvalidIntervalError(f"need a > 0, got {a}")
-    return _one_sided(f, (a, False), params, regime, policy)
+    return _result(regime, _one_sided(f, (a, False), params, regime, policy))
 
 
 def integral_improper(
@@ -334,7 +369,8 @@ def integral_improper(
     under the policy and a divergent direction shows up in the combined
     status.
     """
-    return _two_sided(f, params, _require_lattice(params), policy, (1.0, True), (1.0, False), 1.0)
+    regime = _require_lattice(params)
+    return _result(regime, _two_sided(f, params, regime, policy, (1.0, True), (1.0, False), 1.0))
 
 
 def integral(
@@ -349,7 +385,8 @@ def integral(
         raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
     if math.isinf(b):
         return integral_to_infinity(f, a, params, policy) if a else integral_improper(f, params, policy)
-    return _two_sided(f, params, _require_lattice(params), policy, (b, True), (a, True), -1.0)
+    regime = _require_lattice(params)
+    return _result(regime, _two_sided(f, params, regime, policy, (b, True), (a, True), -1.0))
 
 
 def integral_riemann_stieltjes(
@@ -379,7 +416,7 @@ def integral_riemann_stieltjes(
             yield fn(x * rk / p) * (gn(x * rk) - gn(x * rk * ratio))
             rk *= ratio
 
-    return _lattice_integral(terms(), ratio, regime, policy)
+    return _result(regime, _sum_series(terms(), policy, ratio))
 
 
 def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Polynomial:

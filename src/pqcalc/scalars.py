@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction as Rat
 
@@ -196,8 +197,12 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, max_terms: int = 10_000, tail_tol: float = 1e-12) -> "TruncationPolicy":
+        if not isinstance(max_terms, int):
+            raise ValueError(f"max_terms must be an int, got {max_terms!r}")
         if max_terms < 1:
             raise ValueError("max_terms must be >= 1")
+        if max_terms > sys.maxsize:  # a sum that trips no stop rule would run for ever
+            raise ValueError(f"max_terms must be <= {sys.maxsize}, got {max_terms}")
         if not tail_tol > 0:
             raise ValueError("tail_tol must be > 0")
         if tail_tol == math.inf:  # every term would count as small

@@ -382,6 +382,17 @@ class TestIntegrateCommand:
         code, out, err = run_cli(capsys, "integrate", spec, "0", "1", *json_flag)
         assert (code, out, err) == (2, "", f"error: {message}")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "n, message",
+        [("0", "max_terms must be >= 1"), (str(10**20), f"max_terms must be <= {sys.maxsize}, got {10**20}")],
+        ids=["zero", "past-maxsize"],
+    )
+    def test_max_terms_out_of_range_exits_two(self, capsys, n, message, json_flag):
+        # 10**20 used to fail inside the summer with Python's own islice message
+        code, out, err = run_cli(capsys, "integrate", "poly:1,2", "0", "1", "--max-terms", n, *json_flag)
+        assert (code, out, err) == (2, "", f"error: {message}")
+
     def test_log_is_accelerated_to_its_closed_form(self, capsys):
         # a ln(a/p) + a r ln r / (1 - r) at a = 1, p = 1, r = q/p = 1/2 is ln(1/2)
         code, out, _ = run_cli(capsys, "integrate", "log", "0", "1", "--p", "1", "--q", "1/2", "--json")

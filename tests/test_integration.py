@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -60,6 +61,22 @@ class TestTruncationPolicy:
         with pytest.raises(ValueError) as info:
             TruncationPolicy(**kwargs)
         assert str(info.value) == {"max_terms": "max_terms must be >= 1", "tail_tol": "tail_tol must be > 0"}[field]
+
+    @pytest.mark.parametrize(
+        "max_terms, message",
+        [
+            (2.5, "max_terms must be an int, got 2.5"),
+            ("10", "max_terms must be an int, got '10'"),
+            (10**20, f"max_terms must be <= {sys.maxsize}, got {10**20}"),
+        ],
+        ids=["float", "str", "past-maxsize"],
+    )
+    def test_max_terms_refused_by_name(self, max_terms, message):
+        # the summing loop counts with range(), which takes 10**20 and would run a non-stopping sum for ever
+        with pytest.raises(ValueError) as info:
+            TruncationPolicy(max_terms=max_terms)
+        assert str(info.value) == message
+        assert TruncationPolicy(max_terms=sys.maxsize).max_terms == sys.maxsize
 
     @pytest.mark.parametrize("tail_tol", [math.inf, math.nan])
     def test_non_finite_tail_tol_rejected(self, tail_tol):
@@ -470,17 +487,17 @@ def _naive_terms(f, a, params, to_zero):
         w *= ratio
 
 
-def _naive_sum(f, a, params, to_zero, extrapolate=True):
+def _naive_sum(f, a, params, to_zero, extrapolate=True, policy=DEFAULT_POLICY):
     _, num, den = _naive_walk(params, to_zero)
     ratio = num / den if extrapolate else None
-    return _sum_series(_naive_terms(f, a, params, to_zero), DEFAULT_POLICY, ratio)
+    return _sum_series(_naive_terms(f, a, params, to_zero), policy, ratio)
 
 
-def _naive_pair(f, params, first, second, sign):
+def _naive_pair(f, params, first, second, sign, policy=DEFAULT_POLICY):
     """Two sides, both extrapolated; when the second fails, an accelerated first side is summed again plainly."""
-    x, y = (_naive_sum(f, a, params, to_zero) for a, to_zero in (first, second))
+    x, y = (_naive_sum(f, a, params, to_zero, policy=policy) for a, to_zero in (first, second))
     if y[3] not in ("small_terms", "accelerated") and x[3] == "accelerated":
-        x = _naive_sum(f, first[0], params, first[1], extrapolate=False)
+        x = _naive_sum(f, first[0], params, first[1], extrapolate=False, policy=policy)
     reason = max(x[3], y[3], key=STOP_REASONS.index)  # listed mildest first
     return x[0] + sign * y[0], x[1] + y[1], x[2] + y[2], reason
 
@@ -515,7 +532,7 @@ class TestLatticeAgainstNaiveSums:
 
     @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
     @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
-    @pytest.mark.parametrize("ratio", ["1/2", "9/10", "99/100"])
+    @pytest.mark.parametrize("ratio", ["1/2", "9/10", "99/100", "999/1000"])
     def test_grid(self, ratio, lt1, kind):
         r = rat(ratio)
         params = PqParams(1, r) if lt1 else PqParams(r, 1)
@@ -525,6 +542,122 @@ class TestLatticeAgainstNaiveSums:
         assert _fields(integral(f, a, b, params)) == _naive_pair(naive, params, (b, True), (a, True), -1.0)
         assert _fields(integral_to_infinity(f, a, params)) == _naive_sum(naive, a, params, False)
         assert _fields(integral_improper(f, params)) == _naive_pair(naive, params, (1.0, True), (1.0, False), 1.0)
+
+    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", ["1/2", "9/10", "99/100", "999/1000"])
+    def test_stream_of_lattice_terms(self, ratio, lt1, kind):
+        """The term formula is written twice, in the summing loop and in lattice_terms; both give one sum."""
+        r = rat(ratio)
+        params = PqParams(1, r) if lt1 else PqParams(r, 1)
+        f, _ = self.INTEGRANDS[kind]
+        for a, to_zero, entry in ((2.5, True, integral_zero_to), (0.75, False, integral_to_infinity)):
+            _, num, den = _naive_walk(params, to_zero)
+            stream = _sum_series(lattice_terms(f, a, params, to_zero), DEFAULT_POLICY, num / den)
+            assert _fields(entry(f, a, params)) == stream
+
+
+class _Counted:
+    """An integrand that counts its calls and raises `error` at call number `at`."""
+
+    def __init__(self, fn, error=None, at=0):
+        self.fn, self.error, self.at, self.calls = fn, error, at, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if self.calls == self.at:
+            raise self.error("integrand failed")
+        return self.fn(x)
+
+
+class TestLazyWalk:
+    """The summing loop evaluates the integrand only at the lattice points the plain rules reached."""
+
+    INTEGRANDS = {
+        "poly": NumericFn.from_polynomial(LATTICE_POLY).fn,
+        "powneg": lambda x: x**-1.5,
+        "log": math.log,
+        "recip": lambda x: 1.0 / x,
+    }
+
+    # every stop reason: the defaults, a loose tolerance (small terms) and a short cap
+    POLICIES = {"default": DEFAULT_POLICY, "loose": TruncationPolicy(tail_tol=1e-3), "cap-7": TruncationPolicy(7)}
+
+    @pytest.mark.parametrize("rules", sorted(POLICIES))
+    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", ["1/2", "9/10", "99/100", "999/1000"])
+    def test_one_evaluation_per_term_read(self, ratio, lt1, kind, rules):
+        r = rat(ratio)
+        params = PqParams(1, r) if lt1 else PqParams(r, 1)
+        fn, policy = self.INTEGRANDS[kind], self.POLICIES[rules]
+        a, b = 0.75, 2.5
+        cases = [  # (entry, the naive sum of the same integral, one side)
+            (
+                lambda f: integral_zero_to(f, b, params, policy),
+                lambda f: _naive_sum(f, b, params, True, policy=policy),
+                True,
+            ),
+            (
+                lambda f: integral_to_infinity(f, a, params, policy),
+                lambda f: _naive_sum(f, a, params, False, policy=policy),
+                True,
+            ),
+            (
+                lambda f: integral(f, a, b, params, policy),
+                lambda f: _naive_pair(f, params, (b, True), (a, True), -1.0, policy),
+                False,
+            ),
+            (
+                lambda f: integral_improper(f, params, policy),
+                lambda f: _naive_pair(f, params, (1.0, True), (1.0, False), 1.0, policy),
+                False,
+            ),
+        ]
+        for entry, naive, one_side in cases:
+            ours, theirs = _Counted(fn), _Counted(fn)
+            result = entry(NumericFn(ours))
+            # the naive generator calls f once per term read, a discarded accelerated first side included
+            assert _fields(result) == naive(theirs)
+            assert ours.calls == theirs.calls
+            if one_side:
+                assert ours.calls == result.terms_used
+
+
+class TestIntegrandErrors:
+    """An exception from the integrand surfaces from every public entry, StopIteration included."""
+
+    ENTRIES = {
+        "zero-to": lambda f, params: integral_zero_to(f, 2.5, params),
+        "to-infinity": lambda f, params: integral_to_infinity(f, 0.75, params),
+        "interval": lambda f, params: integral(f, 0.75, 2.5, params),
+        "improper": lambda f, params: integral_improper(f, params),
+        "riemann-stieltjes": lambda f, params: integral_riemann_stieltjes(f, NumericFn(lambda x: x * x), 1.5, params),
+    }
+
+    # the Riemann-Stieltjes form is derived for |q/p| < 1 only
+    LATTICES = {"lt1": PqParams(1, rat("9/10")), "gt1": PqParams(rat("9/10"), 1)}
+    CASES = [(entry, "lt1") for entry in sorted(ENTRIES)]
+    CASES += [(entry, "gt1") for entry in sorted(ENTRIES) if entry != "riemann-stieltjes"]
+
+    @pytest.mark.parametrize("entry, lattice", CASES)
+    @pytest.mark.parametrize("at", [1, 2, 7])
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, OverflowError])
+    def test_error_at_the_kth_point(self, error, at, entry, lattice):
+        f = _Counted(lambda x: x, error, at)
+        with pytest.raises(error, match="integrand failed"):
+            self.ENTRIES[entry](NumericFn(f), self.LATTICES[lattice])
+        assert f.calls == at
+
+    @pytest.mark.parametrize("entry, lattice", CASES)
+    @pytest.mark.parametrize("at", [1, 2, 7])
+    def test_stop_iteration_is_no_end_of_series(self, at, entry, lattice):
+        # a StopIteration taken for the end of a stream would return a max_terms result
+        f = _Counted(lambda x: x, StopIteration, at)
+        with pytest.raises(RuntimeError) as info:
+            self.ENTRIES[entry](NumericFn(f), self.LATTICES[lattice])
+        assert isinstance(info.value.__cause__, StopIteration)
+        assert f.calls == at
 
 
 RATIOS = ("1/2", "9/10", "99/100", "999/1000")
