@@ -30,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import PqError
-from .scalars import PqParams, _falling_vanishes, _float_view, bracket, bracket_alpha, rat, rat_str
+from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bracket_alpha, rat, rat_str
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -126,8 +126,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _rat_arg(name: str, text: str) -> Rat:
+    """``rat(text)``, refused by the argument's name if ``text`` is no rational."""
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        infinite = name == "b" and text.strip().lower().lstrip("+") in ("inf", "infinity")
+        hint = "; integrate to infinity with --to-inf, or with --improper from 0" if infinite else ""
+        raise ValueError(f"{name} must be a rational such as 3/2, got {text!r}{hint}") from None
+
+
+def _bound(name: str, text: str) -> float:
+    return _float_view(name, _rat_arg(name, text))
+
+
 def _params(args: argparse.Namespace) -> PqParams:
-    return PqParams(rat(args.p), rat(args.q))
+    return PqParams(_rat_arg("--p", args.p), _rat_arg("--q", args.q))
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
@@ -238,7 +252,7 @@ def cmd_taylor(args: argparse.Namespace) -> int:
 
     params = _params(args)
     f = Polynomial.from_string(args.poly)
-    a = rat(args.a)
+    a = _rat_arg("a", args.a)
     expand = taylor_expand_reversed if args.reversed else taylor_expand
     expansion = expand(f, a, params)
     payload = expansion.to_json_dict()
@@ -290,11 +304,11 @@ def cmd_integrate(args: argparse.Namespace) -> int:
             raise ValueError("--to-inf needs the lower bound a")
         if args.b is not None:
             raise ValueError(f"--to-inf integrates over [a, infinity) and reads no bound b, got b={args.b}")
-        result = integral_to_infinity(f, _float_view("a", rat(args.a)), params, policy)
+        result = integral_to_infinity(f, _bound("a", args.a), params, policy)
     else:
         if args.a is None or args.b is None:
             raise ValueError("need both bounds a and b (or --improper / --to-inf)")
-        result = integral(f, _float_view("a", rat(args.a)), _float_view("b", rat(args.b)), params, policy)
+        result = integral(f, _bound("a", args.a), _bound("b", args.b), params, policy)
     payload = result.to_json_dict()
     human = (
         f"value={result.value:.12g} status={result.status.value} "

@@ -29,15 +29,15 @@ accelerated first side, the first side is summed again plainly.  The
 exact value of a polynomial integrand is :func:`integral_exact`.
 
 A term is float work only.  The summer walks the lattice itself: its one
-loop (:func:`_sum_walk`) computes each term pre * w * fn(a * w) from the
-integrand's plain ``fn`` when it reaches it and steps the weight w, in
-either direction.  Sides pass plain (value, terms, tail, reason) tuples,
-and each integral builds its one :class:`IntegralResult` at the end.
-A ready-made term stream (the Heine series, the Riemann-Stieltjes sum)
-goes through the same loop as the integrand of a walk that stays at one
-point (:func:`_sum_series`).  :func:`lattice_terms` yields the same terms
-for callers that read them one by one.  A polynomial integrand arrives
-with its coefficients already floated (:meth:`NumericFn.from_polynomial`).
+loop (:func:`_sum_walk`), the only place the term formula is written,
+computes each term from the integrand's plain ``fn`` when it reaches it
+and steps the weight w, in either direction.  Sides pass plain (value,
+terms, tail, reason) tuples, and each integral builds its one
+:class:`IntegralResult` at the end.  A ready-made term stream (the Heine
+series, the Riemann-Stieltjes sum) goes through the same loop as the
+integrand of a walk that stays at one point (:func:`_sum_series`).  A
+polynomial integrand arrives with its coefficients already floated
+(:meth:`NumericFn.from_polynomial`).
 
 The |q/p| = 1 regime has no defined lattice and is rejected outright.
 """
@@ -273,30 +273,6 @@ def _sum_walk(
         if bound <= tail_tol + roundoff:
             return latest, count, bound + roundoff, "accelerated"
     return total, count, last_mag, "max_terms"
-
-
-def lattice_terms(f: NumericFn, a: float, params: PqParams, to_zero: bool) -> Iterator[float]:
-    """Terms of the series for the integral of f over [0, a] or [a, infinity).
-
-    Regime |q/p| < 1:  (p-q) a sum_k (q^k / p^{k+1}) f(a q^k / p^{k+1})
-    Regime |q/p| > 1:  the same with p and q exchanged
-
-    so the [0, a] lattice always marches geometrically towards 0.  At p = 1
-    it is termwise the classical Jackson sum (1-q) a q^k f(a q^k).  The
-    [a, infinity) series keeps the prefactor on the reciprocal lattice,
-    a (p/q)^k / q (respectively a (q/p)^k / p), and together the two tile
-    exactly the bilateral lattice of the improper integral.  The integrals
-    compute the same terms in the summing loop of :func:`_sum_walk`.
-    """
-    return _walk_terms(f.fn, a, *_lattice_walk(params, _require_lattice(params), to_zero))
-
-
-def _walk_terms(fn: Callable[[float], float], a: float, pre: float, w: float, ratio: float) -> Iterator[float]:
-    """pre a w_k fn(a w_k) for the weights w_k = w ratio^k, the term of :func:`_sum_walk`."""
-    pre *= a
-    while True:
-        yield pre * w * fn(a * w)
-        w *= ratio
 
 
 def _lattice_walk(params: PqParams, regime: Regime, to_zero: bool) -> tuple[float, float, float]:

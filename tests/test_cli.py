@@ -459,6 +459,35 @@ class TestIntegrateCommand:
         assert code == 0 and out.startswith("value=") and "j " not in out
 
 
+class TestUnparsableArguments:
+    """A bound or a parameter that is no rational is refused by its name, with exit 2 and no traceback."""
+
+    INF_HINT = "; integrate to infinity with --to-inf, or with --improper from 0"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (("integrate", "poly:1", "x", "1"), "a", "x"),
+            (("integrate", "poly:1", "inf", "1"), "a", "inf"),
+            (("integrate", "recip", "1/0", "--to-inf"), "a", "1/0"),
+            (("integrate", "poly:1", "0", "1.5.2"), "b", "1.5.2"),
+            (("integrate", "poly:1", "0", "1", "--q", "half"), "--q", "half"),
+            (("bracket", "3", "--p", "x"), "--p", "x"),
+            (("taylor", "0,0,1", "y"), "a", "y"),
+        ],
+        ids=["a", "a-inf", "a-zero-den", "b", "q", "bracket-p", "taylor-a"],
+    )
+    def test_names_the_argument(self, capsys, argv, name, text, json_flag):
+        code, out, err = run_cli(capsys, *argv, *json_flag)
+        assert (code, out, err) == (2, "", f"error: {name} must be a rational such as 3/2, got {text!r}")
+
+    @pytest.mark.parametrize("b", ["inf", "+Infinity"])
+    def test_infinite_b_points_at_the_modes(self, capsys, b):
+        code, out, err = run_cli(capsys, "integrate", "poly:1", "0", b)
+        assert (code, out, err) == (2, "", f"error: b must be a rational such as 3/2, got {b!r}{self.INF_HINT}")
+
+
 class TestIdentitiesCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "identities", "--seed", "0", "--trials", "3")

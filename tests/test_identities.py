@@ -1,10 +1,11 @@
 """The identity-suite harness itself: determinism, coverage, failure paths."""
 
+import math
 from random import Random
 
 import pytest
 
-from pqcalc import identities
+from pqcalc import identities, integration
 from pqcalc.identities import CHECKS, EXACT_LAW_LABELS, CheckResult, run_suite
 from pqcalc.integration import GapReport, IntegralResult, IntegralStatus
 from pqcalc.scalars import Regime
@@ -97,6 +98,31 @@ class TestCountingRules:
         monkeypatch.setattr(identities, "integral_zero_to", lambda *args: nan)
         [result] = run_suite(seed=0, trials=10, only=["riemann-stieltjes"])
         assert (result.trials, result.failures) == (10, 10)
+
+    @pytest.mark.parametrize("wrong", ["nan", "four-tails-off"])
+    def test_wrong_public_integral_fails_jackson_reduction(self, monkeypatch, wrong):
+        exact = identities.integral_zero_to
+
+        def moved(*args):
+            result = exact(*args)
+            return result._replace(value=math.nan if wrong == "nan" else result.value + 4 * result.tail_estimate)
+
+        monkeypatch.setattr(identities, "integral_zero_to", moved)
+        [result] = run_suite(seed=0, trials=1, only=["jackson-reduction"])
+        assert (result.trials, result.failures) == (9, 9)
+
+    @pytest.mark.parametrize("slot", [0, 2], ids=["prefactor", "step"])
+    def test_lattice_off_by_2_to_the_minus_40_fails_jackson_reduction(self, monkeypatch, slot):
+        exact = integration._lattice_walk
+
+        def skewed(*args):
+            walk = list(exact(*args))
+            walk[slot] *= 1 + 2.0**-40
+            return tuple(walk)
+
+        monkeypatch.setattr(integration, "_lattice_walk", skewed)
+        [result] = run_suite(seed=0, trials=1, only=["jackson-reduction"])
+        assert (result.trials, result.failures) == (9, 9)
 
 
 class TestReplayAlone:

@@ -1,5 +1,6 @@
 """The lazy ``pqcalc`` namespace and the import graph of a cold ``pq`` command."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -152,3 +153,28 @@ class TestNamespace:
         with pytest.raises(AttributeError, match="nosuch"):
             pqcalc.nosuch
         assert not hasattr(pqcalc, "nosuch")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, the ``__future__`` import exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+class TestUnusedImports:
+    @pytest.mark.parametrize("path", sorted(SRC.glob("pqcalc/*.py")), ids=lambda path: path.name)
+    def test_every_imported_name_is_read(self, path):
+        assert unused_imports(path.read_text()) == []
+
+    def test_scan_finds_a_leftover_import(self):
+        source = "from __future__ import annotations\nimport math\nfrom itertools import islice, chain\nchain()\n"
+        assert unused_imports(source) == ["math (line 2)", "islice (line 3)"]

@@ -5,7 +5,6 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -29,7 +28,6 @@ from pqcalc.integration import (
     integral_to_infinity,
     integral_zero_to,
     integrate_by_parts,
-    lattice_terms,
     newton_leibniz_check,
 )
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
@@ -133,13 +131,11 @@ class TestZeroTo:
             assert one.value == pytest.approx(other.value, abs=1e-10)
 
     def test_jackson_terms_at_p_one(self):
-        q = 0.5
-        f = NumericFn(lambda x: 1.0 / (1.0 + x))
+        # the integral samples Jackson's lattice a, a q, a q^2, ... bit for bit; test_grid pins the term values
         for a in (0.5, 1.0, 2.0):
-            ours = list(islice(lattice_terms(f, a, P1H, to_zero=True), 30))
-            jackson = [(1 - q) * a * q**k * f(q**k * a) for k in range(30)]
-            for mine, classical in zip(ours, jackson):
-                assert mine == pytest.approx(classical, rel=1e-15)
+            points = []
+            result = integral_zero_to(NumericFn(lambda x: points.append(x) or 1.0 / (1.0 + x)), a, P1H)
+            assert points == [a * 0.5**k for k in range(result.terms_used)]
 
 
 class TestDefiniteIntegral:
@@ -202,15 +198,16 @@ class TestImproper:
     def test_lattices_tile(self):
         # the union of both one-sided lattices is exactly the bilateral one:
         # down = {1, 1/2, 1/4, ...}, up = {2, 4, 8, ...} at p=1, q=1/2, a=1
-        f = NumericFn(lambda x: x if x <= 1 else x**-3)
-        down_pts = [0.5**k for k in range(5)]
-        up_pts = [2.0 ** (k + 1) for k in range(5)]
-        ours_down = list(islice(lattice_terms(f, 1.0, P1H, to_zero=True), 5))
-        ours_up = list(islice(lattice_terms(f, 1.0, P1H, to_zero=False), 5))
-        for point, term in zip(down_pts, ours_down):
-            assert term == pytest.approx(0.5 * point * f(point))
-        for point, term in zip(up_pts, ours_up):
-            assert term == pytest.approx(0.5 * point * f(point))
+        def sampled(entry, *args):
+            points = []
+            entry(NumericFn(lambda x: points.append(x) or (x if x <= 1 else x**-3)), *args, P1H)
+            return points
+
+        down, up = sampled(integral_zero_to, 1.0), sampled(integral_to_infinity, 1.0)
+        assert down == [0.5**k for k in range(len(down))]
+        assert up == [2.0 ** (k + 1) for k in range(len(up))]
+        assert sorted(down + up) == [2.0**k for k in range(1 - len(down), len(up) + 1)]
+        assert sampled(integral_improper) == down + up
 
 
 class TestIntervalDispatch:
@@ -469,7 +466,7 @@ class TestFloatHorner:
 
 
 def _naive_walk(params, to_zero):
-    """(prefactor, numerator, denominator) of the step, as the two per-direction generators wrote them."""
+    """(prefactor, numerator, denominator) of the step, written out for each regime and direction."""
     p, q = params.as_floats()
     if params.regime is Regime.RATIO_LT_ONE:
         return (p - q, q, p) if to_zero else (p - q, p, q)
@@ -542,19 +539,6 @@ class TestLatticeAgainstNaiveSums:
         assert _fields(integral(f, a, b, params)) == _naive_pair(naive, params, (b, True), (a, True), -1.0)
         assert _fields(integral_to_infinity(f, a, params)) == _naive_sum(naive, a, params, False)
         assert _fields(integral_improper(f, params)) == _naive_pair(naive, params, (1.0, True), (1.0, False), 1.0)
-
-    @pytest.mark.parametrize("kind", sorted(INTEGRANDS))
-    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
-    @pytest.mark.parametrize("ratio", ["1/2", "9/10", "99/100", "999/1000"])
-    def test_stream_of_lattice_terms(self, ratio, lt1, kind):
-        """The term formula is written twice, in the summing loop and in lattice_terms; both give one sum."""
-        r = rat(ratio)
-        params = PqParams(1, r) if lt1 else PqParams(r, 1)
-        f, _ = self.INTEGRANDS[kind]
-        for a, to_zero, entry in ((2.5, True, integral_zero_to), (0.75, False, integral_to_infinity)):
-            _, num, den = _naive_walk(params, to_zero)
-            stream = _sum_series(lattice_terms(f, a, params, to_zero), DEFAULT_POLICY, num / den)
-            assert _fields(entry(f, a, params)) == stream
 
 
 class _Counted:
@@ -670,7 +654,7 @@ def _lattice(ratio, lt1, scale=1):
 
 def _plain_terms(f, a, params, to_zero):
     """Terms the plain rules alone take: the summer without the lattice ratio."""
-    return _sum_series(lattice_terms(f, a, params, to_zero), DEFAULT_POLICY)[1]
+    return _sum_series(_naive_terms(f, a, params, to_zero), DEFAULT_POLICY)[1]
 
 
 class TestIntegralExact:
@@ -817,12 +801,12 @@ class TestExtrapolation:
                 one_sided = integral_zero_to if to_zero else integral_to_infinity
                 result = one_sided(f, a, params)
                 if result.stop_reason != "accelerated":
-                    plain = _sum_series(lattice_terms(f, a, params, to_zero), DEFAULT_POLICY)
+                    plain = _sum_series(_naive_terms(f, a, params, to_zero), DEFAULT_POLICY)
                     assert _fields(result) == plain
             result = integral(f, 0.75, 2.5, params)
             if result.status is not IntegralStatus.CONVERGED:
-                upper = _sum_series(lattice_terms(f, 2.5, params, True), DEFAULT_POLICY)
-                lower = _sum_series(lattice_terms(f, 0.75, params, True), DEFAULT_POLICY)
+                upper = _sum_series(_naive_terms(f, 2.5, params, True), DEFAULT_POLICY)
+                lower = _sum_series(_naive_terms(f, 0.75, params, True), DEFAULT_POLICY)
                 assert result.value == upper[0] - lower[0]
                 assert result.terms_used == upper[1] + lower[1]
 
