@@ -35,7 +35,7 @@ from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bra
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from .polynomials import NumericFn
+    from .polynomials import NumericFn, Polynomial
 
 # Each command imports its own layers inside its function, so a cold
 # ``pq bracket`` never compiles the suite, the integrals or the power basis.
@@ -140,6 +140,13 @@ def _bound(name: str, text: str) -> float:
     return _float_view(name, _rat_arg(name, text))
 
 
+def _poly_arg(name: str, text: str) -> Polynomial:
+    """The polynomial "c0,c1,...", each coefficient read by ``_rat_arg`` as "coefficient i of ``name``"."""
+    from .polynomials import Polynomial
+
+    return Polynomial(_rat_arg(f"coefficient {i} of {name}", c) for i, c in enumerate(text.split(",")))
+
+
 def _params(args: argparse.Namespace) -> PqParams:
     return PqParams(_rat_arg("--p", args.p), _rat_arg("--q", args.q))
 
@@ -215,20 +222,29 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         text = _printed(rat_str, bracket(n, params), f"[{n}]")
         _emit(args, {"value": text}, text)
     else:
-        value = bracket_alpha(float(args.n), params).value
+        try:
+            alpha = float(args.n)
+        except ValueError:  # "3/2" is no float literal
+            alpha = _float_view("n", _rat_arg("n", args.n))
+        value = bracket_alpha(alpha, params).value
         _emit(args, {"value": value}, repr(value))
     return 0
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    from .polynomials import Polynomial, pq_derive_poly_k
-    from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
+    from .polynomials import pq_derive_poly_k
+    from .pqpower import _POWER_RE, derive_pq_power_iterated, format_power_expr, parse_power_expr
 
     params = _params(args)
     k = args.k
     if k < 0:
         raise ValueError(f"--k must be >= 0, got {k}")
     if args.expr.lstrip().startswith("pqpow"):
+        fields = _POWER_RE.match(args.expr)
+        if fields:  # name a literal that is no rational before parse_power_expr reads it
+            _rat_arg("a", fields[2])
+            if fields[4] is not None:
+                _rat_arg("gamma", fields[4])
         expr = parse_power_expr(args.expr, params)
         if expr.gamma:
             # the coefficient g^k base^C(k,2) [n]...[n-k+1] of derive_pq_power_iterated
@@ -241,17 +257,16 @@ def cmd_derive(args: argparse.Namespace) -> int:
         text = _printed(format_power_expr, residual, "the residual's gamma")
         _emit(args, {"coeff": coeff_text, "expr": text}, f"{coeff_text} * {text}")
     else:
-        result = pq_derive_poly_k(Polynomial.from_string(args.expr), k, params)
+        result = pq_derive_poly_k(_poly_arg("expr", args.expr), k, params)
         _emit(args, {"poly": result.to_string()}, result.to_string())
     return 0
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
-    from .polynomials import Polynomial
     from .taylor import taylor_expand, taylor_expand_reversed
 
     params = _params(args)
-    f = Polynomial.from_string(args.poly)
+    f = _poly_arg("poly", args.poly)
     a = _rat_arg("a", args.a)
     expand = taylor_expand_reversed if args.reversed else taylor_expand
     expansion = expand(f, a, params)
@@ -262,10 +277,10 @@ def cmd_taylor(args: argparse.Namespace) -> int:
 
 
 def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
-    from .polynomials import NumericFn, Polynomial
+    from .polynomials import NumericFn
 
     if spec.startswith("poly:"):
-        f = Polynomial.from_string(spec[len("poly:"):])
+        f = _poly_arg(spec, spec[len("poly:"):])
         for i, c in enumerate(f.coeffs):
             _float_view(f"coefficient {i} of {spec}", c)
         return NumericFn.from_polynomial(f)
@@ -277,12 +292,9 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
         return NumericFn(math.log)
     if spec.startswith("powneg:"):
         text = spec[len("powneg:"):]
-        try:
-            r = _float_view("r", rat(text))
-        except (ValueError, ZeroDivisionError):
-            r = float(text)  # "nan" and "inf" are no rationals
-        if not math.isfinite(r):
+        if text.strip().lower().lstrip("+-") in ("nan", "inf", "infinity"):  # reals, but no rationals
             raise ValueError(f"{spec} needs a finite r")
+        r = _float_view("r", _rat_arg("r", text))
         if not r.is_integer() and (params.p < 0 or params.q < 0):
             raise ValueError(f"{spec} needs p, q > 0: a non-integer power of a negative lattice point is complex")
         return NumericFn(lambda x: x**-r)

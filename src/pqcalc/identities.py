@@ -15,9 +15,10 @@ A plain law ``trial(rng, **bound) -> bool`` runs once per trial.  A
 ``cases=True`` law is a generator ``(rng, trials, **bound)`` that yields one
 bool per case and a ``str`` per note, so a fixed grid can ignore ``trials``.
 Other keywords of :func:`law` are passed to every call, so stacked decorators
-let one function back several labels; they register bottom-up, and the
-order of :data:`CHECKS` is the report order.  Write each outcome as a pass
-condition (``gap < tol``), so that a NaN fails.
+let one function back several labels; they register bottom-up, a later call
+``law(label, ...)(fn)`` registers ``fn`` at that point, and the order of
+:data:`CHECKS` is the report order.  Write each outcome as a pass condition
+(``gap < tol``), so that a NaN fails.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .polynomials import (
     Polynomial,
     eval_poly,
     pq_derive_poly,
-    pq_derive_poly_k,
     pq_difference_quotient,
 )
 from .pqpower import (
@@ -95,7 +95,10 @@ _exact_labels: list[str] = []
 
 
 def law(label: str, *, exact: bool = False, cases: bool = False, **bound):
-    """Register the decorated trial, or case generator if ``cases``, as the check ``label``."""
+    """Register the decorated trial, or case generator if ``cases``, as the check ``label``.
+
+    Called as ``law(label, ...)(fn)`` after other laws, it registers ``fn`` at that point of the report order.
+    """
 
     def register(fn):
         def check(rng: Random, trials: int) -> CheckResult:
@@ -219,50 +222,42 @@ def _quotient_rule(rng: Random, first_form: bool) -> bool:
 
 # -------------------------------------------------------- power basis laws
 
-@law("derule1", exact=True)
-def _derule1(rng: Random) -> bool:
-    """D (x (-) a)^n = [n] (px (-) a)^{n-1} as polynomials, n >= 0."""
+@law("derule2", exact=True, scaled=True)
+@law("derule1", exact=True, scaled=False)
+def _derule(rng: Random, scaled: bool) -> bool:
+    """D (g x (-) a)^n = g [n] (g p x (-) a)^{n-1} as polynomials; derule1 is g = 1 with n >= 0."""
     params = _rand_params(rng)
     a = _rand_rat(rng)
-    n = rng.randint(0, 6)
-    lhs = pq_derive_poly(expand_expr(PqPowerExpr(a, n, params)), params)
-    if n == 0:
-        return lhs.is_zero()
-    residual = PqPowerExpr(a, n - 1, params, gamma=params.p)
-    return lhs == bracket(n, params) * expand_expr(residual)
-
-
-@law("derule2", exact=True)
-def _derule2(rng: Random) -> bool:
-    """Scaled law D (g x (-) a)^n = g [n] (g p x (-) a)^{n-1} as polynomials."""
-    params = _rand_params(rng)
-    a = _rand_rat(rng)
-    gamma = _rand_rat(rng, nonzero=True)
-    n = rng.randint(1, 5)
+    gamma = _rand_rat(rng, nonzero=True) if scaled else rat(1)
+    n = rng.randint(1, 5) if scaled else rng.randint(0, 6)
     e = PqPowerExpr(a, n, params, gamma=gamma)
-    coeff, residual = derive_pq_power(e)
-    if coeff != gamma * bracket(n, params) or residual.gamma != gamma * params.p:
+    coeff, residual = gamma * bracket(n, params), PqPowerExpr(a, n - 1, params, gamma=gamma * params.p)
+    if derive_pq_power(e) != (coeff, residual):
         return False
-    return pq_derive_poly(expand_expr(e), params) == coeff * expand_expr(residual)
+    lhs = pq_derive_poly(expand_expr(e), params)
+    return lhs.is_zero() if n == 0 else lhs == coeff * expand_expr(residual)
 
 
-@law("derule3", exact=True)
-def _derule3(rng: Random) -> bool:
-    """k-fold closed form on the forward basis, plus its coefficient recursion."""
+@law("derule3", exact=True, orientation=Orientation.X_MINUS_A, top=6)
+def _derule_k(rng: Random, orientation: Orientation, top: int) -> bool:
+    """k-fold closed form against the expansion, derived once more per k, n in [0, top]; and the recursion
+
+        coeff(k) = coeff(k-1) [n-k+1] p^{k-1}  forward,  coeff(k-1) [n-k+1] (-q^{k-1})  reversed
+    """
     params = _rand_params(rng)
     a = _rand_rat(rng)
-    n = rng.randint(0, 6)
-    e = PqPowerExpr(a, n, params)
-    f = expand_expr(e)
-    previous, p = None, params.p
+    n = rng.randint(0, top)
+    e = PqPowerExpr(a, n, params, orientation=orientation)
+    f, previous = expand_expr(e), None
     for k in range(n + 1):
         coeff, residual = derive_pq_power_iterated(e, k)
-        if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
-            return False
-        if previous is not None:
-            # coeff(k)/coeff(k-1) = p^{k-1} [n-k+1]
-            if coeff != previous * p ** (k - 1) * bracket(n - k + 1, params):
+        if k:
+            f = pq_derive_poly(f, params)
+            step = params.p ** (k - 1) if orientation is Orientation.X_MINUS_A else -params.q ** (k - 1)
+            if coeff != previous * step * bracket(n - k + 1, params):
                 return False
+        if f != coeff * expand_expr(residual):
+            return False
         previous = coeff
     return True
 
@@ -285,19 +280,7 @@ def _der3(rng: Random) -> bool:
     return True
 
 
-@law("derule4", exact=True)
-def _derule4(rng: Random) -> bool:
-    """k-fold closed form on the reversed basis, as polynomials."""
-    params = _rand_params(rng)
-    a = _rand_rat(rng)
-    n = rng.randint(0, 5)
-    e = PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X)
-    f = expand_expr(e)
-    for k in range(n + 1):
-        coeff, residual = derive_pq_power_iterated(e, k)
-        if pq_derive_poly_k(f, k, params) != coeff * expand_expr(residual):
-            return False
-    return True
+law("derule4", exact=True, orientation=Orientation.A_MINUS_X, top=5)(_derule_k)  # reported after der3
 
 
 @law("r3", exact=True, which=2)
@@ -434,9 +417,7 @@ def _taylor_roundtrip(rng: Random, reverse: bool) -> bool:
     expansion = expand(f, a, params)
     if expansion.to_polynomial(params) != f:
         return False
-    if not f.is_zero() and len(expansion.coeffs) != len(f.coeffs):
-        return False
-    return True
+    return f.is_zero() or len(expansion.coeffs) == len(f.coeffs)
 
 
 @law("conec2", orientation=Orientation.A_MINUS_X)

@@ -42,6 +42,11 @@ class TestBracketCommand:
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(2**2.5 - 1)
 
+    def test_rational_real_exponent(self, capsys):
+        # "3/2" is no float literal, so the float bracket reads it as a rational
+        code, out, _ = run_cli(capsys, "bracket", "3/2", "--p", "2", "--q", "1")
+        assert (code, float(out)) == (0, 2**1.5 - 1)
+
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
     @pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
     def test_non_finite_real_exponent_exits_two(self, capsys, alpha, json_flag):
@@ -475,8 +480,23 @@ class TestUnparsableArguments:
             (("integrate", "poly:1", "0", "1", "--q", "half"), "--q", "half"),
             (("bracket", "3", "--p", "x"), "--p", "x"),
             (("taylor", "0,0,1", "y"), "a", "y"),
+            (("bracket", "abc"), "n", "abc"),
+            (("bracket", "1/0"), "n", "1/0"),
+            (("integrate", "powneg:x", "1", "--to-inf"), "r", "x"),
+            (("integrate", "powneg:", "1", "--to-inf"), "r", ""),
+            (("derive", "0,x"), "coefficient 1 of expr", "x"),
+            (("derive", "0,,1"), "coefficient 1 of expr", ""),
+            (("taylor", "0,x", "1"), "coefficient 1 of poly", "x"),
+            (("integrate", "poly:1,x", "0", "1"), "coefficient 1 of poly:1,x", "x"),
+            (("derive", "pqpow(a=x,n=2)"), "a", "x"),
+            (("derive", "pqpowrev(a=1/0, n=2)"), "a", "1/0"),
+            (("derive", "pqpow(a=1,n=2,gamma=y)"), "gamma", "y"),
         ],
-        ids=["a", "a-inf", "a-zero-den", "b", "q", "bracket-p", "taylor-a"],
+        ids=[
+            "a", "a-inf", "a-zero-den", "b", "q", "bracket-p", "taylor-a", "bracket-n", "bracket-n-zero-den",
+            "powneg-r", "powneg-empty", "derive-poly", "derive-poly-empty", "taylor-poly", "integrate-poly",
+            "pqpow-a", "pqpowrev-a-zero-den", "pqpow-gamma",
+        ],
     )
     def test_names_the_argument(self, capsys, argv, name, text, json_flag):
         code, out, err = run_cli(capsys, *argv, *json_flag)

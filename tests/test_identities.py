@@ -77,9 +77,34 @@ class TestCountingRules:
         monkeypatch.setattr(identities, "bracket", lambda n, params: exact(n, params) + (1 if n == 3 else 0))
         results = run_suite(seed=1, trials=20)
         assert {r.label: r.failures for r in results if r.failures} == {
-            "derule1": 1, "derule2": 3, "derule3": 12, "r1": 7, "r2": 6, "r3": 6, "bracket-invariants": 4,
-            "monomial-integral": 12,
+            "derule1": 1, "derule2": 3, "derule3": 12, "derule4": 10, "r1": 7, "r2": 6, "r3": 6,
+            "bracket-invariants": 4, "monomial-integral": 12,
         }
+
+    def test_doubled_residual_gamma_fails_derule1_and_derule2(self, monkeypatch):
+        exact = identities.derive_pq_power
+
+        def doubled(e):
+            coeff, residual = exact(e)
+            return coeff, residual._replace(gamma=2 * residual.gamma)
+
+        monkeypatch.setattr(identities, "derive_pq_power", doubled)
+        results = run_suite(seed=0, trials=20, only=["derule1", "derule2"])
+        assert [(r.label, r.trials, r.failures) for r in results] == [("derule1", 20, 20), ("derule2", 20, 20)]
+
+    def test_compensated_k_fold_coefficient_fails_derule4(self, monkeypatch):
+        # (2c, gamma/2) at a = 0 leaves c (a (-) gamma x)^1 as a polynomial; only the recursion sees it
+        exact = identities.derive_pq_power_iterated
+
+        def compensated(e, k):
+            coeff, residual = exact(e, k)
+            if e.a == 0 and residual.n == 1:
+                return 2 * coeff, residual._replace(gamma=residual.gamma / 2)
+            return coeff, residual
+
+        monkeypatch.setattr(identities, "derive_pq_power_iterated", compensated)
+        [result] = run_suite(seed=0, trials=20, only=["derule4"])
+        assert result.failures > 0
 
     def test_nan_outcome_is_a_failure(self, monkeypatch):
         nan = float("nan")

@@ -12,7 +12,8 @@ import pytest
 
 import pqcalc
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # every name the package exports, pinned so that adding or removing one is deliberate
 EXPORTED = {
@@ -171,7 +172,9 @@ def unused_imports(source: str) -> list[str]:
 
 
 class TestUnusedImports:
-    @pytest.mark.parametrize("path", sorted(SRC.glob("pqcalc/*.py")), ids=lambda path: path.name)
+    @pytest.mark.parametrize(
+        "path", sorted(SRC.glob("pqcalc/*.py")) + sorted(TESTS.glob("*.py")), ids=lambda path: path.name
+    )
     def test_every_imported_name_is_read(self, path):
         assert unused_imports(path.read_text()) == []
 

@@ -212,13 +212,17 @@ class TestDerivativeLaws:
         assert coeff == rat("105/4")
         assert format_power_expr(residual) == "pqpow(a=1, n=1, gamma=4)"
 
-    def test_k_fold_coefficient_recursion(self):
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=["forward", "reversed"])
+    def test_k_fold_coefficient_recursion(self, orientation):
         params = PqParams(rat("5/3"), rat("1/4"))
+        p, q = params.p, params.q
         n = 6
+        e = PqPowerExpr(0, n, params, orientation=orientation)
         for k in range(n):
-            c_k, _ = derive_pq_power_iterated(PqPowerExpr(0, n, params), k)
-            c_next, _ = derive_pq_power_iterated(PqPowerExpr(0, n, params), k + 1)
-            assert c_next == c_k * params.p**k * bracket(n - k, params)
+            c_k, _ = derive_pq_power_iterated(e, k)
+            c_next, _ = derive_pq_power_iterated(e, k + 1)
+            step = p**k if orientation is Orientation.X_MINUS_A else -q**k
+            assert c_next == c_k * step * bracket(n - k, params)
 
     def test_k_fold_range_errors(self):
         for orientation in Orientation:
