@@ -30,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import PqError
-from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bracket_alpha, rat, rat_str
+from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bracket_alpha, rat_named, rat_str
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -42,16 +42,17 @@ if TYPE_CHECKING:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads a token starting with "-" and a digit as a value.
+    """An argument parser that reads a token starting with "-" and a digit, "inf" or "nan" as a value.
 
     argparse alone admits only "-2" and "-2.5" as negative numbers, so
-    "--q -1/2" and a positional "-1/2" or "-1/2,1" would be taken for
-    unknown options.  No option of pq starts with a digit.
+    "--q -1/2", a positional "-1/2" or "-1/2,1" and a bound "-inf" would be
+    taken for unknown options.  No option of pq starts with a digit, and the
+    only single-dash one is -h.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -127,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _rat_arg(name: str, text: str) -> Rat:
-    """``rat(text)``, refused by the argument's name if ``text`` is no rational."""
+    """``rat_named(name, text)``; a bound b that reads infinity is pointed at the infinite modes."""
     try:
-        return rat(text)
-    except (ValueError, ZeroDivisionError):
-        infinite = name == "b" and text.strip().lower().lstrip("+") in ("inf", "infinity")
-        hint = "; integrate to infinity with --to-inf, or with --improper from 0" if infinite else ""
-        raise ValueError(f"{name} must be a rational such as 3/2, got {text!r}{hint}") from None
+        return rat_named(name, text)
+    except ValueError as exc:
+        if name != "b" or text.strip().lower().lstrip("+") not in ("inf", "infinity"):
+            raise
+        raise ValueError(f"{exc}; integrate to infinity with --to-inf, or with --improper from 0") from None
 
 
 def _bound(name: str, text: str) -> float:
@@ -233,18 +234,13 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 def cmd_derive(args: argparse.Namespace) -> int:
     from .polynomials import pq_derive_poly_k
-    from .pqpower import _POWER_RE, derive_pq_power_iterated, format_power_expr, parse_power_expr
+    from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
 
     params = _params(args)
     k = args.k
     if k < 0:
         raise ValueError(f"--k must be >= 0, got {k}")
     if args.expr.lstrip().startswith("pqpow"):
-        fields = _POWER_RE.match(args.expr)
-        if fields:  # name a literal that is no rational before parse_power_expr reads it
-            _rat_arg("a", fields[2])
-            if fields[4] is not None:
-                _rat_arg("gamma", fields[4])
         expr = parse_power_expr(args.expr, params)
         if expr.gamma:
             # the coefficient g^k base^C(k,2) [n]...[n-k+1] of derive_pq_power_iterated

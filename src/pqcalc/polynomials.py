@@ -24,7 +24,8 @@ At a float, :func:`eval_poly` converts each coefficient to a double as it
 reaches it, once per evaluation; :meth:`NumericFn.from_polynomial`
 converts them once per evaluator.  Both convert with
 :func:`~pqcalc.scalars.rat_float`, bit for bit ``float(c)``, so the two
-agree bit for bit.
+agree bit for bit.  They stay two loops: an evaluator built inside every
+float :func:`eval_poly` call made the ``lattice-grid`` set-up about 40% slower.
 """
 
 from __future__ import annotations

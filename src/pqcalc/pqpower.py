@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .errors import NegativeArgumentError, PoleError
 from .polynomials import Polynomial
-from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_from_ints, rat_str
+from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_from_ints, rat_named, rat_str
 
 
 class Orientation(enum.Enum):
@@ -34,6 +34,14 @@ class Orientation(enum.Enum):
     def base_sign(self, params: PqParams) -> tuple[Rat, int]:
         """(p, 1) forward, (q, -1) reversed: D scales gamma by base and the coefficient by sign."""
         return (params.p, 1) if self is Orientation.X_MINUS_A else (params.q, -1)
+
+    def factor_steps(self, c0: int, c1: int, params: PqParams) -> tuple[int, int, int, int]:
+        """(lo, hi, lo_step, hi_step): factor j of the power product is lo lo_step^j + hi hi_step^j x.
+
+        With (P, Q, S) of ``params.as_ints()`` that is c1 P^j x - c0 Q^j forward and c0 P^j - c1 Q^j x reversed.
+        """
+        big_p, big_q, _ = params.as_ints()
+        return (-c0, c1, big_q, big_p) if self is Orientation.X_MINUS_A else (c0, -c1, big_p, big_q)
 
 
 class PqPowerExpr(namedtuple("PqPowerExpr", "a n params gamma orientation")):
@@ -96,15 +104,11 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
     """Canonical-basis polynomial equal to the expression (n >= 0 only)."""
     if e.n < 0:
         raise NegativeArgumentError("negative powers are not polynomials")
-    big_p, big_q, s = e.params.as_ints()
-    # factor j is the integer linear factor over gd*ad*S^j:
-    #   forward  c1*P^j x - c0*Q^j,   reversed  c0*P^j - c1*Q^j x
+    # factor j is the integer linear factor of factor_steps over gd*ad*S^j
     c0 = e.a.numerator * e.gamma.denominator
     c1 = e.gamma.numerator * e.a.denominator
-    if e.orientation is Orientation.X_MINUS_A:
-        lo, hi, lo_step, hi_step = -c0, c1, big_q, big_p
-    else:
-        lo, hi, lo_step, hi_step = c0, -c1, big_p, big_q
+    lo, hi, lo_step, hi_step = e.orientation.factor_steps(c0, c1, e.params)
+    s = e.params.as_ints()[2]
     out = [1]
     for _ in range(e.n):
         out = [lo * c + hi * d for c, d in zip(out + [0], [0] + out)]
@@ -156,19 +160,15 @@ _POWER_RE = re.compile(
 
 
 def parse_power_expr(text: str, params: PqParams) -> PqPowerExpr:
-    """Parse "pqpow(a=<rat>, n=<int>[, gamma=<rat>])" or "pqpowrev(...)"."""
+    """Parse "pqpow(a=<rat>, n=<int>[, gamma=<rat>])" or "pqpowrev(...)"; a bad a or gamma is refused by name."""
     match = _POWER_RE.match(text)
     if not match:
         raise ValueError(f"not a power expression: {text!r}")
     kind, a_text, n_text, gamma_text = match.groups()
+    a = rat_named("a", a_text)
+    gamma = 1 if gamma_text is None else rat_named("gamma", gamma_text)
     orientation = Orientation.A_MINUS_X if kind == "pqpowrev" else Orientation.X_MINUS_A
-    return PqPowerExpr(
-        a=rat(a_text),
-        n=int(n_text),
-        params=params,
-        gamma=rat(gamma_text) if gamma_text is not None else rat(1),
-        orientation=orientation,
-    )
+    return PqPowerExpr(a, int(n_text), params, gamma, orientation)
 
 
 def format_power_expr(e: PqPowerExpr) -> str:

@@ -52,6 +52,14 @@ def rat(value: object) -> Rat:
     return Rat(value)
 
 
+def rat_named(name: str, text: str) -> Rat:
+    """``rat(text)``, refused by ``name`` if ``text`` is no rational literal."""
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} must be a rational such as 3/2, got {text!r}") from None
+
+
 _new_object = object.__new__
 
 

@@ -48,13 +48,11 @@ class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeff
     def to_polynomial(self, params: PqParams) -> Polynomial:
         """Reconstruct the canonical-basis polynomial, nested from the top coefficient down.
 
-        L_j is (lo lo_step^j + hi hi_step^j x) / (ad S^j); ``out`` stays over ``den * scale``.
+        L_j is (lo lo_step^j + hi hi_step^j x) / (ad S^j) by ``factor_steps``; ``out`` stays over ``den * scale``.
         """
         cs = self.coeffs
-        big_p, big_q, s = params.as_ints()
-        an, ad = self.a.numerator, self.a.denominator
-        forward = self.orientation is Orientation.X_MINUS_A
-        lo, hi, lo_step, hi_step = (-an, ad, big_q, big_p) if forward else (an, -ad, big_p, big_q)
+        ad, s = self.a.denominator, params.as_ints()[2]
+        lo, hi, lo_step, hi_step = self.orientation.factor_steps(self.a.numerator, ad, params)
         den = lcm(*[c.denominator for c in cs])
         out, scale = [0], 1
         for k in reversed(range(len(cs))):

@@ -57,6 +57,15 @@ class TestBracketCommand:
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
     @pytest.mark.parametrize(
+        "token, shown", [("-inf", "-inf"), ("-nan", "nan"), ("-Infinity", "-inf"), ("-INF", "-inf")]
+    )
+    def test_negative_non_finite_token_is_a_value(self, capsys, token, shown, json_flag):
+        # without the "--" above: argparse alone takes a token "-inf" for an unknown option
+        code, out, err = run_cli(capsys, "bracket", token, *json_flag)
+        assert (code, out, err) == (2, "", f"error: alpha must be finite, got {shown}")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
         "pq, message",
         [
             (("1e400", "1"), "p is outside the double range: its float view overflows"),
@@ -491,11 +500,17 @@ class TestUnparsableArguments:
             (("derive", "pqpow(a=x,n=2)"), "a", "x"),
             (("derive", "pqpowrev(a=1/0, n=2)"), "a", "1/0"),
             (("derive", "pqpow(a=1,n=2,gamma=y)"), "gamma", "y"),
+            (("integrate", "recip", "-inf", "1"), "a", "-inf"),
+            (("integrate", "poly:1", "0", "-Infinity"), "b", "-Infinity"),
+            (("bracket", "3", "--q", "-nan"), "--q", "-nan"),
+            (("taylor", "0,0,1", "-inf"), "a", "-inf"),
+            (("derive", "-nan,1"), "coefficient 0 of expr", "-nan"),
         ],
         ids=[
             "a", "a-inf", "a-zero-den", "b", "q", "bracket-p", "taylor-a", "bracket-n", "bracket-n-zero-den",
             "powneg-r", "powneg-empty", "derive-poly", "derive-poly-empty", "taylor-poly", "integrate-poly",
             "pqpow-a", "pqpowrev-a-zero-den", "pqpow-gamma",
+            "a-minus-inf", "b-minus-infinity", "q-minus-nan", "taylor-a-minus-inf", "derive-poly-minus-nan",
         ],
     )
     def test_names_the_argument(self, capsys, argv, name, text, json_flag):

@@ -47,6 +47,14 @@ EXPORTED = {
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
+# every private name one pqcalc module imports from another, pinned so that a new
+# reach into another module's internals is deliberate
+PRIVATE_IMPORTS = {
+    ("cli", "scalars"): {"_falling_vanishes", "_float_view"},
+    ("integration", "polynomials"): {"_pq_derive_at"},
+    ("taylor", "integration"): {"_sum_series"},
+}
+
 
 def loaded_after(code: str) -> set[str]:
     """The pqcalc submodules that a fresh interpreter holds after running ``code``."""
@@ -169,6 +177,32 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def private_imports(modules: dict[str, str]) -> dict[tuple[str, str], set[str]]:
+    """(importer, owner) -> the names starting with "_" that a module of the package imports from another."""
+    found: dict[tuple[str, str], set[str]] = {}
+    for importer, source in modules.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ImportFrom) or not (node.level or (node.module or "").startswith("pqcalc.")):
+                continue
+            names = {alias.name for alias in node.names if alias.name.startswith("_")}
+            if names:
+                found.setdefault((importer, node.module.removeprefix("pqcalc.")), set()).update(names)
+    return found
+
+
+class TestPrivateImports:
+    def test_cross_module_private_names_are_the_pin(self):
+        modules = {path.stem: path.read_text() for path in SRC.glob("pqcalc/*.py")}
+        assert private_imports(modules) == PRIVATE_IMPORTS
+
+    def test_scan_finds_relative_absolute_and_local_imports(self):
+        source = (
+            "from .a import _x, y\nfrom pqcalc.b import _z\nfrom os import _exit\n"
+            "def f():\n    from .a import _w\n"
+        )
+        assert private_imports({"m": source}) == {("m", "a"): {"_x", "_w"}, ("m", "b"): {"_z"}}
 
 
 class TestUnusedImports:

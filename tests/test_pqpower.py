@@ -345,3 +345,32 @@ class TestParsing:
             parse_power_expr("pqpow(n=3)", P32)
         with pytest.raises(ValueError):
             parse_power_expr("power(a=1, n=2)", P32)
+
+    @pytest.mark.parametrize(
+        "text, name, literal",
+        [
+            ("pqpow(a=x, n=2)", "a", "x"),
+            ("pqpowrev(a=1/0, n=2)", "a", "1/0"),
+            ("pqpow(a=1, n=2, gamma=y)", "gamma", "y"),
+            ("pqpowrev(a=1, n=2, gamma=1/0)", "gamma", "1/0"),
+        ],
+    )
+    def test_names_a_literal_that_is_no_rational(self, text, name, literal):
+        with pytest.raises(ValueError) as caught:
+            parse_power_expr(text, P32)
+        assert str(caught.value) == f"{name} must be a rational such as 3/2, got {literal!r}"
+
+
+class TestFactorSteps:
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_factors_multiply_to_the_power(self, orientation):
+        # factor j over ad*gd*S^j, multiplied up, is the product eval_pq_power forms on its own
+        params, a, gamma = PqParams("3/2", "-1/3"), rat("5/7"), rat("-2/3")
+        c0, c1 = a.numerator * gamma.denominator, gamma.numerator * a.denominator
+        lo, hi, lo_step, hi_step = orientation.factor_steps(c0, c1, params)
+        s = params.as_ints()[2]
+        for x in (rat(0), rat("1/2"), rat(-3)):
+            value = rat(1)
+            for j in range(5):
+                value *= (lo * lo_step**j + hi * hi_step**j * x) / (a.denominator * gamma.denominator * s**j)
+                assert value == eval_pq_power(PqPowerExpr(a, j + 1, params, gamma, orientation), x)
