@@ -13,8 +13,8 @@ Examples::
     pq identities --seed 0 --trials 50
     pq identities --only heine
 
-Exit codes: 0 success, 1 identity-suite failure, 2 usage, parse, domain
-or overflow error, 141 a closed stdout.
+Exit codes: 0 success, 1 identity-suite failure, 2 usage, parse, domain,
+overflow or out-of-memory error, 141 a closed stdout.
 Rationals are written as "num/den" or "int" everywhere, on input and in
 JSON output.
 """
@@ -396,6 +396,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (PqError, ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a value that passes the digit guard can still outgrow the memory
+        print(f"error: {args.command}: out of memory; the result is too large to compute", file=sys.stderr)
         return 2
 
 

@@ -128,9 +128,18 @@ _POSITIVE_POOL = [rat("1/3"), rat("1/2"), rat(1), rat("3/2"), rat(2), rat(3)]
 _TAYLOR_POOL = [rat("1/3"), rat("-1/3"), rat("1/2"), rat("-1/2"), rat(2), rat(3), rat("5/2")]
 
 
+def _below(rng: Random, n: int) -> int:
+    """``rng.randrange(n)`` draw for draw, by CPython's rule since 3.10, without ``randint``'s three frames."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _rand_rat(rng: Random, max_num: int = 8, max_den: int = 5, nonzero: bool = False) -> Rat:
     while True:
-        num, den = rng.randint(-max_num, max_num), rng.randint(1, max_den)
+        num, den = _below(rng, 2 * max_num + 1) - max_num, _below(rng, max_den) + 1
         if num or not nonzero:
             return rat_from_ints(num, den)
 
@@ -141,13 +150,13 @@ def _rand_params(rng: Random, pool: list = _PARAM_POOL, spread: Rat | None = Non
     The spread keeps the lattice decay away from 1, so that series settle quickly.
     """
     while True:
-        p, q = rng.choice(pool), rng.choice(pool)
+        p, q = pool[_below(rng, len(pool))], pool[_below(rng, len(pool))]
         if p != q and p != -q and (spread is None or max(abs(q / p), abs(p / q)) >= spread):
             return PqParams(p, q)
 
 
 def _rand_poly(rng: Random, max_deg: int, max_num: int = 9, max_den: int = 5) -> Polynomial:
-    degree = rng.randint(0, max_deg)
+    degree = _below(rng, max_deg + 1)
     return Polynomial(_rand_rat(rng, max_num, max_den) for _ in range(degree + 1))
 
 
@@ -409,9 +418,7 @@ def _bracket_invariants(rng: Random) -> bool:
 @law("taylor-roundtrip", reverse=False)
 def _taylor_roundtrip(rng: Random, reverse: bool) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
-    f = Polynomial(
-        Rat(rng.randint(-50, 50), rng.randint(1, 50)) for _ in range(rng.randint(1, 9))
-    )
+    f = _rand_poly(rng, 8, max_num=50, max_den=50)
     a = _rand_rat(rng)
     expand = taylor_expand_reversed if reverse else taylor_expand
     expansion = expand(f, a, params)

@@ -44,6 +44,9 @@ class Orientation(enum.Enum):
         return (-c0, c1, big_q, big_p) if self is Orientation.X_MINUS_A else (c0, -c1, big_p, big_q)
 
 
+_ONE = rat(1)
+
+
 class PqPowerExpr(namedtuple("PqPowerExpr", "a n params gamma orientation")):
     """(gamma*x (-) a)^n or (a (-) gamma*x)^n for any integer n."""
 
@@ -51,9 +54,13 @@ class PqPowerExpr(namedtuple("PqPowerExpr", "a n params gamma orientation")):
     _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(
-        cls, a: object, n: int, params: PqParams, gamma: object = 1, orientation: Orientation = Orientation.X_MINUS_A
+        cls, a: object, n: int, params: PqParams, gamma: object = _ONE, orientation: Orientation = Orientation.X_MINUS_A
     ) -> "PqPowerExpr":
-        return super().__new__(cls, rat(a), n, params, rat(gamma), orientation)
+        if type(a) is not Rat:
+            a = rat(a)
+        if type(gamma) is not Rat:
+            gamma = rat(gamma)
+        return super().__new__(cls, a, n, params, gamma, orientation)
 
 
 def _power_ints(a: int, b: int, d: int, n: int, params: PqParams) -> tuple[int, int]:
@@ -84,17 +91,20 @@ def pq_power_value(first: object, second: object, n: int, params: PqParams) -> R
     if n < 0:
         raise NegativeArgumentError(f"need n >= 0, got {n}")
     u, v = rat(first), rat(second)
-    ud, vd = u.denominator, v.denominator
-    return rat_from_ints(*_power_ints(u.numerator * vd, v.numerator * ud, ud * vd, n, params))
+    ud, vd = u._denominator, v._denominator
+    return rat_from_ints(*_power_ints(u._numerator * vd, v._numerator * ud, ud * vd, n, params))
 
 
 def eval_pq_power(e: PqPowerExpr, x: object) -> Rat:
     """Exact value of the expression at rational x, with gamma*x and a over one denominator."""
-    x = rat(x)
-    gx_d = e.gamma.denominator * x.denominator
-    gx, a = e.gamma.numerator * x.numerator * e.a.denominator, e.a.numerator * gx_d
-    first, second = (gx, a) if e.orientation is Orientation.X_MINUS_A else (a, gx)
-    num, den = _power_ints(first, second, gx_d * e.a.denominator, e.n, e.params)
+    if type(x) is not Rat:
+        x = rat(x)
+    a, g = e.a, e.gamma
+    ad = a._denominator
+    gx_d = g._denominator * x._denominator
+    gx, ax = g._numerator * x._numerator * ad, a._numerator * gx_d
+    first, second = (gx, ax) if e.orientation is Orientation.X_MINUS_A else (ax, gx)
+    num, den = _power_ints(first, second, gx_d * ad, e.n, e.params)
     if den == 0:
         raise PoleError(f"denominator of {format_power_expr(e)} vanishes at x = {rat_str(x)}")
     return rat_from_ints(num, den)
@@ -105,16 +115,16 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
     if e.n < 0:
         raise NegativeArgumentError("negative powers are not polynomials")
     # factor j is the integer linear factor of factor_steps over gd*ad*S^j
-    c0 = e.a.numerator * e.gamma.denominator
-    c1 = e.gamma.numerator * e.a.denominator
-    lo, hi, lo_step, hi_step = e.orientation.factor_steps(c0, c1, e.params)
-    s = e.params.as_ints()[2]
+    a, g, n, params = e.a, e.gamma, e.n, e.params
+    ad, gd = a._denominator, g._denominator
+    lo, hi, lo_step, hi_step = e.orientation.factor_steps(a._numerator * gd, g._numerator * ad, params)
+    s = params.as_ints()[2]
     out = [1]
-    for _ in range(e.n):
+    for _ in range(n):
         out = [lo * c + hi * d for c, d in zip(out + [0], [0] + out)]
         lo *= lo_step
         hi *= hi_step
-    den = (e.a.denominator * e.gamma.denominator) ** e.n * s ** (e.n * (e.n - 1) // 2)
+    den = (ad * gd) ** n * s ** (n * (n - 1) // 2)
     return Polynomial([rat_from_ints(c, den) for c in out])
 
 
@@ -128,8 +138,11 @@ def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
     expression is then irrelevant but kept consistent).
     """
     base, sign = e.orientation.base_sign(e.params)
-    residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma=base * e.gamma, orientation=e.orientation)
-    return sign * e.gamma * bracket(e.n, e.params), residual
+    g, b = e.gamma, bracket(e.n, e.params)
+    gn, gd = g._numerator, g._denominator
+    gamma = rat_from_ints(gn * base._numerator, gd * base._denominator)
+    residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma, e.orientation)
+    return rat_from_ints(sign * gn * b._numerator, gd * b._denominator), residual
 
 
 def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
@@ -145,12 +158,13 @@ def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
     base, sign = e.orientation.base_sign(e.params)
     g, falling, c = e.gamma, bracket_falling(e.n, k, e.params), k * (k - 1) // 2
-    residual = PqPowerExpr(e.a, e.n - k, e.params, gamma=g * base**k, orientation=e.orientation)
+    gn, gd, bn, bd = g._numerator, g._denominator, base._numerator, base._denominator
+    residual = PqPowerExpr(e.a, e.n - k, e.params, rat_from_ints(gn * bn**k, gd * bd**k), e.orientation)
     if falling == 0:
         return falling, residual
     # the three factors over one denominator, normalised once
-    num = (sign * g.numerator) ** k * base.numerator**c * falling.numerator
-    return rat_from_ints(num, g.denominator**k * base.denominator**c * falling.denominator), residual
+    num = (sign * gn) ** k * bn**c * falling._numerator
+    return rat_from_ints(num, gd**k * bd**c * falling._denominator), residual
 
 
 _POWER_RE = re.compile(

@@ -8,12 +8,16 @@ lowest terms with a positive denominator, parsed from and printed as
 The hot exact kernels (brackets, Horner, polynomial ``scale``,
 ``pq_derive_poly``, the power product at every n,
 ``expand_expr``, and the Taylor formulas, reconstruction and connection
-coefficients) work fraction-free: they read ``numerator``/``denominator``,
+coefficients) work fraction-free: they read each value's integers,
 carry integer numerators over one common denominator, and normalise once
 per result instead of after every multiply.  Each result is built by
 :func:`rat_from_ints`, one gcd and a sign fix without ``Fraction``'s type
 dispatch, and the integers they start from come from the form
-(P, Q, S) that a :class:`PqParams` stores when it is made.
+(P, Q, S) that a :class:`PqParams` stores when it is made.  Two modules
+read a value's integers from the slots ``_numerator``/``_denominator``,
+since ``numerator``/``denominator`` are Python-level properties: this
+one, in ``PqParams`` and ``rat_from_ints``, and ``pqpower``, on the path
+of every power-basis evaluation, expansion and derivative.
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
@@ -67,8 +71,9 @@ def rat_from_ints(num: int, den: int) -> Rat:
     """``Rat(num, den)`` for ints: one gcd and a sign fix, without ``Fraction``'s type dispatch.
 
     It fills the two slots ``Fraction`` declares, the only place in the
-    package that touches them; a ``Fraction`` with other slots fails the
-    test that pins them.  ``den == 0`` raises ``ZeroDivisionError``.
+    package that writes them; ``PqParams`` here and the ``pqpower`` kernels
+    read them, and a ``Fraction`` with other slots fails the test that pins
+    them.  ``den == 0`` raises ``ZeroDivisionError``.
     """
     g = math.gcd(num, den)
     if den <= 0:
@@ -110,24 +115,26 @@ class PqParams(namedtuple("PqParams", "p q")):
     Both restrictions are load bearing: p - q divides every bracket, and
     negative powers as well as the integral lattices divide by p and q.
     The integer form (P, Q, S) of :meth:`as_ints` is computed once, in
-    ``__new__``, and kept in the instance dict (a namedtuple subclass cannot
-    have non-empty ``__slots__``); ``__setattr__`` refuses every name, and
-    copies and pickles are rebuilt through ``__new__``.  The regime is
-    derived from that form: it orders |q| against |p| in integers over
-    their common denominator.
+    ``__new__``, which checks both restrictions on it (P != Q, and nonzero
+    numerators), and kept in the instance dict (a namedtuple subclass
+    cannot have non-empty ``__slots__``); ``__setattr__`` refuses every
+    name, and copies and pickles are rebuilt through ``__new__``.  The
+    regime is derived from that form: it orders |q| against |p| in integers
+    over their common denominator.
     """
 
     _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(cls, p: object, q: object) -> "PqParams":
         p, q = rat(p), rat(q)
-        if p == q:
+        pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
+        big_p, big_q = pn * qd, qn * pd
+        if big_p == big_q:
             raise ValueError("p and q must differ (p - q appears in every denominator)")
-        if p == 0 or q == 0:
+        if not (pn and qn):
             raise ValueError("p and q must be nonzero")
         self = super().__new__(cls, p, q)
-        pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-        object.__setattr__(self, "_ints", (pn * qd, qn * pd, pd * qd))
+        object.__setattr__(self, "_ints", (big_p, big_q, pd * qd))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -303,8 +310,8 @@ def _falling_vanishes(n: int, k: int, params: PqParams) -> bool:
     """Whether [n][n-1]...[n-k+1] has a zero factor: [0] (0 <= n < k), or an even j at p = -q."""
     if 0 <= n < k:
         return True
-    p, q = params  # p = -q read from the lowest terms, without the cost of forming -q
-    return (k > 1 or k == 1 and not n % 2) and p.numerator == -q.numerator and p.denominator == q.denominator
+    big_p, big_q, _ = params.as_ints()  # p = -q exactly when P = -Q, without forming -q
+    return (k > 1 or k == 1 and not n % 2) and big_p == -big_q
 
 
 def pq_binomial(n: int, k: int, params: PqParams) -> Rat:

@@ -1,5 +1,6 @@
 """CLI surface: output formats, JSON round trips, exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -619,3 +620,24 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (141, b"")
+
+
+class TestOutOfMemory:
+    # both pass the digit guard; the kernel stands in for the memory running out
+    @pytest.mark.parametrize(
+        "argv, owner, kernel",
+        [
+            (["bracket", "100000000000"], "cli", "bracket"),
+            (["derive", "pqpow(a=1, n=99999999999)"], "pqpower", "derive_pq_power_iterated"),
+        ],
+        ids=["bracket", "derive"],
+    )
+    def test_memory_error_exits_two_by_name(self, capsys, monkeypatch, argv, owner, kernel):
+        def exhaust(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(importlib.import_module(f"pqcalc.{owner}"), kernel, exhaust)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[0]}: out of memory; the result is too large to compute"
+        assert "Traceback" not in err

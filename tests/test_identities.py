@@ -238,3 +238,11 @@ class TestDrawPins:
             rng = Random(repr((seed, 0, label)))
             assert CHECKS[label](rng, 200) == CheckResult(label, 200, 0)
             assert rng.getrandbits(64) == state, (label, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17, 2**20 - 1, 2**20 + 1])
+    def test_draw_helper_is_randrange(self, n):
+        # the samplers draw through _below instead of randint; it must consume the generator alike
+        for seed in range(50):
+            mine, stdlib = Random(seed), Random(seed)
+            assert [identities._below(mine, n) for _ in range(40)] == [stdlib.randrange(n) for _ in range(40)]
+            assert mine.getstate() == stdlib.getstate(), (n, seed)

@@ -23,7 +23,15 @@ import pytest
 from pqcalc.errors import DegenerateRegimeError, PoleError
 from pqcalc import polynomials
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
-from pqcalc.pqpower import Orientation, PqPowerExpr, eval_pq_power, expand_expr, pq_power_value
+from pqcalc.pqpower import (
+    Orientation,
+    PqPowerExpr,
+    derive_pq_power,
+    derive_pq_power_iterated,
+    eval_pq_power,
+    expand_expr,
+    pq_power_value,
+)
 from pqcalc.scalars import PqParams, Rat, bracket, rat
 from pqcalc.taylor import (
     PowerBasisExpansion,
@@ -533,6 +541,102 @@ class TestNegativePower:
                     assert eval_pq_power(e, x) == 1 / denom
 
 
+class TestPowerBasisEntryPoints:
+    """eval_pq_power, expand_expr and the derivatives of a PqPowerExpr against plain Fraction steps.
+
+    The kernels read the integers of a, gamma, x and (P, Q, S) once per call;
+    these references form every product and quotient as a Fraction.
+    """
+
+    PARAMS = [(Fraction(3, 2), Fraction(-1, 3)), (Fraction(2), Fraction(1, 2)), (Fraction(-5, 4), Fraction(7, 3))]
+    SHIFTS = [Fraction(4, 3), Fraction(-1, 2)]
+    GAMMAS = [Fraction(-3, 2), Fraction(5, 7), 2]
+    POINTS = [Fraction(-7, 3), Fraction(2, 5), 3, -2, "5/4", "-1/6", 0]  # Rat, int and str
+
+    @staticmethod
+    def quotient(a, n, p, q, gamma, x, orientation):
+        """The value as (num, den): (first (-) second)^n over 1, or 1 over (p^n first (-) q^n second)^-n for n < 0."""
+        gx = gamma * x
+        first, second = (gx, a) if orientation is Orientation.X_MINUS_A else (a, gx)
+        if n >= 0:
+            return ref_power_value(first, second, n, p, q), 1
+        return 1, ref_power_value(p**n * first, q**n * second, -n, p, q)
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", PARAMS)
+    def test_eval_and_expand_match_reference(self, p, q, orientation):
+        params, poles = PqParams(p, q), 0
+        for a in self.SHIFTS:
+            for gamma in self.GAMMAS:
+                for n in range(-4, 7):
+                    e = PqPowerExpr(a, n, params, gamma=gamma, orientation=orientation)
+                    if n >= 0:
+                        expanded = ref_expand(a, n, p, q, Fraction(gamma), orientation)
+                        got = expand_expr(e)
+                        assert got.coeffs == expanded
+                        for c in got.coeffs:
+                            assert_lowest_rat(c)
+                    # the last factor of every n < 0 vanishes at gamma x = (p/q)^{+-1} a
+                    pole = (p / q if orientation is Orientation.X_MINUS_A else q / p) * a / gamma
+                    for x in self.POINTS + [pole]:
+                        num, den = self.quotient(a, n, p, q, Fraction(gamma), Fraction(x), orientation)
+                        if den == 0:
+                            poles += 1
+                            with pytest.raises(PoleError):
+                                eval_pq_power(e, x)
+                            continue
+                        got = eval_pq_power(e, x)
+                        assert got == num / den
+                        assert_lowest_rat(got)
+                        if n >= 0:
+                            assert got == ref_eval(expanded, Fraction(x))
+        assert poles == len(self.SHIFTS) * len(self.GAMMAS) * 4  # one per n in [-4, -1]
+
+    @pytest.mark.parametrize(
+        "e, x, message",
+        [
+            (PqPowerExpr(1, -1, PqParams(2, 1)), 2, "pqpow(a=1, n=-1, gamma=1) vanishes at x = 2"),
+            (PqPowerExpr(1, -1, PqParams(2, 1)), Fraction(2), "pqpow(a=1, n=-1, gamma=1) vanishes at x = 2"),
+            (
+                PqPowerExpr("3/2", -2, PqParams(2, 1), "-1/2", Orientation.A_MINUS_X),
+                "-3/4",
+                "pqpowrev(a=3/2, n=-2, gamma=-1/2) vanishes at x = -3/4",
+            ),
+            (
+                PqPowerExpr("3/2", -2, PqParams(2, 1), "-1/2", Orientation.A_MINUS_X),
+                Fraction(-3, 2),
+                "pqpowrev(a=3/2, n=-2, gamma=-1/2) vanishes at x = -3/2",
+            ),
+        ],
+    )
+    def test_pole_message(self, e, x, message):
+        with pytest.raises(PoleError) as info:
+            eval_pq_power(e, x)
+        assert str(info.value) == f"denominator of {message}"
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", PARAMS + EDGE_PARAMS)
+    def test_derivatives_match_reference(self, p, q, orientation):
+        params = PqParams(p, q)
+        base, sign = (p, 1) if orientation is Orientation.X_MINUS_A else (q, -1)
+        for a in self.SHIFTS:
+            for gamma in map(Fraction, self.GAMMAS):
+                for n in range(-4, 7):
+                    e = PqPowerExpr(a, n, params, gamma=gamma, orientation=orientation)
+                    coeff, residual = derive_pq_power(e)
+                    assert coeff == sign * gamma * ref_bracket(n, p, q)
+                    assert residual == PqPowerExpr(a, n - 1, params, gamma * base, orientation)
+                    assert_lowest_rat(coeff)
+                    assert_lowest_rat(residual.gamma)
+                    for k in range(5):
+                        coeff, residual = derive_pq_power_iterated(e, k)
+                        falling = math.prod((ref_bracket(n - j, p, q) for j in range(k)), start=Fraction(1))
+                        assert coeff == (sign * gamma) ** k * base ** (k * (k - 1) // 2) * falling
+                        assert residual == PqPowerExpr(a, n - k, params, gamma * base**k, orientation)
+                        assert_lowest_rat(coeff)
+                        assert_lowest_rat(residual.gamma)
+
+
 class TestReconstruction:
     """PowerBasisExpansion.to_polynomial against expanding every basis element."""
 
@@ -702,3 +806,61 @@ class TestOneNormalisingConstructor:
     def test_the_scan_sees_each_spelling(self):
         source = "def f(n, d):\n    return Rat(n, d), Rat(*p), Fraction(n, denominator=d), Rat(n)\n"
         assert two_argument_rat_calls(source) == [(2, "f")] * 3
+
+
+SLOTS = ("_numerator", "_denominator")
+# the modules that read Fraction's two slots directly, pinned so that a new reader is deliberate
+SLOT_READERS = {"pqpower.py", "scalars.py"}
+
+
+def fraction_slot_uses(source):
+    """(reads, writes): the enclosing function of each read and of each write of a Fraction slot.
+
+    A write is an assignment or deletion of ``x._numerator``/``x._denominator``, or a
+    ``setattr``/``__setattr__`` call that names one of them.
+    """
+    reads, writes, scopes = [], [], []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scopes.append(node.name)
+            self.generic_visit(node)
+            scopes.pop()
+
+        def visit_Attribute(self, node):
+            if node.attr in SLOTS:
+                (reads if isinstance(node.ctx, ast.Load) else writes).append(scopes[-1] if scopes else None)
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("setattr", "__setattr__") and any(
+                isinstance(a, ast.Constant) and a.value in SLOTS for a in node.args
+            ):
+                writes.append(scopes[-1] if scopes else None)
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return reads, writes
+
+
+class TestFractionSlots:
+    """Which modules read ``Fraction``'s slots directly, and that only ``rat_from_ints`` writes them."""
+
+    SOURCES = sorted(Path(polynomials.__file__).parent.glob("*.py"))
+
+    def test_readers_are_the_pin(self):
+        assert {path.name for path in self.SOURCES if fraction_slot_uses(path.read_text())[0]} == SLOT_READERS
+
+    def test_only_rat_from_ints_writes_them(self):
+        writes = {(path.name, scope) for path in self.SOURCES for scope in fraction_slot_uses(path.read_text())[1]}
+        assert writes == {("scalars.py", "rat_from_ints")}
+
+    def test_the_scan_sees_each_spelling(self):
+        source = (
+            "def f(x, v):\n    n = x._numerator + x.numerator\n    v._denominator = n\n"
+            "    setattr(v, '_numerator', n)\n    object.__setattr__(v, '_denominator', n)\n    del v._numerator\n"
+        )
+        assert fraction_slot_uses(source) == (["f"], ["f"] * 4)
+

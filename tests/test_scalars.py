@@ -23,6 +23,7 @@ from pqcalc.scalars import (
     Regime,
     TruncationPolicy,
     _bracket_ints,
+    _falling_vanishes,
     bracket,
     bracket_alpha,
     bracket_falling,
@@ -152,7 +153,10 @@ class TestPqParams:
         "p,q,message",
         [
             (2, 2, "p and q must differ (p - q appears in every denominator)"),
+            ("2/4", "1/2", "p and q must differ (p - q appears in every denominator)"),
+            (0, 0, "p and q must differ (p - q appears in every denominator)"),
             (0, 1, "p and q must be nonzero"),
+            ("0/5", 1, "p and q must be nonzero"),
             (1, 0, "p and q must be nonzero"),
         ],
     )
@@ -250,6 +254,15 @@ class TestBracket:
         for n in range(-6, 8):
             for k in range(5):
                 assert bracket_falling(n, k, params) == math.prod(bracket(j, params) for j in range(n - k + 1, n + 1))
+
+    @pytest.mark.parametrize("p, q", [("3/2", "-3/2"), ("-5", "5"), ("3/4", "3/2"), ("-2/3", "4/9"), ("3/2", "3/4")])
+    def test_falling_vanishes_exactly_at_a_zero_factor(self, p, q):
+        p, q = Rat(p), Rat(q)
+        params = PqParams(p, q)
+        for n in range(-5, 8):
+            for k in range(5):
+                zero_factor = any((p**j - q**j) / (p - q) == 0 for j in range(n - k + 1, n + 1))
+                assert _falling_vanishes(n, k, params) is zero_factor
 
     def test_opposite_parameters_vanish_without_forming_a_power(self, monkeypatch):
         # [j] = 0 for even j at p = -q, as 0 over 1 rather than over S^j
