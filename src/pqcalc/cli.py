@@ -185,14 +185,29 @@ def _triangle(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _require_printable(lo: float, hi: float, what: str) -> None:
-    """Refuse, before computing it, a rational with lo <= log10|value| <= hi that cannot be printed.
+def _denominator_log10(n: int, params: PqParams) -> float:
+    """A lower bound on log10 of [n]'s reduced denominator, one digit short for rounding.
 
-    Its numerator or denominator has at least max(lo, -hi) digits, and
-    str() refuses an int longer than the int-to-str limit.
+    For n >= 2 that denominator is a multiple of B^(n-1), where B is pd qd
+    (p = pn/pd, q = qn/qd) without the primes pd and qd share: a prime r of
+    pd alone divides Q but not P, so (P^n - Q^n)/(P - Q) = P^(n-1) != 0 mod r.
+    """
+    pd, qd = params.p.denominator, params.q.denominator
+    b, g = pd * qd, math.gcd(pd, qd)
+    while g > 1:
+        b //= g
+        g = math.gcd(b, g)
+    return (n - 1) * math.log10(b) - 1 if n >= 2 else 0.0
+
+
+def _require_printable(digits: float, what: str) -> None:
+    """Refuse, before computing it, a rational whose numerator or denominator has at least ``digits`` digits.
+
+    If lo <= log10|value| <= hi, one of them has at least max(lo, -hi)
+    digits, and str() refuses an int longer than the int-to-str limit.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if limit and max(lo, -hi) > limit:
+    if limit and digits > limit:
         raise _over_limit(what, limit)
 
 
@@ -219,7 +234,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     except ValueError:
         n = None
     if n is not None:
-        _require_printable(*_falling_log10(n, 1, params), f"[{n}]")
+        lo, hi = _falling_log10(n, 1, params)
+        _require_printable(max(lo, -hi, _denominator_log10(n, params)), f"[{n}]")
         text = _printed(rat_str, bracket(n, params), f"[{n}]")
         _emit(args, {"value": text}, text)
     else:
@@ -247,7 +263,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
             base, _ = expr.orientation.base_sign(params)
             scale = k * _log10(expr.gamma) + k * (k - 1) // 2 * _log10(base)
             lo, hi = _falling_log10(expr.n, k, params)
-            _require_printable(lo + scale, hi + scale, "the coefficient")
+            _require_printable(max(lo + scale, -hi - scale), "the coefficient")
         coeff, residual = derive_pq_power_iterated(expr, k)
         coeff_text = _printed(rat_str, coeff, "the coefficient")
         text = _printed(format_power_expr, residual, "the residual's gamma")

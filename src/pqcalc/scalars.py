@@ -12,8 +12,8 @@ coefficients) work fraction-free: they read each value's integers,
 carry integer numerators over one common denominator, and normalise once
 per result instead of after every multiply.  Each result is built by
 :func:`rat_from_ints`, one gcd and a sign fix without ``Fraction``'s type
-dispatch, and the integers they start from come from the form
-(P, Q, S) that a :class:`PqParams` stores when it is made.  Two modules
+dispatch, and the integers they start from come from the form (P, Q, S)
+that :meth:`PqParams.as_ints` computes each time it is asked.  Two modules
 read a value's integers from the slots ``_numerator``/``_denominator``,
 since ``numerator``/``denominator`` are Python-level properties: this
 one, in ``PqParams`` and ``rat_from_ints``, and ``pqpower``, on the path
@@ -114,34 +114,23 @@ class PqParams(namedtuple("PqParams", "p q")):
 
     Both restrictions are load bearing: p - q divides every bracket, and
     negative powers as well as the integral lattices divide by p and q.
-    The integer form (P, Q, S) of :meth:`as_ints` is computed once, in
-    ``__new__``, which checks both restrictions on it (P != Q, and nonzero
-    numerators), and kept in the instance dict (a namedtuple subclass
-    cannot have non-empty ``__slots__``); ``__setattr__`` refuses every
-    name, and copies and pickles are rebuilt through ``__new__``.  The
-    regime is derived from that form: it orders |q| against |p| in integers
-    over their common denominator.
+    ``__new__`` checks both on the integer form (P, Q, S) that
+    :meth:`as_ints` computes (P != Q, and nonzero numerators).  The regime
+    is derived from that form: it orders |q| against |p| in integers over
+    their common denominator.
     """
 
+    __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # _replace goes through _make, so both validate
 
     def __new__(cls, p: object, q: object) -> "PqParams":
         p, q = rat(p), rat(q)
         pn, pd, qn, qd = p._numerator, p._denominator, q._numerator, q._denominator
-        big_p, big_q = pn * qd, qn * pd
-        if big_p == big_q:
+        if pn * qd == qn * pd:
             raise ValueError("p and q must differ (p - q appears in every denominator)")
         if not (pn and qn):
             raise ValueError("p and q must be nonzero")
-        self = super().__new__(cls, p, q)
-        object.__setattr__(self, "_ints", (big_p, big_q, pd * qd))
-        return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PqParams is immutable")
-
-    def __reduce__(self) -> tuple:
-        return type(self), tuple(self)
+        return super().__new__(cls, p, q)
 
     @property
     def regime(self) -> Regime:
@@ -161,8 +150,10 @@ class PqParams(namedtuple("PqParams", "p q")):
         return p, q
 
     def as_ints(self) -> tuple[int, int, int]:
-        """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd, stored by ``__new__``."""
-        return self._ints
+        """(P, Q, S) with p = P/S and q = Q/S: P = pn*qd, Q = qn*pd, S = pd*qd."""
+        p, q = self
+        pd, qd = p._denominator, q._denominator
+        return p._numerator * qd, q._numerator * pd, pd * qd
 
     def __str__(self) -> str:
         return f"(p={self.p}, q={self.q})"

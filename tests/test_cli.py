@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -135,11 +136,11 @@ class TestBracketCommand:
         assert err == f"error: [10000001] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
     def test_long_denominator_is_refused_by_name(self, capsys, monkeypatch):
-        # |[6040]| is about 10^882, inside the guard, but its numerator and denominator are too long to print
+        # |[6040]| is about 10^882, but its denominator is a multiple of 15^6039: refused before computing
         computed = []
         monkeypatch.setattr(cli, "bracket", lambda *args: computed.append(args) or bracket(*args))
         code, out, err = run_cli(capsys, "bracket", "6040", "--p", "7/5", "--q", "2/3")
-        assert (code, out, len(computed)) == (2, "", 1)
+        assert (code, out, len(computed)) == (2, "", 0)
         assert err == f"error: [6040] has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
         assert "Traceback" not in err
 
@@ -157,6 +158,18 @@ class TestBracketCommand:
                     assert (lo, hi) == (-math.inf, math.inf)
                 else:
                     assert lo - 1e-9 <= cli._log10(value) <= hi + 1e-9
+
+    def test_denominator_bound_holds(self):
+        # the bound plus its one digit of margin stays below log10 of the reduced denominator
+        rng = random.Random(31)
+        for _ in range(150):
+            p, q = (rat(f"{rng.choice((-1, 1)) * rng.randint(1, 30)}/{rng.randint(1, 40)}") for _ in "pq")
+            if p == q:
+                continue
+            params = PqParams(p, q)
+            for n in range(2, 31):
+                digits = math.log10(bracket(n, params).denominator)
+                assert cli._denominator_log10(n, params) + 1 <= digits + 1e-9, (p, q, n)
 
 
 class TestDeriveCommand:
@@ -623,11 +636,11 @@ class TestClosedStdout:
 
 
 class TestOutOfMemory:
-    # both pass the digit guard; the kernel stands in for the memory running out
+    # both pass the digit guards; the kernel stands in for the memory running out
     @pytest.mark.parametrize(
         "argv, owner, kernel",
         [
-            (["bracket", "100000000000"], "cli", "bracket"),
+            (["bracket", "100000000001", "--p", "1", "--q", "-1"], "cli", "bracket"),
             (["derive", "pqpow(a=1, n=99999999999)"], "pqpower", "derive_pq_power_iterated"),
         ],
         ids=["bracket", "derive"],

@@ -187,17 +187,10 @@ class TestPqParams:
             (params._replace(p="5/7"), PqParams("5/7", "-1/3")),
             (PqParams._make(["-1/3", "3/2"]), other),
             (params.swapped(), other),
-            (copy.copy(params), params),
-            (copy.deepcopy(params), params),
-            (pickle.loads(pickle.dumps(params)), params),
         ]
         for value, expected in rebuilt:
             assert type(value) is PqParams and value == expected
             assert value.as_ints() == expected.as_ints()
-
-    def test_copies_are_rebuilt_by_calling_the_class(self):
-        # so a copy or an unpickled value is validated and gets its integer form from __new__
-        assert PqParams(1, 2).__reduce__() == (PqParams, (rat(1), rat(2)))
 
     @pytest.mark.parametrize("name", ["p", "q", "_ints", "other"])
     def test_attributes_cannot_be_set(self, name):
@@ -374,6 +367,35 @@ class TestBracketAlpha:
         assert repr(x) == "FloatScalar(value=0.25)"
         with pytest.raises(AttributeError):
             x.value = 0.5
+
+
+RECORDS = [
+    FloatScalar(0.25),
+    TruncationPolicy(),
+    PqParams("3/2", "-1/3"),
+    PqPowerExpr("1/2", 3, PqParams(2, "-1/3"), "2/3", Orientation.A_MINUS_X),
+    PowerBasisExpansion("1/2", Orientation.X_MINUS_A, ["3/2", 0, -1]),
+]
+
+
+class TestRecordShape:
+    """The five records are plain namedtuples: no instance dict, and copies equal to the original."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_no_instance_dict(self, record):
+        assert type(record).__slots__ == () and not hasattr(record, "__dict__")
+
+    def test_params_keep_no_derived_state(self):
+        assert not {"__setattr__", "__reduce__"} & set(vars(PqParams))
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_copies_are_equal_records(self, record):
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for value in copies:
+            assert type(value) is type(record) and value == record
+            if isinstance(record, PqParams):
+                assert value.as_ints() == record.as_ints()
 
 
 class TestNamedTupleHelpersValidate:
