@@ -35,7 +35,7 @@ from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bra
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    from .polynomials import NumericFn, Polynomial
+    from .polynomials import NumericFn
 
 # Each command imports its own layers inside its function, so a cold
 # ``pq bracket`` never compiles the suite, the integrals or the power basis.
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         action="append",
         metavar="LABEL",
-        help="run only matching checks (prefix match; repeatable)",
+        help="run only the check LABEL and the checks named LABEL-…; repeatable",
     )
     p_ident.add_argument(
         "--self-test-fail",
@@ -139,13 +139,6 @@ def _rat_arg(name: str, text: str) -> Rat:
 
 def _bound(name: str, text: str) -> float:
     return _float_view(name, _rat_arg(name, text))
-
-
-def _poly_arg(name: str, text: str) -> Polynomial:
-    """The polynomial "c0,c1,...", each coefficient read by ``_rat_arg`` as "coefficient i of ``name``"."""
-    from .polynomials import Polynomial
-
-    return Polynomial(_rat_arg(f"coefficient {i} of {name}", c) for i, c in enumerate(text.split(",")))
 
 
 def _params(args: argparse.Namespace) -> PqParams:
@@ -242,6 +235,9 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         try:
             alpha = float(args.n)
         except ValueError:  # "3/2" is no float literal
+            alpha = None
+        if alpha is None or math.isinf(alpha) and "inf" not in args.n.lower():
+            # a finite literal such as 1e400 whose double overflows is refused as n, not as alpha = inf
             alpha = _float_view("n", _rat_arg("n", args.n))
         value = bracket_alpha(alpha, params).value
         _emit(args, {"value": value}, repr(value))
@@ -249,7 +245,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    from .polynomials import pq_derive_poly_k
+    from .polynomials import Polynomial, pq_derive_poly_k
     from .pqpower import derive_pq_power_iterated, format_power_expr, parse_power_expr
 
     params = _params(args)
@@ -269,30 +265,31 @@ def cmd_derive(args: argparse.Namespace) -> int:
         text = _printed(format_power_expr, residual, "the residual's gamma")
         _emit(args, {"coeff": coeff_text, "expr": text}, f"{coeff_text} * {text}")
     else:
-        result = pq_derive_poly_k(_poly_arg("expr", args.expr), k, params)
+        result = pq_derive_poly_k(Polynomial.from_string(args.expr, "expr"), k, params)
         _emit(args, {"poly": result.to_string()}, result.to_string())
     return 0
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
-    from .taylor import taylor_expand, taylor_expand_reversed
+    from .polynomials import Polynomial
+    from .pqpower import Orientation
+    from .taylor import taylor_expand
 
     params = _params(args)
-    f = _poly_arg("poly", args.poly)
+    f = Polynomial.from_string(args.poly)
     a = _rat_arg("a", args.a)
-    expand = taylor_expand_reversed if args.reversed else taylor_expand
-    expansion = expand(f, a, params)
+    expansion = taylor_expand(f, a, params, Orientation.A_MINUS_X if args.reversed else Orientation.X_MINUS_A)
     payload = expansion.to_json_dict()
     payload["exact"] = expansion.to_polynomial(params) == f
-    print(json.dumps(payload) if args.json else json.dumps(payload, indent=2))
+    _emit(args, payload, json.dumps(payload, indent=2))
     return 0
 
 
 def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
-    from .polynomials import NumericFn
+    from .polynomials import NumericFn, Polynomial
 
     if spec.startswith("poly:"):
-        f = _poly_arg(spec, spec[len("poly:"):])
+        f = Polynomial.from_string(spec[len("poly:"):], spec)
         for i, c in enumerate(f.coeffs):
             _float_view(f"coefficient {i} of {spec}", c)
         return NumericFn.from_polynomial(f)
@@ -365,34 +362,20 @@ def cmd_identities(args: argparse.Namespace) -> int:
     if args.self_test_fail:  # a deliberately false identity shows that failures are reported
         results.append(CheckResult("self-test-forced-failure", args.trials, args.trials, ("intentional failure",)))
     passed = all(r.passed for r in results)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "trials": args.trials,
-                    "passed": passed,
-                    "results": [
-                        {
-                            "label": r.label,
-                            "trials": r.trials,
-                            "failures": r.failures,
-                            "passed": r.passed,
-                            "notes": list(r.notes),
-                        }
-                        for r in results
-                    ],
-                }
-            )
-        )
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"{r.label:28s} {r.trials:6d} trials {r.failures:5d} failures  {mark}")
-            for note in r.notes:
-                print(f"    {note}")
-        total = sum(r.trials for r in results)
-        print(f"overall: {'PASS' if passed else 'FAIL'} ({len(results)} checks, {total} trials)")
+    payload = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "passed": passed,
+        "results": [r.to_json_dict() for r in results],
+    }
+    lines = []
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        lines.append(f"{r.label:28s} {r.trials:6d} trials {r.failures:5d} failures  {mark}")
+        lines.extend(f"    {note}" for note in r.notes)
+    total = sum(r.trials for r in results)
+    lines.append(f"overall: {'PASS' if passed else 'FAIL'} ({len(results)} checks, {total} trials)")
+    _emit(args, payload, "\n".join(lines))
     return 0 if passed else 1
 
 

@@ -73,7 +73,6 @@ from .taylor import (
     heine_series_eval,
     reciprocal_power_series,
     taylor_expand,
-    taylor_expand_reversed,
 )
 
 
@@ -86,6 +85,15 @@ class CheckResult(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.failures == 0
+
+    def to_json_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "trials": self.trials,
+            "failures": self.failures,
+            "passed": self.passed,
+            "notes": list(self.notes),
+        }
 
 
 # ----------------------------------------------------------------- registry
@@ -414,14 +422,13 @@ def _bracket_invariants(rng: Random) -> bool:
 
 # ------------------------------------------------------------ Taylor layer
 
-@law("taylor-roundtrip-reversed", reverse=True)
-@law("taylor-roundtrip", reverse=False)
-def _taylor_roundtrip(rng: Random, reverse: bool) -> bool:
+@law("taylor-roundtrip-reversed", orientation=Orientation.A_MINUS_X)
+@law("taylor-roundtrip", orientation=Orientation.X_MINUS_A)
+def _taylor_roundtrip(rng: Random, orientation: Orientation) -> bool:
     params = _rand_params(rng, pool=_TAYLOR_POOL)
     f = _rand_poly(rng, 8, max_num=50, max_den=50)
     a = _rand_rat(rng)
-    expand = taylor_expand_reversed if reverse else taylor_expand
-    expansion = expand(f, a, params)
+    expansion = taylor_expand(f, a, params, orientation)
     if expansion.to_polynomial(params) != f:
         return False
     return f.is_zero() or len(expansion.coeffs) == len(f.coeffs)
@@ -434,8 +441,7 @@ def _connect_monomial(rng: Random, orientation: Orientation) -> bool:
     n = rng.randint(0, 8)
     a = _rand_rat(rng)
     coeffs = connect_monomial(n, a, params, orientation)
-    expand = taylor_expand if orientation is Orientation.X_MINUS_A else taylor_expand_reversed
-    expansion = expand(Polynomial.monomial(n), a, params)
+    expansion = taylor_expand(Polynomial.monomial(n), a, params, orientation)
     padded = expansion.coeffs + (rat(0),) * (len(coeffs) - len(expansion.coeffs))
     return coeffs == padded
 

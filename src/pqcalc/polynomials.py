@@ -26,6 +26,9 @@ converts them once per evaluator.  Both convert with
 :func:`~pqcalc.scalars.rat_float`, bit for bit ``float(c)``, so the two
 agree bit for bit.  They stay two loops: an evaluator built inside every
 float :func:`eval_poly` call made the ``lattice-grid`` set-up about 40% slower.
+
+:meth:`Polynomial.from_string` is the one reader of "c0,c1,...", the
+``pq`` commands' polynomial arguments included.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import MissingDerivativeAtZeroError
-from .scalars import PqParams, Rat, bracket_numerators, rat, rat_float, rat_from_ints, rat_str
+from .scalars import PqParams, Rat, bracket_numerators, rat, rat_float, rat_from_ints, rat_named, rat_str
 
 _NEG_INF = float("-inf")
 
@@ -66,10 +69,9 @@ class Polynomial:
         return cls([0] * n + [coeff])
 
     @classmethod
-    def from_string(cls, text: str) -> "Polynomial":
-        """Parse the dense form "c0,c1,...,cN" of rational literals."""
-        parts = [part.strip() for part in text.split(",")]
-        return cls(rat(part) for part in parts)
+    def from_string(cls, text: str, name: str = "poly") -> "Polynomial":
+        """Parse "c0,c1,...,cN"; a part that is no rational literal is refused as "coefficient i of ``name``"."""
+        return cls(rat_named(f"coefficient {i} of {name}", c) for i, c in enumerate(text.split(",")))
 
     def to_string(self) -> str:
         if not self.coeffs:

@@ -9,7 +9,10 @@ evaluation formulas
 with one bracket table per call, and Horner's rule in the power basis,
 c_0 + L_0 (c_1 + L_1 (c_2 + ...)) over its linear factors L_j, rebuilds f
 exactly; both are O(N^2) integer work.  (An independent triangular linear
-solve lives in the test suite as the oracle for these formulas.)
+solve lives in the test suite as the oracle for these formulas.)  They are
+one formula: ``taylor_expand`` takes the basis as its ``orientation``
+argument, as the connection formulas do, and ``taylor_expand_reversed`` is
+``taylor_expand`` with ``Orientation.A_MINUS_X``.
 
 Both formulas divide by [k]!, which vanishes at p = -q; that degenerate
 parameter pair is rejected even though the expansion coefficients would
@@ -71,9 +74,11 @@ class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeff
         }
 
 
-def _expand_by_formula(
-    f: Polynomial, a: Rat, params: PqParams, orientation: Orientation
+def taylor_expand(
+    f: Polynomial, a: object, params: PqParams, orientation: Orientation = Orientation.X_MINUS_A
 ) -> PowerBasisExpansion:
+    """Expand f over (x (-) a)^k, or over (a (-) x)^k for ``Orientation.A_MINUS_X``; round trips exactly."""
+    a = rat(a)
     base, sign = orientation.base_sign(params)
     bn, bd = base.numerator, base.denominator
     s = params.as_ints()[2]
@@ -99,14 +104,9 @@ def _expand_by_formula(
     return PowerBasisExpansion(a=a, orientation=orientation, coeffs=tuple(coeffs))
 
 
-def taylor_expand(f: Polynomial, a: object, params: PqParams) -> PowerBasisExpansion:
-    """Expand f over the forward basis (x (-) a)^k; round trips exactly."""
-    return _expand_by_formula(f, rat(a), params, Orientation.X_MINUS_A)
-
-
 def taylor_expand_reversed(f: Polynomial, a: object, params: PqParams) -> PowerBasisExpansion:
-    """Expand f over the reversed basis (a (-) x)^k; round trips exactly."""
-    return _expand_by_formula(f, rat(a), params, Orientation.A_MINUS_X)
+    """``taylor_expand`` over the reversed basis (a (-) x)^k."""
+    return taylor_expand(f, a, params, Orientation.A_MINUS_X)
 
 
 def connect_monomial(

@@ -13,6 +13,7 @@ import pytest
 
 from pqcalc import cli
 from pqcalc.cli import main
+from pqcalc.identities import run_suite
 from pqcalc.scalars import PqParams, bracket, bracket_falling, rat, rat_str
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,6 +81,13 @@ class TestBracketCommand:
         assert (code, out, err) == (2, "", f"error: {message}")
         code, out, _ = run_cli(capsys, "bracket", "2", "--p", pq[0], "--q", pq[1], *json_flag)
         assert code == 0 and out  # the exact bracket needs no float view
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize("n", ["1e400", "-1e400"])
+    def test_finite_literal_past_the_double_range_is_refused_as_n(self, capsys, n, json_flag):
+        # float("1e400") is inf, but the literal is finite: refused like --p 1e400, not as alpha = inf
+        code, out, err = run_cli(capsys, "bracket", *json_flag, "--", n)
+        assert (code, out, err) == (2, "", "error: n is outside the double range: its float view overflows")
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
     @pytest.mark.parametrize("alpha, p", [("1e308", "2"), ("1750.0", "3/2")], ids=["power", "quotient"])
@@ -583,6 +591,31 @@ class TestIdentitiesCommand:
                 "notes": ["intentional failure"],
             },
         ]
+
+    def test_json_results_are_the_suite_results(self, capsys):
+        code, out, _ = run_cli(capsys, "identities", "--seed", "7", "--trials", "2", "--json")
+        payload = json.loads(out)
+        assert (code, list(payload)) == (0, ["seed", "trials", "passed", "results"])
+        assert payload["results"] == [r.to_json_dict() for r in run_suite(seed=7, trials=2)]
+
+    @pytest.mark.parametrize(
+        "query, labels",
+        [
+            ("product-rule", ["product-rule-1", "product-rule-2"]),
+            ("taylor-roundtrip", ["taylor-roundtrip", "taylor-roundtrip-reversed"]),
+            ("derule1", ["derule1"]),
+        ],
+    )
+    def test_only_takes_a_label_and_the_labels_that_extend_it_with_a_dash(self, capsys, query, labels):
+        code, out, _ = run_cli(capsys, "identities", "--only", query, "--trials", "1", "--json")
+        assert code == 0
+        assert [r["label"] for r in json.loads(out)["results"]] == labels
+
+    def test_only_is_no_plain_prefix_match(self, capsys):
+        # derule1-derule4 exist, but none is "derule" or starts with "derule-"
+        code, out, err = run_cli(capsys, "identities", "--only", "derule")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no identity label matches 'derule'; known labels: linearity, ")
 
     def test_only_prefix_match_heine(self, capsys):
         code, out, _ = run_cli(capsys, "identities", "--only", "heine", "--trials", "2")

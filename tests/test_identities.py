@@ -49,6 +49,13 @@ class TestSuiteHarness:
         with pytest.raises(KeyError):
             run_suite(seed=0, trials=5, only=["bogus-label"])
 
+    def test_check_result_json_keys_in_order(self):
+        result = CheckResult("qbin", 4, 1, ("a note",))
+        assert list(result.to_json_dict().items()) == [
+            ("label", "qbin"), ("trials", 4), ("failures", 1), ("passed", False), ("notes", ["a note"]),
+        ]
+        assert CheckResult("qbin", 4, 0).to_json_dict()["notes"] == []
+
     def test_exact_law_labels_are_registered(self):
         assert set(EXACT_LAW_LABELS) <= set(CHECKS)
         assert len(EXACT_LAW_LABELS) == 15

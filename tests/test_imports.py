@@ -83,6 +83,8 @@ class TestImportGraph:
             (["bracket", "3"], {"cli", "errors", "scalars"}),
             (["derive", "0,0,1"], {"cli", "errors", "scalars", "polynomials", "pqpower"}),
             (["taylor", "0,0,1", "1"], {"cli", "errors", "scalars", "polynomials", "pqpower", "taylor"}),
+            (["taylor", "0,0,1", "1", "--reversed"], {"cli", "errors", "scalars", "polynomials", "pqpower", "taylor"}),
+            (["derive", "pqpow(a=1, n=3)"], {"cli", "errors", "scalars", "polynomials", "pqpower"}),
             (["integrate", "poly:0,1", "0", "1"], {"cli", "errors", "scalars", "polynomials", "integration"}),
         ],
     )

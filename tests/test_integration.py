@@ -1,6 +1,7 @@
 """Lattice integrals, convergence policy, and the two-sided identities."""
 
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -984,3 +985,46 @@ class TestSummerPins:
         digest, reasons = _digest(list(self._raw_rows()))
         assert reasons == self.RAW_REASONS
         assert digest == self.RAW_DIGEST
+
+
+class TestSummerBoundaries:
+    """Each boundary of the summer's rules, decided on a term stream that sits exactly on it."""
+
+    def test_a_term_equal_to_tail_tol_is_small(self):
+        terms = [1.0, 1e-12, 1e-12, 1e-12, 0.5, 0.25]
+        total = list(itertools.accumulate(terms))[3]
+        assert _sum_series(terms, TruncationPolicy(tail_tol=1e-12)) == (total, 4, 1e-12, "small_terms")
+
+    def test_a_checkpoint_term_as_large_as_the_last_one_is_not_falling(self):
+        # stride 2 at ratio 1/2, and the checkpoint sums 3/4, 15/16, 63/64 lose exactly lam = 1/4
+        # of their gap to 1 per checkpoint, so at count 6 both levels read 1.0 with two zero
+        # differences; only |t_6| = |t_4| = 1/32 keeps that from being accepted
+        terms = [0.375, 0.375, 0.15625, 0.03125, 0.015625, 0.03125]
+        assert _sum_series(terms, DEFAULT_POLICY, 0.5) == (0.984375, 6, 0.03125, "max_terms")
+        falling = terms[:5] + [0.03125 * (1 - 2.0**-52)]
+        value, count, _, reason = _sum_series(falling, DEFAULT_POLICY, 0.5)
+        assert (value, count, reason) == (1.0, 6, "accelerated")
+
+    def test_a_level_whose_factor_is_unit_roundoff_is_built(self):
+        # stride 2, lam = ratio**2 and lam * lam * lam == 2**-53 exactly, so the third
+        # checkpoint builds level 3; its factor moves the accepted value in its last bits
+        ratio = 0.002192308688104244
+        lam = ratio**2
+        powers = [lam, lam * lam, lam * lam * lam]
+        assert powers[2] == 2.0**-53
+        terms = [3.0, 3000.0, -0.002, -3000.0, -0.03, -3.0]
+        sums = list(itertools.accumulate(terms))[1::2]
+
+        def richardson(levels):
+            factors = [w / (1.0 - w) for w in powers[:levels]]
+            row = [0.0]
+            for total in sums:
+                new_row = [total]
+                for factor, old in zip(factors, row):
+                    new_row.append(new_row[-1] + (new_row[-1] - old) * factor)
+                row = new_row
+            return row[-1]
+
+        value, count, _, reason = _sum_series(terms, TruncationPolicy(tail_tol=100.0), ratio)
+        assert (value, count, reason) == (richardson(3), 6, "accelerated")
+        assert richardson(3) != richardson(2)

@@ -46,6 +46,15 @@ class TestPolynomialBasics:
         assert Polynomial.zero().to_string() == "0"
         assert Polynomial.from_string("3/2,-1").to_string() == "3/2,-1"
 
+    @pytest.mark.parametrize("bad", ["x", "1/0", ""])
+    def test_from_string_names_the_bad_coefficient(self, bad):
+        with pytest.raises(ValueError) as exc:
+            Polynomial.from_string(f"0, 1,{bad}", "f")
+        assert str(exc.value) == f"coefficient 2 of f must be a rational such as 3/2, got {bad!r}"
+        with pytest.raises(ValueError, match="^coefficient 0 of poly must be"):
+            Polynomial.from_string(bad)
+        assert Polynomial.from_string("0, 0, 1", "f") == Polynomial.monomial(2)
+
     def test_arithmetic(self):
         f = Polynomial([1, 1])
         g = Polynomial([-1, 1])

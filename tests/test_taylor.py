@@ -91,6 +91,19 @@ class TestTaylorExpand:
             assert reverse.coeffs == oracle_r[: len(reverse.coeffs)]
             assert reverse.to_polynomial(params) == f
 
+    def test_orientation_argument_is_the_reversed_name(self):
+        rng = random.Random(26)
+        pool = [rat(2), rat(3), rat("1/2"), rat("-1/3"), rat("5/2")]
+        for _ in range(40):
+            p, q = rng.sample(pool, 2)
+            params = PqParams(p, q)
+            f = Polynomial(random_rational(rng) for _ in range(rng.randint(0, 7)))
+            a = random_rational(rng, bound=6)
+            reverse = taylor_expand(f, a, params, Orientation.A_MINUS_X)
+            assert reverse == taylor_expand_reversed(f, a, params)
+            assert reverse.orientation is Orientation.A_MINUS_X
+            assert taylor_expand(f, a, params) == taylor_expand(f, a, params, Orientation.X_MINUS_A)
+
     def test_triangularity(self):
         rng = random.Random(12)
         params = PqParams(rat("5/2"), rat("1/3"))
