@@ -161,7 +161,7 @@ def _falling_log10(n: int, k: int, params: PqParams) -> tuple[float, float]:
     for odd j at p = -q, bound |[j]| = |p^j - q^j| / |p - q| for j >= 1;
     [-j] = -[j]/(pq)^j, and the sums over j are closed forms.
     """
-    if _falling_vanishes(n, k, params):
+    if _falling_vanishes(n, k, params.as_ints()):
         return -math.inf, math.inf
     big, small = sorted((abs(params.p), abs(params.q)), reverse=True)
     first = n - k + 1
@@ -236,8 +236,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
             alpha = float(args.n)
         except ValueError:  # "3/2" is no float literal
             alpha = None
-        if alpha is None or math.isinf(alpha) and "inf" not in args.n.lower():
-            # a finite literal such as 1e400 whose double overflows is refused as n, not as alpha = inf
+        if alpha is None or alpha == 0.0 or math.isinf(alpha) and "inf" not in args.n.lower():
+            # a literal such as 1e400 or 1e-400 whose double is inf or 0.0 is refused as n; "0.0" reads 0
             alpha = _float_view("n", _rat_arg("n", args.n))
         value = bracket_alpha(alpha, params).value
         _emit(args, {"value": value}, repr(value))

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from .polynomials import NumericFn, Polynomial, _pq_derive_at, eval_poly
-from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket, rat
+from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket, rat, rat_from_ints
 
 
 class IntegralStatus(enum.Enum):
@@ -404,9 +404,9 @@ def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Po
     out = [rat(constant)]
     for n, c in enumerate(f.coeffs):
         br = bracket(n + 1, params)
-        if br == 0:
+        if not br._numerator:
             raise DegenerateRegimeError(f"[{n + 1}] = 0 at p = -q; coefficient has no preimage")
-        out.append(c / br)
+        out.append(rat_from_ints(c._numerator * br._denominator, c._denominator * br._numerator))
     return Polynomial(out)
 
 

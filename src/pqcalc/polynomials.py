@@ -15,7 +15,9 @@ fraction-free: they multiply integer numerators and build one ``Rat`` per
 output coefficient with :func:`~pqcalc.scalars.rat_from_ints`;
 ``pq_derive_poly`` reads [n] = B_n / S^(n-1) from
 :func:`~pqcalc.scalars.bracket_numerators` and S from the integer form
-(P, Q, S) that :meth:`~pqcalc.scalars.PqParams.as_ints` computes.  ``Polynomial``
+(P, Q, S) that :meth:`~pqcalc.scalars.PqParams.as_ints` computes.  They and
+``Polynomial``'s zero strip read the slots ``_numerator``/``_denominator``,
+as every slot reader named in ``scalars`` does.  ``Polynomial``
 keeps a coefficient that is already a ``Rat`` as it is.  ``+``, ``-`` and ``*`` stay
 plain ``Fraction`` arithmetic: the identity suite calls them too rarely
 for an integer form of them to pay.
@@ -53,7 +55,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
         cs = [c if type(c) is Rat else rat(c) for c in coeffs]
-        while cs and not cs[-1]:
+        while cs and not cs[-1]._numerator:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -124,10 +126,10 @@ class Polynomial:
 
     def scale(self, c: object) -> "Polynomial":
         c = rat(c)
-        cn, cd = c.numerator, c.denominator
+        cn, cd = c._numerator, c._denominator
         if not cn:
             return Polynomial.zero()
-        return Polynomial([rat_from_ints(cn * a.numerator, cd * a.denominator) for a in self.coeffs])
+        return Polynomial([rat_from_ints(cn * a._numerator, cd * a._denominator) for a in self.coeffs])
 
     def __call__(self, x: object) -> object:
         return eval_poly(self, x)
@@ -159,18 +161,18 @@ def eval_poly(f: Polynomial, x: object) -> object:
     # xd^(deg-i).  The lcm argument is a list because CPython packs a
     # *generator by resizing a tuple, which leaves one tuple per call on its
     # free lists and grows the resident size with every evaluation.
-    xn, xd = x.numerator, x.denominator
-    den = math.lcm(*[c.denominator for c in f.coeffs])
+    xn, xd = x._numerator, x._denominator
+    den = math.lcm(*[c._denominator for c in f.coeffs])
     num, scale = 0, 1
     for c in reversed(f.coeffs):
-        num = num * xn + c.numerator * (den // c.denominator) * scale
+        num = num * xn + c._numerator * (den // c._denominator) * scale
         scale *= xd
     return rat_from_ints(num * xd, den * scale)
 
 
 def _limit_at_inf(lead: Rat, degree: int, x: float) -> float:
     """The limit at x = +-inf of a polynomial of degree >= 1 with nonzero leading coefficient ``lead``."""
-    negative = (lead.numerator < 0) != (x < 0 and degree % 2 == 1)
+    negative = (lead._numerator < 0) != (x < 0 and degree % 2 == 1)
     return -math.inf if negative else math.inf
 
 
@@ -186,7 +188,7 @@ def pq_derive_poly(f: Polynomial, params: PqParams) -> Polynomial:
     s = params.as_ints()[2]
     out, s_pow = [], 1
     for b, c in zip(bracket_numerators(len(cs) - 1, params)[1:], cs[1:]):
-        out.append(rat_from_ints(b * c.numerator, s_pow * c.denominator))
+        out.append(rat_from_ints(b * c._numerator, s_pow * c._denominator))
         s_pow *= s
     return Polynomial(out)
 

@@ -13,11 +13,10 @@ carry integer numerators over one common denominator, and normalise once
 per result instead of after every multiply.  Each result is built by
 :func:`rat_from_ints`, one gcd and a sign fix without ``Fraction``'s type
 dispatch, and the integers they start from come from the form (P, Q, S)
-that :meth:`PqParams.as_ints` computes each time it is asked.  Two modules
-read a value's integers from the slots ``_numerator``/``_denominator``,
-since ``numerator``/``denominator`` are Python-level properties: this
-one, in ``PqParams`` and ``rat_from_ints``, and ``pqpower``, on the path
-of every power-basis evaluation, expansion and derivative.
+that :meth:`PqParams.as_ints` computes each time it is asked.  Every
+kernel reads a value's integers from the slots ``_numerator``/``_denominator``,
+not the Python-level properties: this module (``PqParams``, ``rat_float``),
+``pqpower``, ``polynomials``, ``taylor`` and ``integration`` (``antiderive_poly``).
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
@@ -71,7 +70,7 @@ def rat_from_ints(num: int, den: int) -> Rat:
     """``Rat(num, den)`` for ints: one gcd and a sign fix, without ``Fraction``'s type dispatch.
 
     It fills the two slots ``Fraction`` declares, the only place in the
-    package that writes them; ``PqParams`` here and the ``pqpower`` kernels
+    package that writes them; the kernels named in the module docstring
     read them, and a ``Fraction`` with other slots fails the test that pins
     them.  ``den == 0`` raises ``ZeroDivisionError``.
     """
@@ -98,7 +97,7 @@ def rat_float(x: Rat) -> float:
     reached through a slower Python-level method.  A value past the
     double range raises ``OverflowError``; one below it rounds to 0.0.
     """
-    return x.numerator / x.denominator
+    return x._numerator / x._denominator
 
 
 class Regime(enum.Enum):
@@ -231,12 +230,12 @@ def bracket(n: int, params: PqParams) -> Rat:
     [-m] = -[m] / (pq)^m.  At p = -q, [n] = 0 for every even n, returned
     without forming a power.
     """
-    return rat_from_ints(*_bracket_ints(n, params))
+    return rat_from_ints(*_bracket_ints(n, params.as_ints()))
 
 
-def _bracket_ints(n: int, params: PqParams) -> tuple[int, int]:
-    """[n] as an integer numerator and a positive denominator, not reduced (see ``bracket``)."""
-    big_p, big_q, s = params.as_ints()
+def _bracket_ints(n: int, ints: tuple[int, int, int]) -> tuple[int, int]:
+    """[n] over a positive denominator, not reduced, from ``ints`` = (P, Q, S) (see ``bracket``)."""
+    big_p, big_q, s = ints
     m = abs(n)
     if big_p == -big_q and not m % 2:
         return 0, 1
@@ -282,26 +281,27 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
     vanishes (p = -q), where the factorial ratio would be 0/0.  A product
     with a zero factor (see ``_falling_vanishes``) is not multiplied out.
     The numerators and the denominators are multiplied as integers and the
-    quotient is normalised once.
+    quotient is normalised once; (P, Q, S) is read once for every factor.
     """
     if k < 0:
         raise NegativeArgumentError(f"need k >= 0, got {k}")
-    if _falling_vanishes(n, k, params):
+    ints = params.as_ints()
+    if _falling_vanishes(n, k, ints):
         return rat(0)
     num = den = 1
     for j in range(n - k + 1, n + 1):
-        b, d = _bracket_ints(j, params)
+        b, d = _bracket_ints(j, ints)
         g = math.gcd(b, d)  # reduced factors keep the one final gcd small
         num *= b // g
         den *= d // g
     return rat_from_ints(num, den)
 
 
-def _falling_vanishes(n: int, k: int, params: PqParams) -> bool:
+def _falling_vanishes(n: int, k: int, ints: tuple[int, int, int]) -> bool:
     """Whether [n][n-1]...[n-k+1] has a zero factor: [0] (0 <= n < k), or an even j at p = -q."""
     if 0 <= n < k:
         return True
-    big_p, big_q, _ = params.as_ints()  # p = -q exactly when P = -Q, without forming -q
+    big_p, big_q, _ = ints  # p = -q exactly when P = -Q, without forming -q
     return (k > 1 or k == 1 and not n % 2) and big_p == -big_q
 
 

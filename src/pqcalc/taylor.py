@@ -54,12 +54,12 @@ class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeff
         L_j is (lo lo_step^j + hi hi_step^j x) / (ad S^j) by ``factor_steps``; ``out`` stays over ``den * scale``.
         """
         cs = self.coeffs
-        ad, s = self.a.denominator, params.as_ints()[2]
-        lo, hi, lo_step, hi_step = self.orientation.factor_steps(self.a.numerator, ad, params)
-        den = lcm(*[c.denominator for c in cs])
+        ad, s = self.a._denominator, params.as_ints()[2]
+        lo, hi, lo_step, hi_step = self.orientation.factor_steps(self.a._numerator, ad, params)
+        den = lcm(*[c._denominator for c in cs])
         out, scale = [0], 1
         for k in reversed(range(len(cs))):
-            out[0] += cs[k].numerator * (den // cs[k].denominator) * scale
+            out[0] += cs[k]._numerator * (den // cs[k]._denominator) * scale
             if k:
                 lo_j, hi_j = lo * lo_step ** (k - 1), hi * hi_step ** (k - 1)
                 out = [lo_j * c + hi_j * d for c, d in zip(out + [0], [0] + out)]
@@ -80,12 +80,12 @@ def taylor_expand(
     """Expand f over (x (-) a)^k, or over (a (-) x)^k for ``Orientation.A_MINUS_X``; round trips exactly."""
     a = rat(a)
     base, sign = orientation.base_sign(params)
-    bn, bd = base.numerator, base.denominator
+    bn, bd = base._numerator, base._denominator
     s = params.as_ints()[2]
     brackets = bracket_numerators(len(f.coeffs) - 1, params)
-    den = lcm(*[c.denominator for c in f.coeffs])
+    den = lcm(*[c._denominator for c in f.coeffs])
     # (D^k f)(y) = sum_j d[j] y^j / (den S^(kj + C(k,2))), and [k]! = fact / S^C(k,2)
-    d = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    d = [c._numerator * (den // c._denominator) for c in f.coeffs]
     coeffs, fact = [], 1
     for k in range(len(d)):
         if k >= 1:
@@ -94,7 +94,7 @@ def taylor_expand(
             fact *= brackets[k]
             d = [c * br for c, br in zip(d[1:], brackets[1:])]
         # Horner at y = a base^-k = yn / yd, carried over z = yd S^k
-        yn, z = a.numerator * bd**k, a.denominator * (bn * s) ** k
+        yn, z = a._numerator * bd**k, a._denominator * (bn * s) ** k
         num, scale = 0, 1
         for c in reversed(d):
             num = num * yn + c * scale
@@ -140,8 +140,8 @@ def connect_power_to_power(
     big_p, big_q, s = params.as_ints()
     # [m]! = fact[m] / S^C(m,2), (first (-) second)^m = prods[m] / (d^m S^C(m,2)), and
     # binom(n,m) = fact[n] / (fact[m] fact[n-m] S^(m(n-m)))
-    u, v = first.numerator * second.denominator, second.numerator * first.denominator
-    d = first.denominator * second.denominator
+    u, v = first._numerator * second._denominator, second._numerator * first._denominator
+    d = first._denominator * second._denominator
     fact, prods = [1], [1]
     for br in bracket_numerators(n, params)[1:]:
         fact.append(fact[-1] * br)

@@ -83,11 +83,23 @@ class TestBracketCommand:
         assert code == 0 and out  # the exact bracket needs no float view
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
-    @pytest.mark.parametrize("n", ["1e400", "-1e400"])
-    def test_finite_literal_past_the_double_range_is_refused_as_n(self, capsys, n, json_flag):
-        # float("1e400") is inf, but the literal is finite: refused like --p 1e400, not as alpha = inf
+    @pytest.mark.parametrize(
+        "n, view",
+        [("1e400", "overflows"), ("-1e400", "overflows"), ("1e-400", "is 0.0"), ("-1e-400", "is 0.0")],
+        ids=["1e400", "-1e400", "1e-400", "-1e-400"],
+    )
+    def test_finite_literal_past_the_double_range_is_refused_as_n(self, capsys, n, view, json_flag):
+        # float("1e400") is inf and float("1e-400") is 0.0, but the literals are finite and nonzero:
+        # refused like --p 1e400 or --p 1e-400, not read as alpha = inf or alpha = 0
         code, out, err = run_cli(capsys, "bracket", *json_flag, "--", n)
-        assert (code, out, err) == (2, "", "error: n is outside the double range: its float view overflows")
+        assert (code, out, err) == (2, "", f"error: n is outside the double range: its float view {view}")
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize("n", ["0.0", "-0.0", "0e-400"])
+    def test_zero_real_literal_reads_alpha_zero(self, capsys, n, json_flag):
+        code, out, err = run_cli(capsys, "bracket", *json_flag, "--", n)
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["value"] if json_flag else float(out)) == 0.0
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
     @pytest.mark.parametrize("alpha, p", [("1e308", "2"), ("1750.0", "3/2")], ids=["power", "quotient"])

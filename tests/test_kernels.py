@@ -2,7 +2,7 @@
 
 ``pq_power_value``, ``eval_pq_power`` (every integer n), ``expand_expr``,
 exact ``eval_poly``, polynomial ``scale``, ``pq_derive_poly``,
-``bracket`` and the Taylor layer (the expansion
+``antiderive_poly``, ``bracket`` and the Taylor layer (the expansion
 formulas, ``PowerBasisExpansion.to_polynomial`` and the connection
 coefficients) carry integer numerators over a common denominator and
 normalise once per result.  The references below multiply and add plain
@@ -22,6 +22,7 @@ import pytest
 
 from pqcalc.errors import DegenerateRegimeError, PoleError
 from pqcalc import polynomials
+from pqcalc.integration import antiderive_poly
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
 from pqcalc.pqpower import (
     Orientation,
@@ -32,7 +33,7 @@ from pqcalc.pqpower import (
     expand_expr,
     pq_power_value,
 )
-from pqcalc.scalars import PqParams, Rat, bracket, rat
+from pqcalc.scalars import PqParams, Rat, bracket, rat, rat_from_ints
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
@@ -357,6 +358,32 @@ class TestPolynomialKernels:
         assert pq_derive_poly(Polynomial.zero(), params).is_zero()
         assert pq_derive_poly(Polynomial(["-9/4"]), params).is_zero()
         assert pq_derive_poly(Polynomial([5, "2/7"]), params) == Polynomial(["2/7"])
+
+    @pytest.mark.parametrize(
+        "p, q", [(Fraction(-2), Fraction(1, 3)), (Fraction(-3, 2), Fraction(5, 7)), (Fraction(4, 9), Fraction(-11, 3))]
+    )
+    def test_antiderive_is_division_by_the_bracket(self, p, q):
+        # [2] = p + q < 0 at each pair, so rat_from_ints fixes the sign of a negative bracket
+        params = PqParams(p, q)
+        assert bracket(2, params) < 0
+        cases = list(islice(kernel_pairs(), 0, None, 5))
+        assert sum(len(str(f.coeffs[-1].denominator)) == 400 for f, _ in cases if f.coeffs) >= 5
+        for f, g in cases:
+            for h in (f, g):
+                got = antiderive_poly(h, params, "-5/3")
+                want = [Fraction(-5, 3)] + [c / bracket(n + 1, params) for n, c in enumerate(h.coeffs)]
+                assert got.coeffs == tuple(want)
+                assert_canonical(got)
+
+    def test_trailing_zeros_strip_alike(self):
+        # an int, a string and a Rat zero all strip, to one coeffs tuple of Rats
+        want = (Fraction(1, 2), Fraction(0), Fraction(-3))
+        for zero in (0, "0", "-0/5", Fraction(0), rat_from_ints(0, -7)):
+            for head in (["1/2", 0, -3], [Fraction(1, 2), "0", Fraction(-3)], [Fraction(1, 2), Fraction(0), "-3"]):
+                got = Polynomial(head + [zero, 0, "0", Fraction(0)])
+                assert got.coeffs == want
+                assert_canonical(got)
+            assert Polynomial([zero, zero]).coeffs == ()
 
 
 def ref_float_horner(coeffs, x):
@@ -770,7 +797,7 @@ class TestRat:
             rat(value)
 
 
-KERNEL_MODULES = ("scalars.py", "pqpower.py", "polynomials.py", "taylor.py")
+KERNEL_MODULES = ("scalars.py", "pqpower.py", "polynomials.py", "taylor.py", "integration.py")
 
 
 def two_argument_rat_calls(source):
@@ -809,8 +836,9 @@ class TestOneNormalisingConstructor:
 
 
 SLOTS = ("_numerator", "_denominator")
-# the modules that read Fraction's two slots directly, pinned so that a new reader is deliberate
-SLOT_READERS = {"pqpower.py", "scalars.py"}
+# the modules that read Fraction's two slots directly, pinned so that a new reader is deliberate;
+# none of them reads the Python-level numerator/denominator properties
+SLOT_READERS = {"scalars.py", "pqpower.py", "polynomials.py", "taylor.py", "integration.py"}
 
 
 def fraction_slot_uses(source):
@@ -845,6 +873,15 @@ def fraction_slot_uses(source):
     return reads, writes
 
 
+def property_reads(source):
+    """Line numbers of each ``x.numerator``/``x.denominator`` attribute read in ``source``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+    )
+
+
 class TestFractionSlots:
     """Which modules read ``Fraction``'s slots directly, and that only ``rat_from_ints`` writes them."""
 
@@ -852,6 +889,15 @@ class TestFractionSlots:
 
     def test_readers_are_the_pin(self):
         assert {path.name for path in self.SOURCES if fraction_slot_uses(path.read_text())[0]} == SLOT_READERS
+
+    @pytest.mark.parametrize("module", sorted(SLOT_READERS))
+    def test_readers_read_no_property(self, module):
+        lines = property_reads((Path(polynomials.__file__).parent / module).read_text())
+        assert lines == [], f"{module}: read _numerator/_denominator, not the properties, at lines {lines}"
+
+    def test_the_property_scan_sees_each_read(self):
+        source = "def f(x):\n    return x.numerator, x._numerator\n\n\ny = f(z).denominator + z._denominator\n"
+        assert property_reads(source) == [2, 5]
 
     def test_only_rat_from_ints_writes_them(self):
         writes = {(path.name, scope) for path in self.SOURCES for scope in fraction_slot_uses(path.read_text())[1]}
