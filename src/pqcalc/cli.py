@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from collections.abc import Callable
 
     from .polynomials import NumericFn
+    from .pqpower import PqPowerExpr
 
 # Each command imports its own layers inside its function, so a cold
 # ``pq bracket`` never compiles the suite, the integrals or the power basis.
@@ -178,19 +179,41 @@ def _triangle(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def _denominator_log10(n: int, params: PqParams) -> float:
-    """A lower bound on log10 of [n]'s reduced denominator, one digit short for rounding.
+def _denominator_log10(n: int, k: int, params: PqParams) -> float:
+    """A lower bound on log10 of the reduced denominator of [n][n-1]...[n-k+1], one digit short for rounding.
 
-    For n >= 2 that denominator is a multiple of B^(n-1), where B is pd qd
-    (p = pn/pd, q = qn/qd) without the primes pd and qd share: a prime r of
-    pd alone divides Q but not P, so (P^n - Q^n)/(P - Q) = P^(n-1) != 0 mod r.
+    For j >= 2 the reduced denominator of [j] is a multiple of B^(j-1), where
+    B is pd qd (p = pn/pd, q = qn/qd) without the primes pd and qd share: a
+    prime r of pd alone divides Q but not P, so its numerator
+    (P^j - Q^j)/(P - Q) = P^(j-1) != 0 mod r.  The numerators are prime to B,
+    so over a product of positive factors the exponents add up.  A product
+    with a zero factor or with negative factors gets -inf, which refuses nothing.
     """
+    first = n - k + 1
+    if first < 1 or _falling_vanishes(n, k, params.as_ints()):
+        return -math.inf
     pd, qd = params.p.denominator, params.q.denominator
     b, g = pd * qd, math.gcd(pd, qd)
     while g > 1:
         b //= g
         g = math.gcd(b, g)
-    return (n - 1) * math.log10(b) - 1 if n >= 2 else 0.0
+    return (_triangle(n - 1) - _triangle(max(first, 2) - 2)) * math.log10(b) - 1
+
+
+def _coefficient_log10(expr: PqPowerExpr, k: int, params: PqParams) -> tuple[float, float, float]:
+    """(lo, hi, den) for the coefficient c = g^k base^C(k,2) [n]...[n-k+1] of ``derive_pq_power_iterated``.
+
+    With g = gamma != 0, lo <= log10|c| <= hi, and den is a lower bound on
+    log10 of c's reduced denominator, one digit short: the numerator of
+    g^k base^C(k,2) cancels at most its own digits of the falling product's
+    denominator.
+    """
+    base, _ = expr.orientation.base_sign(params)
+    c = k * (k - 1) // 2
+    scale = k * _log10(expr.gamma) + c * _log10(base)
+    cancel = k * math.log10(abs(expr.gamma.numerator)) + c * math.log10(abs(base.numerator))
+    lo, hi = _falling_log10(expr.n, k, params)
+    return lo + scale, hi + scale, _denominator_log10(expr.n, k, params) - cancel
 
 
 def _require_printable(digits: float, what: str) -> None:
@@ -228,7 +251,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         n = None
     if n is not None:
         lo, hi = _falling_log10(n, 1, params)
-        _require_printable(max(lo, -hi, _denominator_log10(n, params)), f"[{n}]")
+        _require_printable(max(lo, -hi, _denominator_log10(n, 1, params)), f"[{n}]")
         text = _printed(rat_str, bracket(n, params), f"[{n}]")
         _emit(args, {"value": text}, text)
     else:
@@ -255,11 +278,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
     if args.expr.lstrip().startswith("pqpow"):
         expr = parse_power_expr(args.expr, params)
         if expr.gamma:
-            # the coefficient g^k base^C(k,2) [n]...[n-k+1] of derive_pq_power_iterated
-            base, _ = expr.orientation.base_sign(params)
-            scale = k * _log10(expr.gamma) + k * (k - 1) // 2 * _log10(base)
-            lo, hi = _falling_log10(expr.n, k, params)
-            _require_printable(max(lo + scale, -hi - scale), "the coefficient")
+            lo, hi, den = _coefficient_log10(expr, k, params)
+            _require_printable(max(lo, -hi, den), "the coefficient")
         coeff, residual = derive_pq_power_iterated(expr, k)
         coeff_text = _printed(rat_str, coeff, "the coefficient")
         text = _printed(format_power_expr, residual, "the residual's gamma")

@@ -31,13 +31,17 @@ exact value of a polynomial integrand is :func:`integral_exact`.
 A term is float work only.  The summer walks the lattice itself: its one
 loop (:func:`_sum_walk`), the only place the term formula is written,
 computes each term from the integrand's plain ``fn`` when it reaches it
-and steps the weight w, in either direction.  Sides pass plain (value,
+and steps the weight w, in either direction.  That loop runs from one
+checkpoint to the next and does nothing per term but the term and the
+plain rules; it pauses at each checkpoint, and on [a, infinity) also one
+term before it, to keep that term.  Sides pass plain (value,
 terms, tail, reason) tuples, and each integral builds its one
 :class:`IntegralResult` at the end.  A ready-made term stream (the Heine
 series, the Riemann-Stieltjes sum) goes through the same loop as the
 integrand of a walk that stays at one point (:func:`_sum_series`).  A
-polynomial integrand arrives with its coefficients already floated
-(:meth:`NumericFn.from_polynomial`).
+polynomial integrand arrives with its coefficients already floated and its
+Horner written out (:meth:`NumericFn.from_polynomial`), and the integrands
+that the identity checks build call their functions' ``fn`` directly.
 
 The |q/p| = 1 regime has no defined lattice and is rejected outright.
 """
@@ -49,7 +53,7 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
-from .polynomials import NumericFn, Polynomial, _pq_derive_at, eval_poly
+from .polynomials import NumericFn, Polynomial, _pq_derivative, eval_poly
 from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket, rat, rat_from_ints
 
 
@@ -190,7 +194,7 @@ def _sum_walk(
     ``accelerated``, when the bound is at most ``tail_tol + R``, and the
     tail estimate is the bound plus R.
     """
-    tail_tol = policy.tail_tol
+    tail_tol, max_terms = policy.tail_tol, policy.max_terms
     known = ratio is not None and abs(ratio) < 1
     checkpoint = 0  # the count of the next checkpoint; no term has count 0
     if ratio is not None:
@@ -202,44 +206,51 @@ def _sum_walk(
         factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
         gain = 1.0 / (1.0 - abs(lam))
         row = [0.0]  # the last row of the Richardson table
+    # the loop pauses after term ``stop``: at each checkpoint, and on [a, infinity) one term
+    # before it too, to keep that term for kappa; without a ratio it runs to max_terms
+    aitken = ratio is not None and not known
+    stop = (checkpoint - 1 if aitken else checkpoint) or max_terms
     total = abs_total = 0.0
     run = 1
     small_run = 0
     last_mag = 0.0
-    prev_term = 0.0
     block_mag = math.inf  # |term| at the previous checkpoint
     estimate = math.nan
     diff = math.nan
     nonzero = False  # some checkpoint sum so far is not exactly 0.0
     pre *= a
-    for count in range(1, policy.max_terms + 1):
-        try:
-            term = pre * w * fn(a * w)
-        except _StreamEnd:
-            return total, count - 1, last_mag, "max_terms"
-        except StopIteration as exc:  # the integrand's, never the end of a series
-            raise RuntimeError("integrand raised StopIteration") from exc
-        w *= step
-        total += term
-        mag = abs(term)
-        abs_total += mag
-        if mag <= tail_tol:
-            small_run += 1
-            if small_run >= _SMALL_RUN:
-                return total, count, mag, "small_terms"
-        else:
-            small_run = 0
-            if mag >= last_mag and count > 1:
-                run += 1
-                if run >= DIVERGENCE_WINDOW:
-                    return total, count, mag, "divergent"
+    count = 0
+    while count < max_terms:
+        end = stop if stop < max_terms else max_terms
+        for count in range(count + 1, end + 1):
+            try:
+                term = pre * w * fn(a * w)
+            except _StreamEnd:
+                return total, count - 1, last_mag, "max_terms"
+            except StopIteration as exc:  # the integrand's, never the end of a series
+                raise RuntimeError("integrand raised StopIteration") from exc
+            w *= step
+            total += term
+            mag = abs(term)
+            abs_total += mag
+            if mag <= tail_tol:
+                small_run += 1
+                if small_run >= _SMALL_RUN:
+                    return total, count, mag, "small_terms"
             else:
-                run = 1
-            last_mag = mag
-        if count != checkpoint:
-            prev_term = term
+                small_run = 0
+                if mag >= last_mag and count > 1:
+                    run += 1
+                    if run >= DIVERGENCE_WINDOW:
+                        return total, count, mag, "divergent"
+                else:
+                    run = 1
+                last_mag = mag
+        if count != checkpoint:  # the term before a checkpoint, or the last one
+            prev_term, stop = term, checkpoint
             continue
         checkpoint += stride
+        stop = checkpoint - 1 if aitken else checkpoint
         falling, block_mag = mag < block_mag, mag
         nonzero = nonzero or total != 0.0
         if known:
@@ -461,8 +472,7 @@ def newton_leibniz_check(
     The claim behind it needs F continuous at 0 (the caller asserts this);
     b may be math.inf, in which case F must accept infinity.
     """
-    p, q = params.as_floats()
-    integrand = NumericFn(lambda t: _pq_derive_at(F, t, p, q))
+    integrand = NumericFn(_pq_derivative(F, *params.as_floats()))
     result = integral(integrand, a, b, params, policy)
     rhs = F(b) - F(a)
     return GapReport(lhs=result.value, rhs=rhs, gap=abs(result.value - rhs), status=result.status)
@@ -483,8 +493,9 @@ def integrate_by_parts(
     numerically, so f and g should be ordinarily differentiable near 0.
     """
     p, q = params.as_floats()
-    left_int = NumericFn(lambda t: f(p * t) * _pq_derive_at(g, t, p, q))
-    right_int = NumericFn(lambda t: g(q * t) * _pq_derive_at(f, t, p, q))
+    fn, gn, df, dg = f.fn, g.fn, _pq_derivative(f, p, q), _pq_derivative(g, p, q)
+    left_int = NumericFn(lambda t: fn(p * t) * dg(t))
+    right_int = NumericFn(lambda t: gn(q * t) * df(t))
     left = integral(left_int, a, b, params, policy)
     right = integral(right_int, a, b, params, policy)
     lhs = left.value

@@ -23,11 +23,14 @@ plain ``Fraction`` arithmetic: the identity suite calls them too rarely
 for an integer form of them to pay.
 
 At a float, :func:`eval_poly` converts each coefficient to a double as it
-reaches it, once per evaluation; :meth:`NumericFn.from_polynomial`
-converts them once per evaluator.  Both convert with
-:func:`~pqcalc.scalars.rat_float`, bit for bit ``float(c)``, so the two
-agree bit for bit.  They stay two loops: an evaluator built inside every
-float :func:`eval_poly` call made the ``lattice-grid`` set-up about 40% slower.
+reaches it, once per evaluation, and runs Horner's loop;
+:meth:`NumericFn.from_polynomial` converts them once per evaluator and runs
+the same steps written out as straight-line code, from one maker per degree
+(:func:`_horner_maker`, the one place the package compiles code).  Both
+convert with :func:`~pqcalc.scalars.rat_float`, bit for bit ``float(c)``, and
+take the steps ``acc * x + c`` in one order, so the two agree bit for bit.
+``eval_poly`` keeps its loop: an evaluator built inside every float
+:func:`eval_poly` call made the ``lattice-grid`` set-up about 40% slower.
 
 :meth:`Polynomial.from_string` is the one reader of "c0,c1,...", the
 ``pq`` commands' polynomial arguments included.
@@ -35,6 +38,7 @@ float :func:`eval_poly` call made the ``lattice-grid`` set-up about 40% slower.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -185,9 +189,10 @@ def pq_derive_poly(f: Polynomial, params: PqParams) -> Polynomial:
     cs = f.coeffs
     if len(cs) < 2:
         return Polynomial.zero()
-    s = params.as_ints()[2]
+    ints = params.as_ints()
+    s = ints[2]
     out, s_pow = [], 1
-    for b, c in zip(bracket_numerators(len(cs) - 1, params)[1:], cs[1:]):
+    for b, c in zip(bracket_numerators(len(cs) - 1, ints)[1:], cs[1:]):
         out.append(rat_from_ints(b * c._numerator, s_pow * c._denominator))
         s_pow *= s
     return Polynomial(out)
@@ -213,6 +218,32 @@ def pq_difference_quotient(fn: Callable[[Rat], Rat], x: object, params: PqParams
     return (fn(p * x) - fn(q * x)) / ((p - q) * x)
 
 
+#: Horner steps per statement of a written-out evaluator; CPython's parser refuses 200 nested parentheses
+_HORNER_CHUNK = 16
+
+
+@functools.cache  # one maker per degree in use, each O(degree) code
+def _horner_maker(degree: int) -> Callable[..., Callable[[float], float]]:
+    """The maker of degree ``degree``'s evaluator: ``make(c0, ..., cd)(x)`` is Horner from the leading c0.
+
+    The evaluator is Horner's loop ``acc = acc * x + c`` written out, one
+    nested expression per ``_HORNER_CHUNK`` steps, so every step is the
+    loop's two float operations in the loop's order.  This is the one place
+    the package compiles code.
+    """
+    names = ", ".join(f"c{i}" for i in range(degree + 1))
+    lines, expr = [f"def make({names}):", "    def horner(x):"], "c0"
+    for i in range(1, degree + 1):
+        if i % _HORNER_CHUNK == 0:
+            lines.append(f"        acc = {expr}")
+            expr = "acc"
+        expr = f"({expr}) * x + c{i}"
+    source = "\n".join([*lines, f"        return {expr}", "    return horner"])
+    namespace: dict = {}
+    exec(compile(source, f"<horner of degree {degree}>", "exec"), namespace)
+    return namespace["make"]
+
+
 class NumericFn(NamedTuple):
     """A deterministic real evaluator, optionally with its derivative at 0.
 
@@ -228,26 +259,20 @@ class NumericFn(NamedTuple):
     def from_polynomial(cls, f: Polynomial) -> "NumericFn":
         """Float Horner over coefficients floated once, bit for bit eval_poly's float branch.
 
-        Only a polynomial whose leading coefficient floats to 0.0 gets the
-        closure that reads x = +-inf as the limit, so the others pay nothing per call.
+        The evaluator is the written-out Horner of f's degree
+        (:func:`_horner_maker`), so a call runs no loop.  Only a polynomial
+        whose leading coefficient floats to 0.0 gets the wrapper that reads
+        x = +-inf as the limit, so the others pay nothing per call.
         """
-        cs = [rat_float(c) for c in reversed(f.coeffs)]
-        d0 = cs[-2] if len(cs) > 1 else 0.0
-        lead, rest = (cs[0], cs[1:]) if cs else (0.0, ())
-
-        def horner(x: float) -> float:
-            acc = lead
-            for c in rest:
-                acc = acc * x + c
-            return acc
-
-        if not lead and rest:
-            plain, top, degree = horner, f.coeffs[-1], len(rest)
+        cs = [rat_float(c) for c in reversed(f.coeffs)] or [0.0]
+        horner = _horner_maker(len(cs) - 1)(*cs)
+        if not cs[0] and len(cs) > 1:
+            plain, top, degree = horner, f.coeffs[-1], len(cs) - 1
 
             def horner(x: float) -> float:
                 return _limit_at_inf(top, degree, x) if math.isinf(x) else plain(x)
 
-        return cls(fn=horner, deriv_at_zero=d0)
+        return cls(fn=horner, deriv_at_zero=cs[-2] if len(cs) > 1 else 0.0)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -263,22 +288,27 @@ def pq_derive_fn(f: NumericFn, x: float, params: PqParams) -> float:
     derivative that is genuinely zero can settle too); the quotient
     tends to f'(0) for functions ordinarily differentiable near 0.
     """
-    return _pq_derive_at(f, x, *params.as_floats())
+    return _pq_derivative(f, *params.as_floats())(x)
 
 
-def _pq_derive_at(f: NumericFn, x: float, p: float, q: float) -> float:
-    """``pq_derive_fn`` with p and q already floated, for callers that evaluate it on a lattice."""
-    if x != 0.0:
-        return (f(p * x) - f(q * x)) / ((p - q) * x)
-    if f.deriv_at_zero is not None:
-        return f.deriv_at_zero
-    previous = None
-    for exponent in range(10, 41):
-        h = 2.0**-exponent
-        value = (f(p * h) - f(q * h)) / ((p - q) * h)
-        if previous is not None and math.isclose(value, previous, rel_tol=1e-8, abs_tol=1e-10):
-            return value
-        previous = value
-    raise MissingDerivativeAtZeroError(
-        "no derivative at 0 supplied and the shrinking-h probe did not settle"
-    )
+def _pq_derivative(f: NumericFn, p: float, q: float) -> Callable[[float], float]:
+    """``pq_derive_fn`` as a function of x, for lattice callers: p and q come floated, and ``f.fn`` is bound once."""
+    fn = f.fn
+
+    def derivative(x: float) -> float:
+        if x != 0.0:
+            return (fn(p * x) - fn(q * x)) / ((p - q) * x)
+        if f.deriv_at_zero is not None:
+            return f.deriv_at_zero
+        previous = None
+        for exponent in range(10, 41):
+            h = 2.0**-exponent
+            value = (fn(p * h) - fn(q * h)) / ((p - q) * h)
+            if previous is not None and math.isclose(value, previous, rel_tol=1e-8, abs_tol=1e-10):
+                return value
+            previous = value
+        raise MissingDerivativeAtZeroError(
+            "no derivative at 0 supplied and the shrinking-h probe did not settle"
+        )
+
+    return derivative

@@ -35,12 +35,13 @@ class Orientation(enum.Enum):
         """(p, 1) forward, (q, -1) reversed: D scales gamma by base and the coefficient by sign."""
         return (params.p, 1) if self is Orientation.X_MINUS_A else (params.q, -1)
 
-    def factor_steps(self, c0: int, c1: int, params: PqParams) -> tuple[int, int, int, int]:
+    def factor_steps(self, c0: int, c1: int, ints: tuple[int, int, int]) -> tuple[int, int, int, int]:
         """(lo, hi, lo_step, hi_step): factor j of the power product is lo lo_step^j + hi hi_step^j x.
 
-        With (P, Q, S) of ``params.as_ints()`` that is c1 P^j x - c0 Q^j forward and c0 P^j - c1 Q^j x reversed.
+        With ``ints`` = (P, Q, S), as ``params.as_ints()`` computes it, that is c1 P^j x - c0 Q^j
+        forward and c0 P^j - c1 Q^j x reversed.
         """
-        big_p, big_q, _ = params.as_ints()
+        big_p, big_q, _ = ints
         return (-c0, c1, big_q, big_p) if self is Orientation.X_MINUS_A else (c0, -c1, big_p, big_q)
 
 
@@ -117,8 +118,9 @@ def expand_expr(e: PqPowerExpr) -> Polynomial:
     # factor j is the integer linear factor of factor_steps over gd*ad*S^j
     a, g, n, params = e.a, e.gamma, e.n, e.params
     ad, gd = a._denominator, g._denominator
-    lo, hi, lo_step, hi_step = e.orientation.factor_steps(a._numerator * gd, g._numerator * ad, params)
-    s = params.as_ints()[2]
+    ints = params.as_ints()
+    lo, hi, lo_step, hi_step = e.orientation.factor_steps(a._numerator * gd, g._numerator * ad, ints)
+    s = ints[2]
     out = [1]
     for _ in range(n):
         out = [lo * c + hi * d for c, d in zip(out + [0], [0] + out)]

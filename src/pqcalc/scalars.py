@@ -13,7 +13,9 @@ carry integer numerators over one common denominator, and normalise once
 per result instead of after every multiply.  Each result is built by
 :func:`rat_from_ints`, one gcd and a sign fix without ``Fraction``'s type
 dispatch, and the integers they start from come from the form (P, Q, S)
-that :meth:`PqParams.as_ints` computes each time it is asked.  Every
+that :meth:`PqParams.as_ints` computes each time it is asked, once per
+kernel call: a kernel hands it on to ``bracket_numerators`` and
+``Orientation.factor_steps``.  Every
 kernel reads a value's integers from the slots ``_numerator``/``_denominator``,
 not the Python-level properties: this module (``PqParams``, ``rat_float``),
 ``pqpower``, ``polynomials``, ``taylor`` and ``integration`` (``antiderive_poly``).
@@ -245,9 +247,12 @@ def _bracket_ints(n: int, ints: tuple[int, int, int]) -> tuple[int, int]:
     return -b * s**m, (big_p * big_q) ** m
 
 
-def bracket_numerators(n: int, params: PqParams) -> list[int]:
-    """The table [B_0, ..., B_n] with [k] = B_k / S^(k-1) as in ``bracket``; B_k = 0 only at p = -q."""
-    big_p, big_q, _ = params.as_ints()
+def bracket_numerators(n: int, ints: tuple[int, int, int]) -> list[int]:
+    """The table [B_0, ..., B_n] with [k] = B_k / S^(k-1) as in ``bracket``, from ``ints`` = (P, Q, S).
+
+    B_k = 0 only at p = -q.
+    """
+    big_p, big_q, _ = ints
     return [(big_p**k - big_q**k) // (big_p - big_q) for k in range(n + 1)]
 
 

@@ -54,8 +54,9 @@ class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeff
         L_j is (lo lo_step^j + hi hi_step^j x) / (ad S^j) by ``factor_steps``; ``out`` stays over ``den * scale``.
         """
         cs = self.coeffs
-        ad, s = self.a._denominator, params.as_ints()[2]
-        lo, hi, lo_step, hi_step = self.orientation.factor_steps(self.a._numerator, ad, params)
+        ints = params.as_ints()
+        ad, s = self.a._denominator, ints[2]
+        lo, hi, lo_step, hi_step = self.orientation.factor_steps(self.a._numerator, ad, ints)
         den = lcm(*[c._denominator for c in cs])
         out, scale = [0], 1
         for k in reversed(range(len(cs))):
@@ -81,8 +82,9 @@ def taylor_expand(
     a = rat(a)
     base, sign = orientation.base_sign(params)
     bn, bd = base._numerator, base._denominator
-    s = params.as_ints()[2]
-    brackets = bracket_numerators(len(f.coeffs) - 1, params)
+    ints = params.as_ints()
+    s = ints[2]
+    brackets = bracket_numerators(len(f.coeffs) - 1, ints)
     den = lcm(*[c._denominator for c in f.coeffs])
     # (D^k f)(y) = sum_j d[j] y^j / (den S^(kj + C(k,2))), and [k]! = fact / S^C(k,2)
     d = [c._numerator * (den // c._denominator) for c in f.coeffs]
@@ -137,13 +139,14 @@ def connect_power_to_power(
         raise OutOfRangeError(f"need n >= 0, got {n}")
     a, b = rat(a), rat(b)
     first, second = (a, b) if orientation is Orientation.X_MINUS_A else (b, a)
-    big_p, big_q, s = params.as_ints()
+    ints = params.as_ints()
+    big_p, big_q, s = ints
     # [m]! = fact[m] / S^C(m,2), (first (-) second)^m = prods[m] / (d^m S^C(m,2)), and
     # binom(n,m) = fact[n] / (fact[m] fact[n-m] S^(m(n-m)))
     u, v = first._numerator * second._denominator, second._numerator * first._denominator
     d = first._denominator * second._denominator
     fact, prods = [1], [1]
-    for br in bracket_numerators(n, params)[1:]:
+    for br in bracket_numerators(n, ints)[1:]:
         fact.append(fact[-1] * br)
         prods.append(prods[-1] * (u - v))
         u *= big_p

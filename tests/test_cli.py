@@ -189,7 +189,23 @@ class TestBracketCommand:
             params = PqParams(p, q)
             for n in range(2, 31):
                 digits = math.log10(bracket(n, params).denominator)
-                assert cli._denominator_log10(n, params) + 1 <= digits + 1e-9, (p, q, n)
+                assert cli._denominator_log10(n, 1, params) + 1 <= digits + 1e-9, (p, q, n)
+
+    def test_falling_denominator_bound_holds(self):
+        # over a product of positive factors the bound adds up; a zero or negative factor refuses nothing
+        rng = random.Random(37)
+        for _ in range(60):
+            p, q = (rat(f"{rng.choice((-1, 1)) * rng.randint(1, 12)}/{rng.randint(1, 15)}") for _ in "pq")
+            if p == q:
+                continue
+            params = PqParams(p, q)
+            for n in range(-3, 16):
+                for k in range(6):
+                    bound, value = cli._denominator_log10(n, k, params), bracket_falling(n, k, params)
+                    if value == 0 or n - k < 0:
+                        assert bound == -math.inf, (p, q, n, k)
+                    else:
+                        assert bound + 1 <= math.log10(value.denominator) + 1e-9, (p, q, n, k)
 
 
 class TestDeriveCommand:
@@ -258,6 +274,44 @@ class TestDeriveCommand:
         assert (code, out, len(computed)) == (2, "", 1)
         assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "expr, k",
+        [("pqpow(a=1, n=99999999999)", "1"), ("pqpowrev(a=2, n=6000, gamma=-3)", "3"), ("pqpow(a=1, n=200)", "190")],
+    )
+    def test_long_falling_denominator_is_refused_before_computing(self, capsys, monkeypatch, expr, k):
+        # |coefficient| stays small, but the denominator of [n]...[n-k+1] holds 2^(sum of j-1) at q = 1/2
+        from pqcalc import pqpower
+
+        def refuse(*args):
+            raise AssertionError("coefficient computed")
+
+        monkeypatch.setattr(pqpower, "derive_pq_power_iterated", refuse)
+        code, out, err = run_cli(capsys, "derive", expr, "--k", k)
+        assert (code, out) == (2, "")
+        assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+
+    def test_coefficient_bounds_hold(self):
+        # lo <= log10|c| <= hi, and den plus its one digit of margin stays below log10 of c's reduced denominator
+        from pqcalc.pqpower import Orientation, PqPowerExpr, derive_pq_power_iterated
+
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(120):
+            p, q, gamma = (rat(f"{rng.choice((-1, 1)) * rng.randint(1, 12)}/{rng.randint(1, 15)}") for _ in "pqg")
+            if p == q:
+                continue
+            params = PqParams(p, q)
+            orientation = rng.choice(list(Orientation))
+            expr = PqPowerExpr(rat(rng.randint(-3, 3)), rng.randint(-4, 14), params, gamma, orientation)
+            k = rng.randint(0, 8)
+            coeff, _ = derive_pq_power_iterated(expr, k)
+            lo, hi, den = cli._coefficient_log10(expr, k, params)
+            if coeff:
+                assert lo - 1e-9 <= cli._log10(coeff) <= hi + 1e-9, (p, q, expr, k)
+                assert den + 1 <= math.log10(coeff.denominator) + 1e-9, (p, q, expr, k)
+                checked += den > 0
+        assert checked >= 20
 
     def test_long_residual_gamma_is_refused_by_name(self, capsys):
         # the coefficient is 0 (n < k), but gamma (7/5)^7000 has a 4,893-digit denominator
@@ -686,7 +740,7 @@ class TestOutOfMemory:
         "argv, owner, kernel",
         [
             (["bracket", "100000000001", "--p", "1", "--q", "-1"], "cli", "bracket"),
-            (["derive", "pqpow(a=1, n=99999999999)"], "pqpower", "derive_pq_power_iterated"),
+            (["derive", "pqpow(a=1, n=99999999999)", "--p", "1", "--q", "-1"], "pqpower", "derive_pq_power_iterated"),
         ],
         ids=["bracket", "derive"],
     )

@@ -51,7 +51,7 @@ NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 # reach into another module's internals is deliberate
 PRIVATE_IMPORTS = {
     ("cli", "scalars"): {"_falling_vanishes", "_float_view"},
-    ("integration", "polynomials"): {"_pq_derive_at"},
+    ("integration", "polynomials"): {"_pq_derivative"},
     ("taylor", "integration"): {"_sum_series"},
 }
 

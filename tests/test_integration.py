@@ -395,6 +395,24 @@ class TestFloatsOncePerIntegral:
         assert len(calls) <= 7
 
 
+class TestTermsCallFnDirectly:
+    """The derivative integrands call each function's ``fn``; ``NumericFn.__call__`` runs only for the end values."""
+
+    @pytest.mark.parametrize("params", [P1H, PqParams(1, rat("99/100")), PqParams(rat("1/2"), 1)])
+    def test_no_call_per_term(self, monkeypatch, params):
+        F = NumericFn.from_polynomial(Polynomial([0, 1, 0, 1]))
+        g = NumericFn(math.exp, deriv_at_zero=1.0)
+        want = newton_leibniz_check(F, 1.0, 2.0, params), integrate_by_parts(F, g, 0.5, 1.5, params)
+        calls = []
+        real = NumericFn.__call__
+        monkeypatch.setattr(NumericFn, "__call__", lambda self, x: calls.append(x) or real(self, x))
+        assert newton_leibniz_check(F, 1.0, 2.0, params) == want[0]
+        assert calls == [2.0, 1.0]  # F(b) - F(a)
+        calls.clear()
+        assert integrate_by_parts(F, g, 0.5, 1.5, params) == want[1]
+        assert calls == [1.5, 1.5, 0.5, 0.5]  # f(b) g(b) - f(a) g(a)
+
+
 class TestResultSerialization:
     def test_json_dict_shape(self):
         result = integral_zero_to(NumericFn(lambda x: x), 1.0, P1H)

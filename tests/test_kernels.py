@@ -417,6 +417,18 @@ def float_horner_cases():
         yield Polynomial(coeffs)
 
 
+def wide_degree_cases():
+    """Two-digit polynomials of every degree 0-40 in random order, then one of degree 320.
+
+    They cross the evaluator's statement boundaries every 16 steps, and the last one
+    lies past the 200 nested parentheses that CPython's parser accepts in one expression.
+    """
+    rng = random.Random(59)
+    for degree in rng.sample(range(41), 41):
+        yield Polynomial([two_digit(rng) for _ in range(degree)] + [two_digit(rng) or Fraction(1)])
+    yield Polynomial([two_digit(rng) for _ in range(320)] + [Fraction(-1, 3)])
+
+
 class TestFloatHorner:
     """The float branch of eval_poly converts with rat_float, bit for bit float(c)."""
 
@@ -433,13 +445,24 @@ class TestFloatHorner:
         f = list(float_horner_cases())[-1]
         assert all(len(str(c.denominator)) >= 390 and math.isfinite(float(c)) for c in f.coeffs)
 
-    def test_numeric_fn_is_eval_poly_bit_for_bit(self):
-        for f in float_horner_cases():
+    @pytest.mark.parametrize("cases", [float_horner_cases, wide_degree_cases])
+    def test_numeric_fn_is_eval_poly_bit_for_bit(self, cases):
+        degrees = set()
+        for f in cases():
             g = NumericFn.from_polynomial(f)
-            for x in FLOAT_POINTS + (0.7, -1e-300):
+            for x in FLOAT_POINTS + (0.7, -1e-300, -1.03):
                 want = bits(ref_float_horner(f.coeffs, x))
                 assert bits(g.fn(x)) == want == bits(eval_poly(f, x)), (f, x)
             assert g.deriv_at_zero == (float(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0)
+            degrees.add(len(f.coeffs) - 1)
+        if cases is wide_degree_cases:
+            assert degrees == set(range(41)) | {320}
+
+    def test_one_maker_per_degree(self):
+        f, g = Polynomial(["1/3", "-2", "5/7"]), Polynomial(["7", "0", "-1/9"])
+        assert NumericFn.from_polynomial(f).fn is not NumericFn.from_polynomial(g).fn
+        assert polynomials._horner_maker(2) is polynomials._horner_maker(2)
+        assert polynomials._horner_maker(2) is not polynomials._horner_maker(3)
 
     def test_conversions_per_evaluation(self, monkeypatch):
         calls = []
@@ -481,10 +504,10 @@ class TestFloatHorner:
             assert bits(eval_poly(zero, x)) == bits(0.0) == bits(NumericFn.from_polynomial(zero).fn(x))
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("degree", [1, 2, 17, 301])
     def test_underflowing_leading_coefficient_reads_the_limit(self, degree, sign):
         # the leading double is 0.0, so plain Horner would start from 0.0 * inf = nan
-        f = Polynomial([1, -3][:degree] + [sign * Fraction(1, 10**400)])
+        f = Polynomial(([1, -3] * 151)[:degree] + [sign * Fraction(1, 10**400)])
         assert f.degree == degree
         g = NumericFn.from_polynomial(f)
         at_minus_inf = sign * math.inf * (-1) ** degree
@@ -882,6 +905,35 @@ def property_reads(source):
     )
 
 
+class TestOneIntegerFormPerCall:
+    """Each exact kernel computes (P, Q, S) once per call and hands it to the helpers it calls."""
+
+    PARAMS = PqParams("3/2", "-1/3")
+    F = Polynomial(["1/3", "-2", "5/7", "1/9", "2"])
+    KERNELS = {
+        "expand_expr": lambda p: expand_expr(PqPowerExpr(Fraction(2, 3), 5, p, Fraction(-1, 2))),
+        "expand_expr reversed": lambda p: expand_expr(PqPowerExpr(2, 4, p, orientation=Orientation.A_MINUS_X)),
+        "taylor_expand": lambda p: taylor_expand(TestOneIntegerFormPerCall.F, "1/2", p),
+        "taylor_expand reversed": lambda p: taylor_expand_reversed(TestOneIntegerFormPerCall.F, "1/2", p),
+        "to_polynomial": lambda p: PowerBasisExpansion("2/3", Orientation.X_MINUS_A, [1, 2, 3, 4]).to_polynomial(p),
+        "to_polynomial reversed": lambda p: PowerBasisExpansion(2, Orientation.A_MINUS_X, [1, 2, 3]).to_polynomial(p),
+        "connect_power_to_power": lambda p: connect_power_to_power("1/2", "-3", 5, p, Orientation.X_MINUS_A),
+        "pq_derive_poly": lambda p: pq_derive_poly(TestOneIntegerFormPerCall.F, p),
+        "bracket": lambda p: bracket(-7, p),
+        "pq_power_value": lambda p: pq_power_value("1/2", 3, 6, p),
+        "eval_pq_power": lambda p: eval_pq_power(PqPowerExpr(1, -3, p), Fraction(5, 7)),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_one_as_ints_call(self, monkeypatch, kernel):
+        calls, real = [], PqParams.as_ints
+        monkeypatch.setattr(PqParams, "as_ints", lambda self: calls.append(self) or real(self))
+        want = self.KERNELS[kernel](self.PARAMS)
+        assert calls == [self.PARAMS]
+        monkeypatch.undo()
+        assert self.KERNELS[kernel](self.PARAMS) == want
+
+
 class TestFractionSlots:
     """Which modules read ``Fraction``'s slots directly, and that only ``rat_from_ints`` writes them."""
 
@@ -910,3 +962,46 @@ class TestFractionSlots:
         )
         assert fraction_slot_uses(source) == (["f"], ["f"] * 4)
 
+
+# the one function in src/ that compiles code: the maker of each degree's written-out Horner
+CODE_MAKERS = {("polynomials.py", "_horner_maker")}
+CODE_BUILTINS = ("exec", "eval", "compile")
+
+
+def code_calls(source):
+    """The enclosing function of each call of the builtin ``exec``, ``eval`` or ``compile`` in ``source``."""
+    found, scopes = [], []
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scopes.append(node.name)
+            self.generic_visit(node)
+            scopes.pop()
+
+        def visit_Call(self, node):
+            func = node.func
+            plain = isinstance(func, ast.Name) and func.id in CODE_BUILTINS
+            qualified = (isinstance(func, ast.Attribute) and func.attr in CODE_BUILTINS
+                         and isinstance(func.value, ast.Name) and func.value.id == "builtins")
+            if plain or qualified:
+                found.append(scopes[-1] if scopes else None)
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+class TestOneCodeMaker:
+    """Generated code comes from one reviewed place: no other function calls exec, eval or compile."""
+
+    def test_only_the_horner_maker_compiles(self):
+        sources = sorted(Path(polynomials.__file__).parent.glob("*.py"))
+        calls = {(path.name, scope) for path in sources for scope in code_calls(path.read_text())}
+        assert calls == CODE_MAKERS
+
+    def test_the_scan_sees_each_spelling(self):
+        source = (
+            "import builtins, re\n\ndef f(s):\n    exec(s)\n    g = lambda: eval(s)\n"
+            "    return compile(s, 'f', 'exec'), builtins.exec(s), re.compile(s)\n\n\nexec('x = 1')\n"
+        )
+        assert code_calls(source) == ["f"] * 4 + [None]

@@ -367,7 +367,7 @@ class TestFactorSteps:
         # factor j over ad*gd*S^j, multiplied up, is the product eval_pq_power forms on its own
         params, a, gamma = PqParams("3/2", "-1/3"), rat("5/7"), rat("-2/3")
         c0, c1 = a.numerator * gamma.denominator, gamma.numerator * a.denominator
-        lo, hi, lo_step, hi_step = orientation.factor_steps(c0, c1, params)
+        lo, hi, lo_step, hi_step = orientation.factor_steps(c0, c1, params.as_ints())
         s = params.as_ints()[2]
         for x in (rat(0), rat("1/2"), rat(-3)):
             value = rat(1)
