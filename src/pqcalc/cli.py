@@ -182,22 +182,33 @@ def _triangle(m: int) -> int:
 def _denominator_log10(n: int, k: int, params: PqParams) -> float:
     """A lower bound on log10 of the reduced denominator of [n][n-1]...[n-k+1], one digit short for rounding.
 
-    For j >= 2 the reduced denominator of [j] is a multiple of B^(j-1), where
-    B is pd qd (p = pn/pd, q = qn/qd) without the primes pd and qd share: a
-    prime r of pd alone divides Q but not P, so its numerator
-    (P^j - Q^j)/(P - Q) = P^(j-1) != 0 mod r.  The numerators are prime to B,
-    so over a product of positive factors the exponents add up.  A product
-    with a zero factor or with negative factors gets -inf, which refuses nothing.
+    Write p = pn/pd and q = qn/qd.  For j >= 2 the reduced denominator of [j]
+    is a multiple of B^(j-1), where B is pd qd without the primes pd and qd
+    share: a prime r of pd alone divides Q but not P, so its numerator
+    (P^j - Q^j)/(P - Q) = P^(j-1) != 0 mod r.  For m >= 1,
+    [-m] = -B_m pd qd / (pn qn)^m with B_m = (P^m - Q^m)/(P - Q), so its
+    reduced denominator is a multiple of A^m, where A is |pn qn| without the
+    primes of pd qd and those pn and qn share: such a prime divides exactly
+    one of P and Q, so neither B_m nor pd qd.  The numerators are prime to B
+    or A, so over a product of positive or of negative factors the
+    exponents add up.  A product with a zero factor gets -inf, which
+    refuses nothing.
     """
-    first = n - k + 1
-    if first < 1 or _falling_vanishes(n, k, params.as_ints()):
+    if _falling_vanishes(n, k, params.as_ints()):
         return -math.inf
-    pd, qd = params.p.denominator, params.q.denominator
-    b, g = pd * qd, math.gcd(pd, qd)
+    (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
+    first = n - k + 1
+    if first > 0:
+        b, shared = pd * qd, math.gcd(pd, qd)
+        exponent = _triangle(n - 1) - _triangle(max(first, 2) - 2)
+    else:  # no factor [0], so every factor is negative
+        b, shared = abs(pn * qn), pd * qd * math.gcd(pn, qn)
+        exponent = _triangle(-first) - _triangle(-n - 1)
+    g = math.gcd(b, shared)
     while g > 1:
         b //= g
         g = math.gcd(b, g)
-    return (_triangle(n - 1) - _triangle(max(first, 2) - 2)) * math.log10(b) - 1
+    return exponent * math.log10(b) - 1
 
 
 def _coefficient_log10(expr: PqPowerExpr, k: int, params: PqParams) -> tuple[float, float, float]:
@@ -214,6 +225,18 @@ def _coefficient_log10(expr: PqPowerExpr, k: int, params: PqParams) -> tuple[flo
     cancel = k * math.log10(abs(expr.gamma.numerator)) + c * math.log10(abs(base.numerator))
     lo, hi = _falling_log10(expr.n, k, params)
     return lo + scale, hi + scale, _denominator_log10(expr.n, k, params) - cancel
+
+
+def _gamma_log10(expr: PqPowerExpr, k: int, params: PqParams) -> float:
+    """A lower bound on log10 of the larger of the reduced numerator and denominator of gamma base^k, one digit short.
+
+    With base = bn/bd and gamma = gn/gd in lowest terms, gn bn^k / (gd bd^k)
+    reduces by at most gd in its numerator and by at most gn in its
+    denominator.
+    """
+    base, _ = expr.orientation.base_sign(params)
+    (bn, bd), (gn, gd) = base.as_integer_ratio(), expr.gamma.as_integer_ratio()
+    return max(k * math.log10(abs(bn)) - math.log10(gd), k * math.log10(bd) - math.log10(abs(gn))) - 1
 
 
 def _require_printable(digits: float, what: str) -> None:
@@ -280,6 +303,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
         if expr.gamma:
             lo, hi, den = _coefficient_log10(expr, k, params)
             _require_printable(max(lo, -hi, den), "the coefficient")
+            _require_printable(_gamma_log10(expr, k, params), "the residual's gamma")
         coeff, residual = derive_pq_power_iterated(expr, k)
         coeff_text = _printed(rat_str, coeff, "the coefficient")
         text = _printed(format_power_expr, residual, "the residual's gamma")

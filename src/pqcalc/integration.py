@@ -32,14 +32,14 @@ A term is float work only.  The summer walks the lattice itself: its one
 loop (:func:`_sum_walk`), the only place the term formula is written,
 computes each term from the integrand's plain ``fn`` when it reaches it
 and steps the weight w, in either direction.  That loop runs from one
-checkpoint to the next and does nothing per term but the term and the
-plain rules; it pauses at each checkpoint, and on [a, infinity) also one
-term before it, to keep that term.  Sides pass plain (value,
-terms, tail, reason) tuples, and each integral builds its one
-:class:`IntegralResult` at the end.  A ready-made term stream (the Heine
-series, the Riemann-Stieltjes sum) goes through the same loop as the
-integrand of a walk that stays at one point (:func:`_sum_series`).  A
-polynomial integrand arrives with its coefficients already floated and its
+checkpoint to the next and pauses only there; per term it does nothing
+but the term, the plain rules and keeping the term before it, which
+Aitken's observed ratio needs.  Sides pass plain (value, terms, tail,
+reason) tuples, and each integral builds its one :class:`IntegralResult`
+at the end.  A ready-made term stream (the Heine series, the
+Riemann-Stieltjes sum) goes through the same loop as the integrand of a
+walk that stays at one point (:func:`_sum_series`).  A polynomial
+integrand arrives with its coefficients already floated and its
 Horner written out (:meth:`NumericFn.from_polynomial`), and the integrands
 that the identity checks build call their functions' ``fn`` directly.
 
@@ -206,11 +206,7 @@ def _sum_walk(
         factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
         gain = 1.0 / (1.0 - abs(lam))
         row = [0.0]  # the last row of the Richardson table
-    # the loop pauses after term ``stop``: at each checkpoint, and on [a, infinity) one term
-    # before it too, to keep that term for kappa; without a ratio it runs to max_terms
-    aitken = ratio is not None and not known
-    stop = (checkpoint - 1 if aitken else checkpoint) or max_terms
-    total = abs_total = 0.0
+    total = abs_total = term = 0.0
     run = 1
     small_run = 0
     last_mag = 0.0
@@ -221,8 +217,9 @@ def _sum_walk(
     pre *= a
     count = 0
     while count < max_terms:
-        end = stop if stop < max_terms else max_terms
+        end = checkpoint if 0 < checkpoint < max_terms else max_terms
         for count in range(count + 1, end + 1):
+            prev_term = term
             try:
                 term = pre * w * fn(a * w)
             except _StreamEnd:
@@ -246,11 +243,9 @@ def _sum_walk(
                 else:
                     run = 1
                 last_mag = mag
-        if count != checkpoint:  # the term before a checkpoint, or the last one
-            prev_term, stop = term, checkpoint
-            continue
+        if count != checkpoint:  # the last term
+            break
         checkpoint += stride
-        stop = checkpoint - 1 if aitken else checkpoint
         falling, block_mag = mag < block_mag, mag
         nonzero = nonzero or total != 0.0
         if known:

@@ -192,20 +192,23 @@ class TestBracketCommand:
                 assert cli._denominator_log10(n, 1, params) + 1 <= digits + 1e-9, (p, q, n)
 
     def test_falling_denominator_bound_holds(self):
-        # over a product of positive factors the bound adds up; a zero or negative factor refuses nothing
+        # over a product of positive or of negative factors the bound adds up; a zero factor refuses nothing
         rng = random.Random(37)
+        negative = 0
         for _ in range(60):
             p, q = (rat(f"{rng.choice((-1, 1)) * rng.randint(1, 12)}/{rng.randint(1, 15)}") for _ in "pq")
             if p == q:
                 continue
             params = PqParams(p, q)
-            for n in range(-3, 16):
+            for n in range(-8, 16):
                 for k in range(6):
                     bound, value = cli._denominator_log10(n, k, params), bracket_falling(n, k, params)
-                    if value == 0 or n - k < 0:
+                    if value == 0:
                         assert bound == -math.inf, (p, q, n, k)
                     else:
                         assert bound + 1 <= math.log10(value.denominator) + 1e-9, (p, q, n, k)
+                        negative += n < 0 and bound > 0
+        assert negative >= 100
 
 
 class TestDeriveCommand:
@@ -264,32 +267,40 @@ class TestDeriveCommand:
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_long_coefficient_denominator_is_refused_by_name(self, capsys, monkeypatch, json_flag):
-        # the guard passes this coefficient, whose denominator holds 2^C(200,2); --k 966 takes the same path
+        # the guard passes this coefficient, whose denominator holds 2^C(200,2): at p = 1/3, q = -1/2
+        # every negative bracket is an integer, so the falling product gives no denominator bound
         from pqcalc import pqpower
 
         computed, derive = [], pqpower.derive_pq_power_iterated
         monkeypatch.setattr(pqpower, "derive_pq_power_iterated", lambda *a: computed.append(a) or derive(*a))
-        argv = ["derive", "pqpowrev(a=3/2, n=-7, gamma=-2)", "--k", "200", "--p", "7/5", "--q", "-1/2", *json_flag]
+        argv = ["derive", "pqpowrev(a=3/2, n=-7, gamma=-2)", "--k", "200", "--p", "1/3", "--q", "-1/2", *json_flag]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, len(computed)) == (2, "", 1)
         assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "expr, k",
-        [("pqpow(a=1, n=99999999999)", "1"), ("pqpowrev(a=2, n=6000, gamma=-3)", "3"), ("pqpow(a=1, n=200)", "190")],
+        "argv, what",
+        [
+            (("pqpow(a=1, n=99999999999)", "--k", "1"), "the coefficient"),
+            (("pqpowrev(a=2, n=6000, gamma=-3)", "--k", "3"), "the coefficient"),
+            (("pqpow(a=1, n=200)", "--k", "190"), "the coefficient"),
+            (("pqpowrev(a=3/2, n=-7, gamma=-2)", "--k", "966", "--p", "7/5", "--q", "-1/2"), "the coefficient"),
+            (("pqpow(a=1, n=3)", "--k", "1000000000", "--p", "2", "--q", "1/2"), "the residual's gamma"),
+        ],
     )
-    def test_long_falling_denominator_is_refused_before_computing(self, capsys, monkeypatch, expr, k):
-        # |coefficient| stays small, but the denominator of [n]...[n-k+1] holds 2^(sum of j-1) at q = 1/2
+    def test_long_result_is_refused_before_computing(self, capsys, monkeypatch, argv, what):
+        # |coefficient| stays small, but the denominator of [n]...[n-k+1] holds 2^(sum of j-1) at q = 1/2,
+        # or 7^472857 over the negative factors at p = 7/5; the last residual's gamma is 2^1000000000
         from pqcalc import pqpower
 
         def refuse(*args):
             raise AssertionError("coefficient computed")
 
         monkeypatch.setattr(pqpower, "derive_pq_power_iterated", refuse)
-        code, out, err = run_cli(capsys, "derive", expr, "--k", k)
+        code, out, err = run_cli(capsys, "derive", *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: the coefficient has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
+        assert err == f"error: {what} has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
     def test_coefficient_bounds_hold(self):
         # lo <= log10|c| <= hi, and den plus its one digit of margin stays below log10 of c's reduced denominator
@@ -312,6 +323,27 @@ class TestDeriveCommand:
                 assert den + 1 <= math.log10(coeff.denominator) + 1e-9, (p, q, expr, k)
                 checked += den > 0
         assert checked >= 20
+
+    def test_residual_gamma_bound_holds(self):
+        # the bound plus its one digit of margin stays below log10 of the longer part of gamma base^k
+        from pqcalc.pqpower import Orientation, PqPowerExpr, derive_pq_power_iterated
+
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(120):
+            p, q, gamma = (rat(f"{rng.choice((-1, 1)) * rng.randint(1, 12)}/{rng.randint(1, 15)}") for _ in "pqg")
+            if p == q:
+                continue
+            params = PqParams(p, q)
+            orientation = rng.choice(list(Orientation))
+            expr = PqPowerExpr(rat(rng.randint(-3, 3)), rng.randint(-4, 14), params, gamma, orientation)
+            k = rng.randint(0, 12)
+            residual = derive_pq_power_iterated(expr, k)[1].gamma
+            bound = cli._gamma_log10(expr, k, params)
+            digits = max(math.log10(abs(residual.numerator)), math.log10(residual.denominator))
+            assert bound + 1 <= digits + 1e-9, (p, q, expr, k)
+            checked += bound > 0
+        assert checked >= 60
 
     def test_long_residual_gamma_is_refused_by_name(self, capsys):
         # the coefficient is 0 (n < k), but gamma (7/5)^7000 has a 4,893-digit denominator
