@@ -27,7 +27,7 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .errors import PqError
 from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bracket_alpha, rat_named, rat_str
@@ -138,6 +138,11 @@ def _rat_arg(name: str, text: str) -> Rat:
         raise ValueError(f"{exc}; integrate to infinity with --to-inf, or with --improper from 0") from None
 
 
+def _non_finite(text: str) -> bool:
+    """Whether ``text`` is a nan or infinity literal, a real that no rational spells."""
+    return re.fullmatch(r"[+-]?(nan|inf|infinity)", text.strip().lower()) is not None
+
+
 def _bound(name: str, text: str) -> float:
     return _float_view(name, _rat_arg(name, text))
 
@@ -154,33 +159,13 @@ def _log10(x) -> float:
     return math.log10(abs(x.numerator)) - math.log10(x.denominator)
 
 
-def _falling_log10(n: int, k: int, params: PqParams) -> tuple[float, float]:
-    """Bounds lo <= log10|[n][n-1]...[n-k+1]| <= hi; a zero product gets (-inf, inf), which refuses nothing.
+def _falling_bounds(n: int, k: int, params: PqParams) -> tuple[float, float, float]:
+    """lo <= log10|[n][n-1]...[n-k+1]| <= hi, and den <= log10 of its reduced denominator, one digit short.
 
     With M = max(|p|,|q|) and m = min(|p|,|q|), the bounds
     M^j (1 - m/M) <= |p^j - q^j| <= 2 M^j for m < M, and |p^j - q^j| = 2 M^j
     for odd j at p = -q, bound |[j]| = |p^j - q^j| / |p - q| for j >= 1;
     [-j] = -[j]/(pq)^j, and the sums over j are closed forms.
-    """
-    if _falling_vanishes(n, k, params.as_ints()):
-        return -math.inf, math.inf
-    big, small = sorted((abs(params.p), abs(params.q)), reverse=True)
-    first = n - k + 1
-    if first > 0:
-        total, negative = _triangle(n) - _triangle(first - 1), 0
-    else:  # no factor [0], so every j is negative
-        total = negative = _triangle(-first) - _triangle(-n - 1)
-    mid = total * _log10(big) - negative * _log10(params.p * params.q) - k * _log10(params.p - params.q)
-    low = math.log10(2) if big == small else _log10(1 - small / big)
-    return mid + k * low, mid + k * math.log10(2)
-
-
-def _triangle(m: int) -> int:
-    return m * (m + 1) // 2
-
-
-def _denominator_log10(n: int, k: int, params: PqParams) -> float:
-    """A lower bound on log10 of the reduced denominator of [n][n-1]...[n-k+1], one digit short for rounding.
 
     Write p = pn/pd and q = qn/qd.  For j >= 2 the reduced denominator of [j]
     is a multiple of B^(j-1), where B is pd qd without the primes pd and qd
@@ -191,24 +176,32 @@ def _denominator_log10(n: int, k: int, params: PqParams) -> float:
     primes of pd qd and those pn and qn share: such a prime divides exactly
     one of P and Q, so neither B_m nor pd qd.  The numerators are prime to B
     or A, so over a product of positive or of negative factors the
-    exponents add up.  A product with a zero factor gets -inf, which
-    refuses nothing.
+    exponents add up.  A product with a zero factor gets (-inf, inf, -inf),
+    which refuses nothing.
     """
     if _falling_vanishes(n, k, params.as_ints()):
-        return -math.inf
+        return -math.inf, math.inf, -math.inf
+    big, small = sorted((abs(params.p), abs(params.q)), reverse=True)
     (pn, pd), (qn, qd) = params.p.as_integer_ratio(), params.q.as_integer_ratio()
     first = n - k + 1
     if first > 0:
-        b, shared = pd * qd, math.gcd(pd, qd)
+        total, negative = _triangle(n) - _triangle(first - 1), 0
         exponent = _triangle(n - 1) - _triangle(max(first, 2) - 2)
+        b, shared = pd * qd, math.gcd(pd, qd)
     else:  # no factor [0], so every factor is negative
+        total = negative = exponent = _triangle(-first) - _triangle(-n - 1)
         b, shared = abs(pn * qn), pd * qd * math.gcd(pn, qn)
-        exponent = _triangle(-first) - _triangle(-n - 1)
+    mid = total * _log10(big) - negative * _log10(params.p * params.q) - k * _log10(params.p - params.q)
+    low = math.log10(2) if big == small else _log10(1 - small / big)
     g = math.gcd(b, shared)
     while g > 1:
         b //= g
         g = math.gcd(b, g)
-    return exponent * math.log10(b) - 1
+    return mid + k * low, mid + k * math.log10(2), exponent * math.log10(b) - 1
+
+
+def _triangle(m: int) -> int:
+    return m * (m + 1) // 2
 
 
 def _coefficient_log10(expr: PqPowerExpr, k: int, params: PqParams) -> tuple[float, float, float]:
@@ -223,8 +216,8 @@ def _coefficient_log10(expr: PqPowerExpr, k: int, params: PqParams) -> tuple[flo
     c = k * (k - 1) // 2
     scale = k * _log10(expr.gamma) + c * _log10(base)
     cancel = k * math.log10(abs(expr.gamma.numerator)) + c * math.log10(abs(base.numerator))
-    lo, hi = _falling_log10(expr.n, k, params)
-    return lo + scale, hi + scale, _denominator_log10(expr.n, k, params) - cancel
+    lo, hi, den = _falling_bounds(expr.n, k, params)
+    return lo + scale, hi + scale, den - cancel
 
 
 def _gamma_log10(expr: PqPowerExpr, k: int, params: PqParams) -> float:
@@ -254,11 +247,11 @@ def _over_limit(what: str, limit: int) -> ValueError:
     return ValueError(f"{what} has over {limit} digits, the int-to-str limit")
 
 
-def _printed(fmt: Callable[[object], str], value: object, what: str) -> str:
+def _printed(fmt: Callable[[Any], Any], value: object, what: str) -> Any:
     """``fmt(value)``, refused in ``_require_printable``'s words if it prints an int past the int-to-str limit.
 
-    The guard bounds only |value|; a numerator or denominator can still be
-    too long to print, and Python's own message would not name the value.
+    Every exact value pq prints comes through here: the guards refuse only what
+    they can bound before computing, and Python's own message names no value.
     """
     try:
         return fmt(value)
@@ -273,18 +266,13 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     except ValueError:
         n = None
     if n is not None:
-        lo, hi = _falling_log10(n, 1, params)
-        _require_printable(max(lo, -hi, _denominator_log10(n, 1, params)), f"[{n}]")
+        lo, hi, den = _falling_bounds(n, 1, params)
+        _require_printable(max(lo, -hi, den), f"[{n}]")
         text = _printed(rat_str, bracket(n, params), f"[{n}]")
         _emit(args, {"value": text}, text)
     else:
-        try:
-            alpha = float(args.n)
-        except ValueError:  # "3/2" is no float literal
-            alpha = None
-        if alpha is None or alpha == 0.0 or math.isinf(alpha) and "inf" not in args.n.lower():
-            # a literal such as 1e400 or 1e-400 whose double is inf or 0.0 is refused as n; "0.0" reads 0
-            alpha = _float_view("n", _rat_arg("n", args.n))
+        # a finite literal is read as a rational, so 1e400 and 1e-400 are refused as n and "0.0" reads 0
+        alpha = float(args.n) if _non_finite(args.n) else _bound("n", args.n)
         value = bracket_alpha(alpha, params).value
         _emit(args, {"value": value}, repr(value))
     return 0
@@ -310,20 +298,21 @@ def cmd_derive(args: argparse.Namespace) -> int:
         _emit(args, {"coeff": coeff_text, "expr": text}, f"{coeff_text} * {text}")
     else:
         result = pq_derive_poly_k(Polynomial.from_string(args.expr, "expr"), k, params)
-        _emit(args, {"poly": result.to_string()}, result.to_string())
+        text = _printed(Polynomial.to_string, result, "the derivative")
+        _emit(args, {"poly": text}, text)
     return 0
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
     from .polynomials import Polynomial
     from .pqpower import Orientation
-    from .taylor import taylor_expand
+    from .taylor import PowerBasisExpansion, taylor_expand
 
     params = _params(args)
     f = Polynomial.from_string(args.poly)
     a = _rat_arg("a", args.a)
     expansion = taylor_expand(f, a, params, Orientation.A_MINUS_X if args.reversed else Orientation.X_MINUS_A)
-    payload = expansion.to_json_dict()
+    payload = _printed(PowerBasisExpansion.to_json_dict, expansion, "the expansion")
     payload["exact"] = expansion.to_polynomial(params) == f
     _emit(args, payload, json.dumps(payload, indent=2))
     return 0
@@ -345,9 +334,9 @@ def _parse_fn_spec(spec: str, params: PqParams) -> NumericFn:
         return NumericFn(math.log)
     if spec.startswith("powneg:"):
         text = spec[len("powneg:"):]
-        if text.strip().lower().lstrip("+-") in ("nan", "inf", "infinity"):  # reals, but no rationals
+        if _non_finite(text):
             raise ValueError(f"{spec} needs a finite r")
-        r = _float_view("r", _rat_arg("r", text))
+        r = _bound("r", text)
         if not r.is_integer() and (params.p < 0 or params.q < 0):
             raise ValueError(f"{spec} needs p, q > 0: a non-integer power of a negative lattice point is complex")
         return NumericFn(lambda x: x**-r)

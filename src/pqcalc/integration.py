@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
 from .polynomials import NumericFn, Polynomial, _pq_derivative, eval_poly
-from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket, rat, rat_from_ints
+from .scalars import DEFAULT_POLICY, PqParams, Rat, Regime, TruncationPolicy, bracket_numerators, rat, rat_from_ints
 
 
 class IntegralStatus(enum.Enum):
@@ -404,15 +404,15 @@ def integral_riemann_stieltjes(
 def antiderive_poly(f: Polynomial, params: PqParams, constant: object = 0) -> Polynomial:
     """The unique polynomial antiderivative with the given constant term.
 
-    The x^n coefficient moves to x^{n+1} divided by [n+1]; differentiating
-    the result reproduces f exactly.
+    The x^n coefficient moves to x^{n+1} divided by [n+1] = B_{n+1} / S^n
+    (``bracket_numerators``); differentiating the result reproduces f exactly.
     """
+    ints = params.as_ints()
     out = [rat(constant)]
-    for n, c in enumerate(f.coeffs):
-        br = bracket(n + 1, params)
-        if not br._numerator:
+    for n, (b, c) in enumerate(zip(bracket_numerators(len(f.coeffs), ints)[1:], f.coeffs)):
+        if not b:
             raise DegenerateRegimeError(f"[{n + 1}] = 0 at p = -q; coefficient has no preimage")
-        out.append(rat_from_ints(c._numerator * br._denominator, c._denominator * br._numerator))
+        out.append(rat_from_ints(c._numerator * ints[2] ** n, c._denominator * b))
     return Polynomial(out)
 
 

@@ -14,6 +14,8 @@ Negative exponents invert a scaled product, (x (-) a)^{-m} =
 1 / (p^{-m} x (-) q^{-m} a)^m, evaluated with factor j times p^m q^m so
 that every n runs one integer loop; a zero of the denominator product
 raises :class:`PoleError`, since exact arithmetic has no infinities.
+
+The k-fold derivative is one closed form; the single step is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import namedtuple
 
 from .errors import NegativeArgumentError, PoleError
 from .polynomials import Polynomial
-from .scalars import PqParams, Rat, bracket, bracket_falling, rat, rat_from_ints, rat_named, rat_str
+from .scalars import PqParams, Rat, bracket_falling, rat, rat_from_ints, rat_named, rat_str
 
 
 class Orientation(enum.Enum):
@@ -136,15 +138,11 @@ def derive_pq_power(e: PqPowerExpr) -> tuple[Rat, PqPowerExpr]:
     Forward:  D (g x (-) a)^n = g [n] (g p x (-) a)^{n-1}
     Reversed: D (a (-) g x)^n = -g [n] (a (-) g q x)^{n-1}
 
-    Valid for every integer n; n = 0 yields coefficient 0 (the residual
-    expression is then irrelevant but kept consistent).
+    This is the k = 1 closed form of :func:`derive_pq_power_iterated`, valid
+    for every integer n; n = 0 yields coefficient 0 (the residual expression
+    is then irrelevant but kept consistent).
     """
-    base, sign = e.orientation.base_sign(e.params)
-    g, b = e.gamma, bracket(e.n, e.params)
-    gn, gd = g._numerator, g._denominator
-    gamma = rat_from_ints(gn * base._numerator, gd * base._denominator)
-    residual = PqPowerExpr(e.a, e.n - 1, e.params, gamma, e.orientation)
-    return rat_from_ints(sign * gn * b._numerator, gd * b._denominator), residual
+    return derive_pq_power_iterated(e, 1)
 
 
 def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:

@@ -172,7 +172,7 @@ class TestBracketCommand:
         params = PqParams(rat(p), rat(q))
         for n in range(-8, 13):
             for k in range(5):
-                lo, hi = cli._falling_log10(n, k, params)
+                lo, hi, _ = cli._falling_bounds(n, k, params)
                 value = bracket_falling(n, k, params)
                 if value == 0:  # a zero product refuses nothing
                     assert (lo, hi) == (-math.inf, math.inf)
@@ -189,7 +189,7 @@ class TestBracketCommand:
             params = PqParams(p, q)
             for n in range(2, 31):
                 digits = math.log10(bracket(n, params).denominator)
-                assert cli._denominator_log10(n, 1, params) + 1 <= digits + 1e-9, (p, q, n)
+                assert cli._falling_bounds(n, 1, params)[2] + 1 <= digits + 1e-9, (p, q, n)
 
     def test_falling_denominator_bound_holds(self):
         # over a product of positive or of negative factors the bound adds up; a zero factor refuses nothing
@@ -202,7 +202,7 @@ class TestBracketCommand:
             params = PqParams(p, q)
             for n in range(-8, 16):
                 for k in range(6):
-                    bound, value = cli._denominator_log10(n, k, params), bracket_falling(n, k, params)
+                    bound, value = cli._falling_bounds(n, k, params)[2], bracket_falling(n, k, params)
                     if value == 0:
                         assert bound == -math.inf, (p, q, n, k)
                     else:
@@ -360,6 +360,25 @@ class TestDeriveCommand:
     def test_printable_coefficient_still_prints(self, capsys, n, k):
         code, out, _ = run_cli(capsys, "derive", f"pqpow(a=1, n={n})", "--k", str(k), "--p", "3/2", "--q", "1/3")
         assert code == 0 and out.partition(" * ")[2] == f"pqpow(a=1, n={n - k}, gamma={rat_str(rat('3/2') ** k)})"
+
+
+class TestUnprintableOutput:
+    """The outputs no guard bounds, refused in the bracket's and the coefficient's words past the int-to-str limit."""
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            # 10^-5000 has a 5001-digit denominator
+            (("derive", "1e-5000,1", "--k", "0"), "the derivative"),
+            (("taylor", "1,2,3", "1e-5000"), "the expansion"),
+        ],
+        ids=["derive-poly", "taylor"],
+    )
+    def test_names_the_value(self, capsys, argv, what, json_flag):
+        code, out, err = run_cli(capsys, *argv, *json_flag)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
 
 class TestTaylorCommand:
@@ -625,12 +644,16 @@ class TestUnparsableArguments:
             (("bracket", "3", "--q", "-nan"), "--q", "-nan"),
             (("taylor", "0,0,1", "-inf"), "a", "-inf"),
             (("derive", "-nan,1"), "coefficient 0 of expr", "-nan"),
+            # two signs make no nan or infinity literal: refused as text, not as a non-finite value
+            (("bracket", "+-inf"), "n", "+-inf"),
+            (("integrate", "powneg:+-inf", "1", "--to-inf"), "r", "+-inf"),
         ],
         ids=[
             "a", "a-inf", "a-zero-den", "b", "q", "bracket-p", "taylor-a", "bracket-n", "bracket-n-zero-den",
             "powneg-r", "powneg-empty", "derive-poly", "derive-poly-empty", "taylor-poly", "integrate-poly",
             "pqpow-a", "pqpowrev-a-zero-den", "pqpow-gamma",
             "a-minus-inf", "b-minus-infinity", "q-minus-nan", "taylor-a-minus-inf", "derive-poly-minus-nan",
+            "bracket-n-two-signs", "powneg-r-two-signs",
         ],
     )
     def test_names_the_argument(self, capsys, argv, name, text, json_flag):

@@ -448,32 +448,8 @@ class TestResultSerialization:
         assert result.tail_estimate <= policy.tail_tol
 
 
-def _random_poly(rng, degree):
-    return Polynomial(rat(rng.randint(-30, 30)) / rng.randint(1, 12) for _ in range(degree + 1))
-
-
 class TestFloatHorner:
-    """from_polynomial floats the coefficients once and must stay eval_poly's twin."""
-
-    POINTS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.37, 2.75, -13.5, 1e-9, 3e5)
-
-    def test_matches_eval_poly_bit_for_bit(self):
-        rng = random.Random(4)
-        polys = [Polynomial.zero(), Polynomial([rat("-7/3")])]
-        polys += [_random_poly(rng, rng.randint(1, 9)) for _ in range(60)]
-        for poly in polys:
-            f = NumericFn.from_polynomial(poly)
-            points = self.POINTS + tuple(rng.uniform(-4.0, 4.0) for _ in range(10))
-            for x in points:
-                expected = eval_poly(poly, x)
-                assert math.copysign(1.0, f(x)) == math.copysign(1.0, expected)
-                assert f(x) == expected, (poly, x)
-
-    def test_deriv_at_zero_is_the_linear_coefficient(self):
-        assert NumericFn.from_polynomial(Polynomial.zero()).deriv_at_zero == 0.0
-        assert NumericFn.from_polynomial(Polynomial([5])).deriv_at_zero == 0.0
-        poly = Polynomial([1, rat("-2/3"), 4])
-        assert NumericFn.from_polynomial(poly).deriv_at_zero == float(rat("-2/3"))
+    """from_polynomial floats the coefficients once; tests/test_kernels.py holds it to eval_poly bit for bit."""
 
     def test_overflowing_coefficient_fails_at_build(self, capsys):
         with pytest.raises(OverflowError):

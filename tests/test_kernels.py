@@ -450,7 +450,7 @@ class TestFloatHorner:
         degrees = set()
         for f in cases():
             g = NumericFn.from_polynomial(f)
-            for x in FLOAT_POINTS + (0.7, -1e-300, -1.03):
+            for x in FLOAT_POINTS + (0.7, -1e-300, -1.03, 1.0, -1.0, 0.5, -0.37, 2.75, -13.5, 1e-9, 3e5):
                 want = bits(ref_float_horner(f.coeffs, x))
                 assert bits(g.fn(x)) == want == bits(eval_poly(f, x)), (f, x)
             assert g.deriv_at_zero == (float(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0)
@@ -922,6 +922,9 @@ class TestOneIntegerFormPerCall:
         "bracket": lambda p: bracket(-7, p),
         "pq_power_value": lambda p: pq_power_value("1/2", 3, 6, p),
         "eval_pq_power": lambda p: eval_pq_power(PqPowerExpr(1, -3, p), Fraction(5, 7)),
+        "derive_pq_power": lambda p: derive_pq_power(PqPowerExpr("2/3", 5, p, "-1/2", Orientation.A_MINUS_X)),
+        "derive_pq_power_iterated": lambda p: derive_pq_power_iterated(PqPowerExpr("2/3", -4, p, "-1/2"), 3),
+        "antiderive_poly": lambda p: antiderive_poly(TestOneIntegerFormPerCall.F, p, "-5/3"),
     }
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
