@@ -202,22 +202,20 @@ def _linearity(rng: Random) -> bool:
 @law("product-rule-2", exact=True, first_form=False)
 @law("product-rule-1", exact=True, first_form=True)
 def _product_rule(rng: Random, first_form: bool) -> bool:
+    """D(fg)(x) = f(px) Dg(x) + g(qx) Df(x); the second form is the first with f and g exchanged."""
     params = _rand_params(rng)
-    p, q = params.p, params.q
     f, g = _rand_poly(rng, 4), _rand_poly(rng, 4)
-    df, dg = pq_derive_poly(f, params), pq_derive_poly(g, params)
     x = _rand_x(rng)
     lhs = eval_poly(pq_derive_poly(f * g, params), x)
-    if first_form:
-        rhs = eval_poly(f, p * x) * eval_poly(dg, x) + eval_poly(g, q * x) * eval_poly(df, x)
-    else:
-        rhs = eval_poly(g, p * x) * eval_poly(df, x) + eval_poly(f, q * x) * eval_poly(dg, x)
-    return lhs == rhs
+    f, g = (f, g) if first_form else (g, f)
+    df, dg = pq_derive_poly(f, params), pq_derive_poly(g, params)
+    return lhs == eval_poly(f, params.p * x) * eval_poly(dg, x) + eval_poly(g, params.q * x) * eval_poly(df, x)
 
 
 @law("quotient-rule-2", exact=True, first_form=False)
 @law("quotient-rule-1", exact=True, first_form=True)
 def _quotient_rule(rng: Random, first_form: bool) -> bool:
+    """D(f/g)(x) = (g(rx) Df(x) - f(rx) Dg(x)) / (g(px) g(qx)), with r = q in the first form and r = p in the second."""
     params = _rand_params(rng)
     p, q = params.p, params.q
     f = _rand_poly(rng, 3)
@@ -227,14 +225,10 @@ def _quotient_rule(rng: Random, first_form: bool) -> bool:
             break
     x = _rand_x(rng, avoid=lambda t: eval_poly(g, p * t) == 0 or eval_poly(g, q * t) == 0)
     lhs = pq_difference_quotient(lambda t: eval_poly(f, t) / eval_poly(g, t), x, params)
-    df_x = eval_poly(pq_derive_poly(f, params), x)
-    dg_x = eval_poly(pq_derive_poly(g, params), x)
-    denom = eval_poly(g, p * x) * eval_poly(g, q * x)
-    if first_form:
-        rhs = (eval_poly(g, q * x) * df_x - eval_poly(f, q * x) * dg_x) / denom
-    else:
-        rhs = (eval_poly(g, p * x) * df_x - eval_poly(f, p * x) * dg_x) / denom
-    return lhs == rhs
+    df, dg = pq_derive_poly(f, params), pq_derive_poly(g, params)
+    rx = (q if first_form else p) * x
+    numerator = eval_poly(g, rx) * eval_poly(df, x) - eval_poly(f, rx) * eval_poly(dg, x)
+    return lhs == numerator / (eval_poly(g, p * x) * eval_poly(g, q * x))
 
 
 # -------------------------------------------------------- power basis laws

@@ -26,36 +26,6 @@ PHALF = PqParams(2, rat("1/2"))
 P32 = PqParams(3, 2)
 
 
-def additive_law_holds(a, m, n, params, x):
-    """(x (-) a)^{m+n} = (x (-) a)^m (p^m x (-) q^m a)^n at x; raises PoleError at a pole."""
-    right = PqPowerExpr(params.q**m * a, n, params, gamma=params.p**m)
-    whole = eval_pq_power(PqPowerExpr(a, m + n, params), x)
-    return whole == eval_pq_power(PqPowerExpr(a, m, params), x) * eval_pq_power(right, x)
-
-
-def reciprocal_rules_hold(a, n, params, x):
-    """The three reciprocal/reversed laws at x, left sides as difference quotients:
-
-        D 1/(x (-) a)^n = -q [n] / (q x (-) a)^{n+1}
-        D (a (-) x)^n   = -[n] (a (-) q x)^{n-1}
-        D 1/(a (-) x)^n =  p [n] / (a (-) p x)^{n+1}
-
-    A vanishing power in a denominator raises ZeroDivisionError.
-    """
-    p, q, br = params.p, params.q, bracket(n, params)
-    forward = PqPowerExpr(a, n, params)
-    reverse = PqPowerExpr(a, n, params, orientation=Orientation.A_MINUS_X)
-    lhs1 = pq_difference_quotient(lambda t: 1 / eval_pq_power(forward, t), x, params)
-    rhs1 = -q * br / eval_pq_power(PqPowerExpr(a, n + 1, params, gamma=q), x)
-    lhs2 = pq_difference_quotient(lambda t: eval_pq_power(reverse, t), x, params)
-    down = PqPowerExpr(a, n - 1, params, gamma=q, orientation=Orientation.A_MINUS_X)
-    rhs2 = 0 if n == 0 else -br * eval_pq_power(down, x)
-    lhs3 = pq_difference_quotient(lambda t: 1 / eval_pq_power(reverse, t), x, params)
-    up = PqPowerExpr(a, n + 1, params, gamma=p, orientation=Orientation.A_MINUS_X)
-    rhs3 = p * br / eval_pq_power(up, x)
-    return lhs1 == rhs1, lhs2 == rhs2, lhs3 == rhs3
-
-
 def pq_derive_poly_k_matches(base, k, coeff, residual, params):
     """k-fold polynomial derivative of the expansion equals coeff * expansion."""
     from pqcalc.polynomials import pq_derive_poly_k
@@ -262,64 +232,12 @@ class TestDerivativeLaws:
 
 
 class TestAdditiveLaw:
-    def test_trivial_zero_exponents(self):
-        assert additive_law_holds(rat("2/3"), 0, 3, P32, rat("5/4"))
-        assert additive_law_holds(rat("2/3"), -2, 0, P32, rat("5/4"))
-
     def test_positive_pair_as_polynomials(self):
         a = rat("1/2")
         lhs = expand_expr(PqPowerExpr(a, 5, P32))
         right = PqPowerExpr(P32.q**2 * a, 3, P32, gamma=P32.p**2)
         rhs = expand_expr(PqPowerExpr(a, 2, P32)) * expand_expr(right)
         assert lhs == rhs
-
-    def test_all_sign_combinations(self):
-        rng = random.Random(17)
-        params = PqParams(rat("5/2"), rat("3/4"))
-        a = rat("2/7")
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                for _ in range(50):
-                    x = rat(rng.randint(1, 40)) / rng.randint(1, 7)
-                    try:
-                        assert additive_law_holds(a, m, n, params, x)
-                        break
-                    except PoleError:
-                        continue
-                else:
-                    pytest.fail(f"no pole-free sample found for m={m}, n={n}")
-
-    def test_negdef_consistency(self):
-        params = PqParams(rat("5/2"), rat("3/4"))
-        a = rat("2/7")
-        x = rat("9/4")
-        for n in range(5):
-            negative = eval_pq_power(PqPowerExpr(a, -n, params), x)
-            partner = eval_pq_power(
-                PqPowerExpr(params.q**-n * a, n, params, gamma=params.p**-n), x
-            )
-            assert negative * partner == 1
-
-
-class TestReciprocalRules:
-    def test_exponent_zero_all_trivial(self):
-        assert reciprocal_rules_hold(rat(1), 0, PHALF, rat("5/2")) == (True, True, True)
-
-    def test_exponent_one(self):
-        assert reciprocal_rules_hold(rat(1), 1, PHALF, rat("7/3")) == (True, True, True)
-
-    def test_exponent_three_random_inputs(self):
-        rng = random.Random(23)
-        params = PqParams(rat("5/3"), rat("1/2"))
-        checked = 0
-        while checked < 10:
-            a = rat(rng.randint(1, 9)) / rng.randint(1, 4)
-            x = rat(rng.randint(1, 30)) / rng.randint(1, 7)
-            try:
-                assert reciprocal_rules_hold(a, 3, params, x) == (True, True, True)
-                checked += 1
-            except ZeroDivisionError:
-                continue
 
 
 class TestParsing:

@@ -8,7 +8,7 @@ import pytest
 from pqcalc.errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from pqcalc.polynomials import Polynomial
 from pqcalc.pqpower import Orientation, PqPowerExpr, expand_expr, pq_power_value
-from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, pq_binomial, rat, rat_float
+from pqcalc.scalars import PqParams, Rat, TruncationPolicy, bracket, rat, rat_float
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
@@ -213,41 +213,11 @@ class TestConnectionFormulas:
                 assert lhs == rhs
 
 
-def q_binomial_holds(a, b, n, q):
-    """(ab;q)_n = sum_k qbinom(n,k) a^{n-k} (b;q)_{n-k} (a;q)_k at p = 1, with (u;q)_k = (1 (-) u)^k.
-
-    The right side is checked as written and through the connection
-    coefficients of (x (-) ab)^n over (x (-) a)^k at x = 1.
-    """
-    params = PqParams(1, q)
-    lhs = pq_power_value(1, a * b, n, params)
-    literal = sum(
-        pq_binomial(n, k, params) * a ** (n - k)
-        * pq_power_value(1, b, n - k, params) * pq_power_value(1, a, k, params)
-        for k in range(n + 1)
-    )
-    connect = connect_power_to_power(a * b, a, n, params, Orientation.X_MINUS_A)
-    via_connection = sum(c * pq_power_value(1, a, k, params) for k, c in enumerate(connect))
-    return lhs == literal == via_connection
-
-
 class TestQBinomialReduction:
-    def test_trivial_and_linear(self):
-        assert q_binomial_holds(rat("1/2"), rat("1/3"), 0, rat("1/4"))
-        assert q_binomial_holds(rat("1/2"), rat("1/3"), 1, rat("1/4"))
-
     def test_linear_value(self):
         # both sides at n=1 are 1 - ab
         a, b, q = rat("1/2"), rat("1/3"), rat("1/4")
         assert pq_power_value(1, a * b, 1, PqParams(1, q)) == 1 - a * b
-
-    def test_random_instances(self):
-        rng = random.Random(77)
-        for _ in range(30):
-            a = rat(rng.randint(1, 9)) / rng.randint(10, 30)
-            b = rat(rng.randint(1, 9)) / rng.randint(10, 30)
-            q = rat(rng.randint(1, 9)) / rng.randint(10, 30)
-            assert q_binomial_holds(a, b, rng.randint(0, 6), q)
 
 
 class TestReciprocalSeries:
