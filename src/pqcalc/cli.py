@@ -133,7 +133,7 @@ def _rat_arg(name: str, text: str) -> Rat:
     try:
         return rat_named(name, text)
     except ValueError as exc:
-        if name != "b" or text.strip().lower().lstrip("+") not in ("inf", "infinity"):
+        if name != "b" or not (_non_finite(text) and float(text) == math.inf):
             raise
         raise ValueError(f"{exc}; integrate to infinity with --to-inf, or with --improper from 0") from None
 

@@ -647,20 +647,22 @@ class TestUnparsableArguments:
             # two signs make no nan or infinity literal: refused as text, not as a non-finite value
             (("bracket", "+-inf"), "n", "+-inf"),
             (("integrate", "powneg:+-inf", "1", "--to-inf"), "r", "+-inf"),
+            (("integrate", "poly:1", "0", "++inf"), "b", "++inf"),
+            (("integrate", "poly:1", "0", "nan"), "b", "nan"),
         ],
         ids=[
             "a", "a-inf", "a-zero-den", "b", "q", "bracket-p", "taylor-a", "bracket-n", "bracket-n-zero-den",
             "powneg-r", "powneg-empty", "derive-poly", "derive-poly-empty", "taylor-poly", "integrate-poly",
             "pqpow-a", "pqpowrev-a-zero-den", "pqpow-gamma",
             "a-minus-inf", "b-minus-infinity", "q-minus-nan", "taylor-a-minus-inf", "derive-poly-minus-nan",
-            "bracket-n-two-signs", "powneg-r-two-signs",
+            "bracket-n-two-signs", "powneg-r-two-signs", "b-two-signs", "b-nan",
         ],
     )
     def test_names_the_argument(self, capsys, argv, name, text, json_flag):
         code, out, err = run_cli(capsys, *argv, *json_flag)
         assert (code, out, err) == (2, "", f"error: {name} must be a rational such as 3/2, got {text!r}")
 
-    @pytest.mark.parametrize("b", ["inf", "+Infinity"])
+    @pytest.mark.parametrize("b", ["inf", "+inf", "+Infinity", " Infinity "])
     def test_infinite_b_points_at_the_modes(self, capsys, b):
         code, out, err = run_cli(capsys, "integrate", "poly:1", "0", b)
         assert (code, out, err) == (2, "", f"error: b must be a rational such as 3/2, got {b!r}{self.INF_HINT}")

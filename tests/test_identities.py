@@ -8,6 +8,7 @@ import pytest
 from pqcalc import identities, integration
 from pqcalc.identities import CHECKS, EXACT_LAW_LABELS, CheckResult, run_suite
 from pqcalc.integration import GapReport, IntegralResult, IntegralStatus
+from pqcalc.polynomials import Polynomial
 from pqcalc.scalars import Regime
 
 LABELS = (
@@ -155,6 +156,74 @@ class TestCountingRules:
         monkeypatch.setattr(integration, "_lattice_walk", skewed)
         [result] = run_suite(seed=0, trials=1, only=["jackson-reduction"])
         assert (result.trials, result.failures) == (9, 9)
+
+
+ONE = Polynomial([1])
+
+
+def _then(change):
+    """A fault: the exact kernel's result passed through ``change``."""
+    return lambda exact: lambda *args: change(exact(*args))
+
+
+def _where(condition, extra):
+    """A fault: ``extra`` added to the exact kernel's result where ``condition(*args)`` holds."""
+    return lambda exact: lambda *args: exact(*args) + (extra if condition(*args) else 0)
+
+
+PLUS_ONE = _then(lambda value: value + 1)
+COEFF_DOUBLED = _then(lambda derived: (2 * derived[0], derived[1]))
+GAMMA_DOUBLED = _then(lambda derived: (derived[0], derived[1]._replace(gamma=2 * derived[1].gamma)))
+FIRST_PLUS_ONE = _then(lambda coeffs: (coeffs[0] + 1,) + coeffs[1:])
+# one wrong kernel in the identities namespace per law, and per sub-check of bracket-invariants:
+# (label, kernel, fault), where a fault maps the exact kernel to a wrong one
+FAULTS = [
+    ("linearity", "pq_derive_poly", _then(lambda poly: poly + ONE)),
+    ("product-rule-1", "pq_derive_poly", _then(lambda poly: poly + ONE)),
+    ("product-rule-2", "pq_derive_poly", _then(lambda poly: poly + ONE)),
+    ("quotient-rule-1", "pq_difference_quotient", PLUS_ONE),
+    ("quotient-rule-2", "pq_difference_quotient", PLUS_ONE),
+    ("derule1", "derive_pq_power", COEFF_DOUBLED),
+    ("derule2", "derive_pq_power", COEFF_DOUBLED),
+    ("derule3", "derive_pq_power_iterated", GAMMA_DOUBLED),
+    ("der3", "derive_pq_power", COEFF_DOUBLED),
+    ("derule4", "derive_pq_power_iterated", GAMMA_DOUBLED),
+    ("r1", "bracket", PLUS_ONE),
+    ("r2", "bracket", PLUS_ONE),
+    ("r3", "bracket", PLUS_ONE),
+    ("expand1", "eval_pq_power", _where(lambda e, x: e.gamma != 1, 1)),
+    ("negdef", "eval_pq_power", _where(lambda e, x: e.gamma != 1, 1)),
+    ("taylor-roundtrip", "taylor_expand", lambda exact: lambda f, *rest: exact(f + ONE, *rest)),
+    ("conec1", "connect_monomial", FIRST_PLUS_ONE),
+    ("conec2", "connect_monomial", FIRST_PLUS_ONE),
+    ("conecc3", "connect_power_to_power", FIRST_PLUS_ONE),
+    ("conecc4", "connect_power_to_power", FIRST_PLUS_ONE),
+    ("qbin", "pq_binomial", PLUS_ONE),
+    ("antiderivative-roundtrip", "antiderive_poly", _then(lambda poly: poly + Polynomial.monomial(1))),
+    # bracket-invariants, one fault per sub-check in their order; each passes the sub-checks before
+    # its own, since no drawn pair has p = 1 or q = 1 and only the q-reduction and scaling use one
+    ("bracket-invariants", "bracket", _where(lambda n, params: params.p < params.q, 1)),  # symmetry
+    ("bracket-invariants", "bracket", PLUS_ONE),  # sum form
+    ("bracket-invariants", "bracket", _where(lambda n, params: 1 in (params.p, params.q), 1)),  # q-reduction
+    ("bracket-invariants", "pq_binomial", _where(lambda n, k, params: 2 * k < n, 1)),  # binomial symmetry
+    ("bracket-invariants", "pq_binomial", _where(lambda n, k, params: params.p == 1, 1)),  # scaling
+    ("bracket-invariants", "bracket_alpha", _then(lambda real: real._replace(value=real.value * (1 + 1e-9)))),
+]
+
+
+class TestEveryLawCanFail:
+    """A law made vacuous fails here: each fault makes its label report failures."""
+
+    def test_the_table_covers_every_exact_law(self):
+        assert set(EXACT_LAW_LABELS) <= {label for label, _, _ in FAULTS}
+
+    @pytest.mark.parametrize(
+        "label, kernel, fault", FAULTS, ids=[f"{label}-{i}" for i, (label, _, _) in enumerate(FAULTS)]
+    )
+    def test_fault_fails_its_law(self, monkeypatch, label, kernel, fault):
+        monkeypatch.setattr(identities, kernel, fault(getattr(identities, kernel)))
+        [result] = run_suite(seed=0, trials=20, only=[label])
+        assert result.failures > 0
 
 
 class TestReplayAlone:

@@ -445,6 +445,10 @@ class TestFactorialAndBinomial:
         with pytest.raises(NegativeArgumentError):
             pq_factorial(-1, PqParams(2, 1))
 
+    def test_falling_negative_k_rejected(self):
+        with pytest.raises(NegativeArgumentError, match="^need k >= 0, got -1$"):
+            bracket_falling(3, -1, PqParams(2, 1))
+
     def test_binomial_examples(self):
         assert pq_binomial(5, 0, PqParams(3, 2)) == 1
         assert pq_binomial(4, 2, PqParams(2, 1)) == 35

@@ -192,6 +192,10 @@ class TestConnectionFormulas:
         coeffs = connect_power_to_power(a, a, 3, P32, Orientation.X_MINUS_A)
         assert coeffs == (rat(0), rat(0), rat(0), rat(1))
 
+    def test_power_to_power_negative_n_rejected(self):
+        with pytest.raises(OutOfRangeError, match="^need n >= 0, got -1$"):
+            connect_power_to_power(rat(1), rat(2), -1, P32, Orientation.X_MINUS_A)
+
     def test_power_to_power_telescopes_linear(self):
         a, b = rat(2), rat("1/3")
         assert connect_power_to_power(b, a, 1, P32, Orientation.X_MINUS_A) == (a - b, rat(1))
@@ -231,6 +235,12 @@ class TestReciprocalSeries:
             heine_coeff(0, 1, PHALF)
         with pytest.raises(OutOfRangeError):
             heine_coeff(2, -1, PHALF)
+
+    def test_reciprocal_series_below_n_one_rejected(self):
+        with pytest.raises(OutOfRangeError, match="^need n >= 1, got 0$"):
+            reciprocal_power_series(0, PHALF, 4)
+        with pytest.raises(OutOfRangeError, match="^need n >= 1, got 0$"):
+            heine_series_eval(0, 0.25, PHALF)
 
     def test_long_division_inverts_denominator(self):
         # multiplying the series back by the denominator gives 1 + O(x^terms)
