@@ -39,9 +39,10 @@ reason) tuples, and each integral builds its one :class:`IntegralResult`
 at the end.  A ready-made term stream (the Heine series, the
 Riemann-Stieltjes sum) goes through the same loop as the integrand of a
 walk that stays at one point (:func:`_sum_series`).  A polynomial
-integrand arrives with its coefficients already floated and its
-Horner written out (:meth:`NumericFn.from_polynomial`), and the integrands
-that the identity checks build call their functions' ``fn`` directly.
+integrand arrives with its coefficients already floated, its Horner
+written out and its component count (:meth:`NumericFn.from_polynomial`),
+and the integrands that the identity checks build call their functions'
+``fn`` directly.
 
 The |q/p| = 1 regime has no defined lattice and is rejected outright.
 """
@@ -147,7 +148,7 @@ def _sum_series(
 
 def _sum_walk(
     fn: Callable[[float], float], a: float, pre: float, w: float, step: float,
-    policy: TruncationPolicy, ratio: Optional[float],
+    policy: TruncationPolicy, ratio: Optional[float], components: int = 0,
 ) -> tuple[float, int, float, str]:
     """Sum the lattice terms pre a w_k fn(a w_k) with the weights w_k = w step^k.
 
@@ -158,11 +159,15 @@ def _sum_walk(
     end of the series.
 
     The plain rules stop the sum on three small terms, on divergence or on
-    ``max_terms``, exactly as if nothing else ran.  ``ratio`` is the step
-    of the lattice points of a lattice series, None for any other series,
-    which is only summed.  With r = min(|ratio|, 1/|ratio|) and the stride
-    m = max(2, ceil(1/(2(1-r)))), the sum S_N of the first N terms is
-    extrapolated to E_i at checkpoints N, after the plain rules saw term N:
+    ``max_terms``, exactly as if nothing else ran.  With a component count
+    d + 1 (``components``, 0 for none), an exact 0.0 term counts towards
+    the three small terms only once d + 1 of them have come in a row: a
+    nonzero polynomial of degree d has at most d zeros on a lattice.
+    ``ratio`` is the step of the lattice points of a lattice series, None
+    for any other series, which is only summed.  With r = min(|ratio|,
+    1/|ratio|) and the stride m = max(2, ceil(1/(2(1-r)))), the sum S_N of
+    the first N terms is extrapolated to E_i at checkpoints N, after the
+    plain rules saw term N:
 
     - |ratio| < 1 (towards 0), N = m, 2m, 3m, ...: a polynomial integrand's
       partial sums miss geometric components of the known ratios ratio^{n+1},
@@ -180,11 +185,11 @@ def _sum_walk(
     E_i is accepted only while the terms fall: |t_{N-1}| is below the term
     at the previous checkpoint, and on [a, infinity) |kappa| < 1.
     It is also accepted only once two differences d_{i-1}, d_i of
-    extrapolants exist and some checkpoint sum is not exactly 0.0.  This
-    does not keep a coincidence from being taken for the limit: while the
-    table has fewer rows than a polynomial has components, two extrapolants
-    can agree exactly, or checkpoint sums that vanish as rationals can
-    leave only roundoff in floats, and either is accepted.
+    extrapolants exist, some checkpoint sum is not exactly 0.0 and, on
+    [0, a], the table has at least ``components`` levels.  Until the table
+    has a level for each component of a polynomial, two extrapolants can
+    agree exactly, or checkpoint sums that vanish as rationals can leave
+    only roundoff in floats; without a count either is accepted.
     With d_i = |E_i - E_{i-1}|, u = 2^-53 and the roundoff term
     R = (N+3) u (sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)), where
     kappa is the ratio of the extrapolated tail (lam on [0, a]), the bound
@@ -208,7 +213,7 @@ def _sum_walk(
         row = [0.0]  # the last row of the Richardson table
     total = abs_total = term = 0.0
     run = 1
-    small_run = 0
+    small_run = zeros = 0
     last_mag = 0.0
     block_mag = math.inf  # |term| at the previous checkpoint
     estimate = math.nan
@@ -231,6 +236,10 @@ def _sum_walk(
             mag = abs(term)
             abs_total += mag
             if mag <= tail_tol:
+                if not term and components:  # a lattice root, until `components` of them come in a row
+                    zeros = zeros + 1 if not prev_term else 1
+                    if zeros < components:
+                        continue
                 small_run += 1
                 if small_run >= _SMALL_RUN:
                     return total, count, mag, "small_terms"
@@ -269,6 +278,8 @@ def _sum_walk(
         estimate = latest
         if not falling or not nonzero or math.isnan(prev_diff):  # accept on two real differences only
             continue
+        if known and len(factors) < components:  # the table cannot yet remove every component of f
+            continue
         roundoff = (count + 3) * _U * (abs_total + 2.0 * gain * abs(latest - total))
         if diff <= roundoff:
             bound = diff
@@ -302,7 +313,7 @@ def _one_sided(
     if a == 0:
         return 0.0, 0, 0.0, "small_terms"
     pre, w, step = _lattice_walk(params, regime, to_zero)
-    return _sum_walk(f.fn, a, pre, w, step, policy, step if extrapolate else None)
+    return _sum_walk(f.fn, a, pre, w, step, policy, step if extrapolate else None, f.components)
 
 
 def _two_sided(

@@ -245,15 +245,20 @@ def _horner_maker(degree: int) -> Callable[..., Callable[[float], float]]:
 
 
 class NumericFn(NamedTuple):
-    """A deterministic real evaluator, optionally with its derivative at 0.
+    """A deterministic real evaluator, optionally with its derivative at 0 and its component count.
 
     The derivative at 0 is the value the difference quotient cannot reach;
     integral lattices never sample x = 0, so it only matters when callers
     differentiate at the origin explicitly.
+
+    ``components`` is d + 1 for a polynomial of degree d, whose lattice
+    partial sums have d + 1 geometric components, and 0 for no count; the
+    lattice summer reads it (:mod:`.integration`).
     """
 
     fn: Callable[[float], float]
     deriv_at_zero: Optional[float] = None
+    components: int = 0
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NumericFn":
@@ -262,7 +267,8 @@ class NumericFn(NamedTuple):
         The evaluator is the written-out Horner of f's degree
         (:func:`_horner_maker`), so a call runs no loop.  Only a polynomial
         whose leading coefficient floats to 0.0 gets the wrapper that reads
-        x = +-inf as the limit, so the others pay nothing per call.
+        x = +-inf as the limit, so the others pay nothing per call.  The zero
+        polynomial floats to the constant 0.0 and counts 1 component.
         """
         cs = [rat_float(c) for c in reversed(f.coeffs)] or [0.0]
         horner = _horner_maker(len(cs) - 1)(*cs)
@@ -272,7 +278,7 @@ class NumericFn(NamedTuple):
             def horner(x: float) -> float:
                 return _limit_at_inf(top, degree, x) if math.isinf(x) else plain(x)
 
-        return cls(fn=horner, deriv_at_zero=cs[-2] if len(cs) > 1 else 0.0)
+        return cls(fn=horner, deriv_at_zero=cs[-2] if len(cs) > 1 else 0.0, components=len(cs))
 
     def __call__(self, x: float) -> float:
         return self.fn(x)

@@ -83,7 +83,12 @@ class TestNumericFnValue:
         assert f.deriv_at_zero is None
         assert f(-2.5) == 2.5
         assert NumericFn(fn=abs, deriv_at_zero=None) == f
-        assert repr(f) == f"NumericFn(fn={abs!r}, deriv_at_zero=None)"
+        assert repr(f) == f"NumericFn(fn={abs!r}, deriv_at_zero=None, components=0)"
+
+    def test_polynomial_counts_its_components(self):
+        # d + 1 for degree d; the zero polynomial floats to the constant 0.0
+        for coeffs, count in (([], 1), ([5], 1), ([4, 7, -2], 3), ([0, 0, 0, rat("1/3")], 4)):
+            assert NumericFn.from_polynomial(Polynomial(coeffs)).components == count
 
     def test_immutability(self):
         f = NumericFn(abs, 1.0)
