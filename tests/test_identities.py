@@ -172,15 +172,16 @@ def _where(condition, extra):
 
 
 PLUS_ONE = _then(lambda value: value + 1)
+POLY_PLUS_ONE = _then(lambda poly: poly + ONE)
 COEFF_DOUBLED = _then(lambda derived: (2 * derived[0], derived[1]))
 GAMMA_DOUBLED = _then(lambda derived: (derived[0], derived[1]._replace(gamma=2 * derived[1].gamma)))
 FIRST_PLUS_ONE = _then(lambda coeffs: (coeffs[0] + 1,) + coeffs[1:])
 # one wrong kernel in the identities namespace per law, and per sub-check of bracket-invariants:
 # (label, kernel, fault), where a fault maps the exact kernel to a wrong one
 FAULTS = [
-    ("linearity", "pq_derive_poly", _then(lambda poly: poly + ONE)),
-    ("product-rule-1", "pq_derive_poly", _then(lambda poly: poly + ONE)),
-    ("product-rule-2", "pq_derive_poly", _then(lambda poly: poly + ONE)),
+    ("linearity", "pq_derive_poly", POLY_PLUS_ONE),
+    ("product-rule-1", "pq_derive_poly", POLY_PLUS_ONE),
+    ("product-rule-2", "pq_derive_poly", POLY_PLUS_ONE),
     ("quotient-rule-1", "pq_difference_quotient", PLUS_ONE),
     ("quotient-rule-2", "pq_difference_quotient", PLUS_ONE),
     ("derule1", "derive_pq_power", COEFF_DOUBLED),

@@ -762,7 +762,7 @@ class TestExtrapolation:
                         error = abs(Fraction(result.value) - integral_exact(f, 0, a, params))
                         # an accelerated tail bounds the error; a small-terms tail is only the last
                         # term, so that stop answers to the tolerance of its rule
-                        bound = result.tail_estimate if result.stop_reason == "accelerated" else 1e-12
+                        bound = result.tail_estimate if result.stop_reason == "accelerated" else DEFAULT_POLICY.tail_tol
                         assert result.status is not IntegralStatus.CONVERGED or error <= bound, (d, k, s, a, result)
 
     @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
