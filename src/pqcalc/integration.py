@@ -4,11 +4,14 @@ Every definite integral here is a geometric-lattice sum: the integrand is
 sampled on points a*(q/p)^k (scaled by 1/p or 1/q) and the weighted terms
 are added until a :class:`TruncationPolicy` says stop.  The plain rules
 stop a sum on ``_SMALL_RUN`` (3) consecutive terms of magnitude at most
-``tail_tol``, on :data:`DIVERGENCE_WINDOW` consecutive non-decreasing term
-magnitudes (divergence, reported as a status, never raised, so failure
-cases such as 1/x can be demonstrated rather than crashed on), or on
-``max_terms``.  Between them the lattice ratio, known before the first
-term, lets the summer extrapolate the partial sums (:func:`_sum_walk`):
+``tail_tol`` (for an integrand with a component count d + 1, an exact 0.0
+term counts towards them only once d + 1 zeros have come in a row: a
+nonzero polynomial of degree d has at most d zeros on a lattice), on
+:data:`DIVERGENCE_WINDOW` consecutive non-decreasing term magnitudes
+(divergence, reported as a status, never raised, so failure cases such as
+1/x can be demonstrated rather than crashed on), or on ``max_terms``.
+Between them the lattice ratio, known before the first term, lets the
+summer extrapolate the partial sums (:func:`_sum_walk`):
 a Richardson table at the known ratios on [0, a], Aitken's delta-squared
 on the observed ratio on [a, infinity).
 

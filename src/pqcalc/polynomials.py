@@ -29,8 +29,11 @@ the same steps written out as straight-line code, from one maker per degree
 (:func:`_horner_maker`, the one place the package compiles code).  Both
 convert with :func:`~pqcalc.scalars.rat_float`, bit for bit ``float(c)``, and
 take the steps ``acc * x + c`` in one order, so the two agree bit for bit.
-``eval_poly`` keeps its loop: an evaluator built inside every float
-:func:`eval_poly` call made the ``lattice-grid`` set-up about 40% slower.
+``eval_poly`` keeps its loop: building an evaluator inside every float
+:func:`eval_poly` call made the ``lattice-grid`` set-up of
+``perfbench/run.py`` slower (Python 3.11.7, 2 vCPUs), by 24-54% through
+``from_polynomial`` and by 24% (0.149 to 0.186 s) through one closure
+builder shared with it.
 
 :meth:`Polynomial.from_string` is the one reader of "c0,c1,...", the
 ``pq`` commands' polynomial arguments included.

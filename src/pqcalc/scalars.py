@@ -190,7 +190,9 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
     """Stopping rules for all series evaluations.
 
     ``tail_tol`` is absolute.  A sum converges after three consecutive
-    terms of magnitude at most ``tail_tol`` (stop reason ``small_terms``),
+    terms of magnitude at most ``tail_tol`` (stop reason ``small_terms``;
+    for an integrand with a component count d + 1, an exact 0.0 term
+    counts towards the three only once d + 1 zeros have come in a row),
     or, on a lattice series, when two successive extrapolants of its
     partial sums agree within ``tail_tol`` plus a roundoff term
     (``accelerated``); it stops unconverged after ``max_terms`` terms.

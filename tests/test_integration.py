@@ -95,16 +95,6 @@ class TestZeroTo:
         result = integral_zero_to(NumericFn(lambda x: x), 1.0, P1H)
         assert result.value == pytest.approx(2 / 3, abs=1e-10)
 
-    def test_monomial_law_both_regimes(self):
-        for params in (P1H, P13, PqParams(rat("2/3"), rat(2))):
-            for n in range(7):
-                for a in (0.5, 1.0, 2.0):
-                    result = integral_zero_to(NumericFn(lambda x, n=n: x**n), a, params)
-                    target = a ** (n + 1) / float(bracket(n + 1, params))
-                    assert result.status is IntegralStatus.CONVERGED
-                    assert result.terms_used <= 500
-                    assert result.value == pytest.approx(target, abs=1e-9)
-
     def test_zero_width(self):
         result = integral_zero_to(NumericFn(lambda x: 1.0 / x), 0.0, P1H)
         assert result.value == 0.0
@@ -118,11 +108,6 @@ class TestZeroTo:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateRegimeError):
             integral_zero_to(NumericFn(lambda x: x), 1.0, PqParams(2, -2))
-
-    def test_divergence_of_reciprocal(self):
-        result = integral_zero_to(NumericFn(lambda x: 1.0 / x), 1.0, P21)
-        assert result.status is IntegralStatus.DIVERGENCE_DETECTED
-        assert result.terms_used <= 64
 
     def test_regime_symmetry(self):
         f = NumericFn.from_polynomial(Polynomial([1, rat("-1/2"), 0, 2]))
@@ -287,15 +272,6 @@ class TestConvergenceHypothesis:
         report = check_convergence_hypothesis(NumericFn(lambda x: 1.0), 2.0, 0.5)
         assert report.bounded
         assert report.observed_bound == pytest.approx(2.0**0.5)
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
-    def test_reciprocal_unbounded_for_all_alpha(self, alpha):
-        report = check_convergence_hypothesis(NumericFn(lambda x: 1.0 / x), 1.0, alpha)
-        assert not report.bounded
-
-    def test_mild_singularity_is_bounded(self):
-        report = check_convergence_hypothesis(NumericFn(lambda x: x**-0.25), 1.0, 0.5)
-        assert report.bounded
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -715,11 +691,15 @@ class TestExtrapolation:
                     assert result.terms_used < _plain_terms(NumericFn.from_polynomial(f), float(a), params, True)
         assert accelerated >= 40
 
-    def test_vanishing_checkpoint_sums_are_no_limit(self):
-        # on [0, 1] at p = 1, q = 1/2 (stride 2) this cubic has S_2 = S_4 = S_6 = 0 exactly in floats
+    @pytest.mark.parametrize("counted", [True, False], ids=["counted", "black-box"])
+    def test_vanishing_checkpoint_sums_are_no_limit(self, counted):
+        # on [0, 1] at p = 1, q = 1/2 (stride 2) this cubic has S_2 = S_4 = S_6 = 0 exactly in floats;
+        # the component count holds the counted integrand back, so only the black box needs the
+        # summer's guard against a vanishing checkpoint sum
         f = Polynomial([-85, 2142, -9520, 7680])
         params = PqParams(1, rat("1/2"))
-        result = integral_zero_to(NumericFn.from_polynomial(f), 1.0, params)
+        fn = NumericFn.from_polynomial(f) if counted else NumericFn(lambda x: eval_poly(f, x))
+        result = integral_zero_to(fn, 1.0, params)
         exact = integral_exact(f, 0, 1, params)
         assert exact == -1
         assert result.stop_reason == "accelerated"
@@ -764,6 +744,20 @@ class TestExtrapolation:
                         # term, so that stop answers to the tolerance of its rule
                         bound = result.tail_estimate if result.stop_reason == "accelerated" else DEFAULT_POLICY.tail_tol
                         assert result.status is not IntegralStatus.CONVERGED or error <= bound, (d, k, s, a, result)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="lattice roots that are not exact floats still read as convergence: at q/p = 9/10 the float "
+        "Horner gives about 1e-17 at each root, and three of them stop the sum as small_terms",
+    )
+    def test_inexact_lattice_roots_are_no_tail(self):
+        # roots 1, 9/10 and 81/100 are lattice points 0-2 of [0, 1] at p = 1, q = 9/10; today the sum
+        # reads 3.9e-17 after 3 terms, where the exact value is about -0.1545
+        f = Polynomial.from_string("-729/1000,2439/1000,-271/100,1")
+        params = PqParams(1, rat("9/10"))
+        result = integral_zero_to(NumericFn.from_polynomial(f), 1.0, params)
+        error = abs(Fraction(result.value) - integral_exact(f, 0, 1, params))
+        assert result.status is not IntegralStatus.CONVERGED or error <= DEFAULT_POLICY.tail_tol
 
     @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
     @pytest.mark.parametrize("ratio", RATIOS)

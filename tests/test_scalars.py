@@ -170,6 +170,7 @@ class TestPqParams:
         assert PqParams(q=rat("1/2"), p=rat(1)) == params
         assert hash(PqParams("2/2", "2/4")) == hash(params)
         assert repr(params) == f"PqParams(p={rat(1)!r}, q={rat('1/2')!r})"
+        assert str(params) == "(p=1, q=1/2)"
         with pytest.raises(AttributeError):
             params.p = rat(2)
 
