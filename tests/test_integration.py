@@ -95,6 +95,16 @@ class TestZeroTo:
         result = integral_zero_to(NumericFn(lambda x: x), 1.0, P1H)
         assert result.value == pytest.approx(2 / 3, abs=1e-10)
 
+    def test_monomial_law_both_regimes(self):
+        for params in (P1H, P13, PqParams(rat("2/3"), rat(2))):
+            for n in range(7):
+                for a in (0.5, 1.0, 2.0):
+                    result = integral_zero_to(NumericFn(lambda x, n=n: x**n), a, params)
+                    target = a ** (n + 1) / float(bracket(n + 1, params))
+                    assert result.status is IntegralStatus.CONVERGED
+                    assert result.terms_used <= 500
+                    assert result.value == pytest.approx(target, abs=1e-9)
+
     def test_zero_width(self):
         result = integral_zero_to(NumericFn(lambda x: 1.0 / x), 0.0, P1H)
         assert result.value == 0.0
@@ -108,6 +118,11 @@ class TestZeroTo:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateRegimeError):
             integral_zero_to(NumericFn(lambda x: x), 1.0, PqParams(2, -2))
+
+    def test_divergence_of_reciprocal(self):
+        result = integral_zero_to(NumericFn(lambda x: 1.0 / x), 1.0, P21)
+        assert result.status is IntegralStatus.DIVERGENCE_DETECTED
+        assert result.terms_used <= 64
 
     def test_regime_symmetry(self):
         f = NumericFn.from_polynomial(Polynomial([1, rat("-1/2"), 0, 2]))
@@ -272,6 +287,15 @@ class TestConvergenceHypothesis:
         report = check_convergence_hypothesis(NumericFn(lambda x: 1.0), 2.0, 0.5)
         assert report.bounded
         assert report.observed_bound == pytest.approx(2.0**0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75])
+    def test_reciprocal_unbounded_for_all_alpha(self, alpha):
+        report = check_convergence_hypothesis(NumericFn(lambda x: 1.0 / x), 1.0, alpha)
+        assert not report.bounded
+
+    def test_mild_singularity_is_bounded(self):
+        report = check_convergence_hypothesis(NumericFn(lambda x: x**-0.25), 1.0, 0.5)
+        assert report.bounded
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,6 +1,7 @@
 """Polynomial arithmetic and both (p,q)-derivative paths."""
 
 import math
+import random
 
 import pytest
 
@@ -131,6 +132,16 @@ class TestExactDerivative:
     def test_k_negative_rejected(self):
         with pytest.raises(ValueError):
             pq_derive_poly_k(Polynomial([1]), -1, PqParams(2, 1))
+
+    def test_linearity_random(self):
+        rng = random.Random(3)
+        params = PqParams(rat("3/2"), rat("2/5"))
+        for _ in range(30):
+            f = Polynomial(rat(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6)))
+            g = Polynomial(rat(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6)))
+            a, b = rat(rng.randint(-5, 5)), rat(rng.randint(-5, 5))
+            lhs = pq_derive_poly(a * f + b * g, params)
+            assert lhs == a * pq_derive_poly(f, params) + b * pq_derive_poly(g, params)
 
     def test_exact_quotient_agrees_with_poly_path(self):
         params = PqParams(rat("7/4"), rat("2/3"))

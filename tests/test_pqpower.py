@@ -6,7 +6,7 @@ import pytest
 
 from pqcalc import scalars
 from pqcalc.errors import NegativeArgumentError, PoleError
-from pqcalc.polynomials import Polynomial, eval_poly
+from pqcalc.polynomials import Polynomial, eval_poly, pq_derive_poly, pq_difference_quotient
 from pqcalc.pqpower import (
     Orientation,
     PqPowerExpr,
@@ -129,6 +129,27 @@ class TestDerivativeLaws:
     def test_exponent_zero_gives_zero_coeff(self):
         coeff, _ = derive_pq_power(PqPowerExpr(a=rat("3/4"), n=0, params=P32))
         assert coeff == 0
+
+    def test_forward_law_every_integer(self):
+        params = PqParams(rat("5/2"), rat("2/3"))
+        a = rat("3/2")
+        for n in range(-4, 7):
+            e = PqPowerExpr(a, n, params)
+            coeff, residual = derive_pq_power(e)
+            x = rat("7/5")
+            lhs = pq_difference_quotient(lambda t: eval_pq_power(e, t), x, params)
+            rhs = rat(0) if coeff == 0 else coeff * eval_pq_power(residual, x)
+            assert lhs == rhs
+
+    def test_scaled_law_matches_polynomials(self):
+        params = PqParams(rat("4/3"), rat("-1/2"))
+        gamma, a = rat("-5/2"), rat("1/3")
+        for n in range(1, 6):
+            e = PqPowerExpr(a, n, params, gamma=gamma)
+            coeff, residual = derive_pq_power(e)
+            assert coeff == gamma * bracket(n, params)
+            assert residual.gamma == gamma * params.p
+            assert pq_derive_poly(expand_expr(e), params) == coeff * expand_expr(residual)
 
     def test_k_fold_closed_form(self):
         # the closed form against k folds of the single step, on 3,000 cases that include

@@ -171,6 +171,22 @@ class TestConnectionFormulas:
         assert connect_monomial(0, rat(5), P32, Orientation.A_MINUS_X) == (rat(1),)
         assert connect_monomial(1, rat(5), P32, Orientation.A_MINUS_X) == (rat(5), rat(-1))
 
+    def test_monomial_matches_expansion(self):
+        a = rat(1)
+        for n in range(7):
+            coeffs = connect_monomial(n, a, PHALF)
+            exp = taylor_expand(Polynomial.monomial(n), a, PHALF)
+            padded = exp.coeffs + (rat(0),) * (len(coeffs) - len(exp.coeffs))
+            assert coeffs == padded
+
+    def test_monomial_reversed_matches_expansion(self):
+        a = rat("-3/2")
+        for n in range(6):
+            coeffs = connect_monomial(n, a, P32, Orientation.A_MINUS_X)
+            exp = taylor_expand_reversed(Polynomial.monomial(n), a, P32)
+            padded = exp.coeffs + (rat(0),) * (len(coeffs) - len(exp.coeffs))
+            assert coeffs == padded
+
     def test_power_to_power_same_point_collapses(self):
         a = rat("4/7")
         coeffs = connect_power_to_power(a, a, 3, P32, Orientation.X_MINUS_A)
@@ -183,6 +199,22 @@ class TestConnectionFormulas:
     def test_power_to_power_telescopes_linear(self):
         a, b = rat(2), rat("1/3")
         assert connect_power_to_power(b, a, 1, P32, Orientation.X_MINUS_A) == (a - b, rat(1))
+
+    def test_power_to_power_as_polynomials(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            params = PqParams(rat(rng.choice([2, 3, 5])) / 2, rat("1/3"))
+            a, b = random_rational(rng, 8), random_rational(rng, 8)
+            n = rng.randint(0, 5)
+            for orientation in Orientation:
+                coeffs = connect_power_to_power(b, a, n, params, orientation)
+                lhs = expand_expr(PqPowerExpr(b, n, params, orientation=orientation))
+                rhs = Polynomial.zero()
+                for k, c in enumerate(coeffs):
+                    rhs = rhs + c * expand_expr(
+                        PqPowerExpr(a, k, params, orientation=orientation)
+                    )
+                assert lhs == rhs
 
 
 class TestQBinomialReduction:
@@ -240,6 +272,14 @@ class TestReciprocalSeries:
 
     def test_series_eval_at_zero(self):
         assert heine_series_eval(3, 0.0, PHALF) == 1.0
+
+    def test_series_eval_matches_reciprocal_product(self):
+        # n=1: 1/(1 - x) independently of q; n=2 brings one q factor in
+        params = PqParams(1, rat("1/2"))
+        assert heine_series_eval(1, 0.25, params) == pytest.approx(4 / 3, abs=1e-8)
+        params3 = PqParams(1, rat("1/3"))
+        target = 1.0 / ((1 - 0.2) * (1 - 0.2 / 3))
+        assert heine_series_eval(2, 0.2, params3) == pytest.approx(target, abs=1e-8)
 
     @pytest.mark.parametrize(
         "p, q", [(1, "1/2"), (1, "-1/3"), (2, "1/2"), (3, 2), ("3/2", "1/3"), ("5/2", "-1/2")]
