@@ -11,9 +11,11 @@ The two orientations are NOT sign-flips of each other when p != q
 an explicit flag instead of a negated gamma.
 
 Negative exponents invert a scaled product, (x (-) a)^{-m} =
-1 / (p^{-m} x (-) q^{-m} a)^m, evaluated with factor j times p^m q^m so
-that every n runs one integer loop; a zero of the denominator product
-raises :class:`PoleError`, since exact arithmetic has no infinities.
+1 / (p^{-m} x (-) q^{-m} a)^m.  :func:`_power_rat` evaluates either sign
+of n in one pass over integers: the n factors of the product, or for
+n = -m the m factors of the inverted one, each times p^m q^m so that its
+slots stay integers, then one normalisation.  A zero of the denominator
+product raises :class:`PoleError`, since exact arithmetic has no infinities.
 
 The k-fold derivative is one closed form; the single step is its k = 1 case.
 """
@@ -63,26 +65,32 @@ class PqPowerExpr(namedtuple("PqPowerExpr", "a n params gamma orientation")):
             a = rat(a)
         if type(gamma) is not Rat:
             gamma = rat(gamma)
-        return super().__new__(cls, a, n, params, gamma, orientation)
+        return tuple.__new__(cls, (a, n, params, gamma, orientation))  # not the namedtuple's Python-level __new__
 
 
-def _power_ints(a: int, b: int, d: int, n: int, params: PqParams) -> tuple[int, int]:
-    """(a/d (-) b/d)^n, any integer n, as unreduced (num, den); factor j is (a P^j - b Q^j)/(d S^j).
+def _power_rat(a: int, b: int, d: int, n: int, ints: tuple[int, int, int]) -> Rat:
+    """(a/d (-) b/d)^n for any integer n, reduced, with ``ints`` = (P, Q, S) from ``params.as_ints()``.
 
-    For n = -m the slots start at a Q^m and b P^m; den is 0 exactly at a pole.
+    Factor j is (a P^j - b Q^j)/(d S^j).  For n = -m the slots start at a Q^m
+    and b P^m and the product is the denominator, so a pole raises
+    ``ZeroDivisionError``.
     """
-    big_p, big_q, s = params.as_ints()
-    m = abs(n)
-    if n < 0:
-        a, b = a * big_q**m, b * big_p**m
+    big_p, big_q, s = ints
     num = 1
+    if n >= 0:
+        for _ in range(n):
+            num *= a - b
+            a *= big_p
+            b *= big_q
+        return rat_from_ints(num, d**n * s ** (n * (n - 1) // 2))
+    m = -n
+    a *= big_q**m
+    b *= big_p**m
     for _ in range(m):
         num *= a - b
         a *= big_p
         b *= big_q
-    if n >= 0:
-        return num, d**n * s ** (n * (n - 1) // 2)
-    return d**m * (big_p * big_q) ** (m * m), num * s ** (m * (m + 1) // 2)
+    return rat_from_ints(d**m * (big_p * big_q) ** (m * m), num * s ** (m * (m + 1) // 2))
 
 
 def pq_power_value(first: object, second: object, n: int, params: PqParams) -> Rat:
@@ -95,22 +103,23 @@ def pq_power_value(first: object, second: object, n: int, params: PqParams) -> R
         raise NegativeArgumentError(f"need n >= 0, got {n}")
     u, v = rat(first), rat(second)
     ud, vd = u._denominator, v._denominator
-    return rat_from_ints(*_power_ints(u._numerator * vd, v._numerator * ud, ud * vd, n, params))
+    return _power_rat(u._numerator * vd, v._numerator * ud, ud * vd, n, params.as_ints())
 
 
 def eval_pq_power(e: PqPowerExpr, x: object) -> Rat:
     """Exact value of the expression at rational x, with gamma*x and a over one denominator."""
     if type(x) is not Rat:
         x = rat(x)
-    a, g = e.a, e.gamma
+    a, n, params, g, orientation = e
     ad = a._denominator
     gx_d = g._denominator * x._denominator
     gx, ax = g._numerator * x._numerator * ad, a._numerator * gx_d
-    first, second = (gx, ax) if e.orientation is Orientation.X_MINUS_A else (ax, gx)
-    num, den = _power_ints(first, second, gx_d * ad, e.n, e.params)
-    if den == 0:
-        raise PoleError(f"denominator of {format_power_expr(e)} vanishes at x = {rat_str(x)}")
-    return rat_from_ints(num, den)
+    try:
+        if orientation is Orientation.X_MINUS_A:
+            return _power_rat(gx, ax, gx_d * ad, n, params.as_ints())
+        return _power_rat(ax, gx, gx_d * ad, n, params.as_ints())
+    except ZeroDivisionError:
+        raise PoleError(f"denominator of {format_power_expr(e)} vanishes at x = {rat_str(x)}") from None
 
 
 def expand_expr(e: PqPowerExpr) -> Polynomial:

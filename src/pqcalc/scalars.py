@@ -6,19 +6,20 @@ lowest terms with a positive denominator, parsed from and printed as
 ``"num/den"`` literals.
 
 The hot exact kernels (brackets, Horner, polynomial ``scale``,
-``pq_derive_poly``, the power product at every n,
-``expand_expr``, and the Taylor formulas, reconstruction and connection
-coefficients) work fraction-free: they read each value's integers,
-carry integer numerators over one common denominator, and normalise once
-per result instead of after every multiply.  Each result is built by
-:func:`rat_from_ints`, one gcd and a sign fix without ``Fraction``'s type
-dispatch, and the integers they start from come from the form (P, Q, S)
-that :meth:`PqParams.as_ints` computes each time it is asked, once per
-kernel call: a kernel hands it on to ``bracket_numerators`` and
-``Orientation.factor_steps``.  Every
-kernel reads a value's integers from the slots ``_numerator``/``_denominator``,
-not the Python-level properties: this module (``PqParams``, ``rat_float``),
-``pqpower``, ``polynomials``, ``taylor`` and ``integration`` (``antiderive_poly``).
+``pq_derive_poly``, ``pqpower._power_rat``, the one integer pass behind
+every power-basis value at every n, ``expand_expr``, and the Taylor
+formulas, reconstruction and connection coefficients) work fraction-free:
+they read each value's integers, carry integer numerators over one common
+denominator, and normalise once per result instead of after every
+multiply.  Each result is built by :func:`rat_from_ints`, one gcd and a
+sign fix without ``Fraction``'s type dispatch, and the integers they start
+from come from the form (P, Q, S) that :meth:`PqParams.as_ints` computes
+each time it is asked, once per kernel call: a kernel hands it on to
+``bracket_numerators`` and ``Orientation.factor_steps``.  Every kernel
+reads a value's integers from the slots ``_numerator``/``_denominator``,
+not the Python-level properties: this module (``PqParams``,
+``rat_float``), ``pqpower``, ``polynomials``, ``taylor`` and
+``integration`` (``antiderive_poly``).
 
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
@@ -131,7 +132,7 @@ class PqParams(namedtuple("PqParams", "p q")):
             raise ValueError("p and q must differ (p - q appears in every denominator)")
         if not (pn and qn):
             raise ValueError("p and q must be nonzero")
-        return super().__new__(cls, p, q)
+        return tuple.__new__(cls, (p, q))  # not the namedtuple's Python-level __new__
 
     @property
     def regime(self) -> Regime:
@@ -259,14 +260,30 @@ def bracket_numerators(n: int, ints: tuple[int, int, int]) -> list[int]:
 
 
 def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
-    """Real-exponent bracket (p^alpha - q^alpha)/(p - q) in floating point, for finite alpha."""
+    """Real-exponent bracket (p^alpha - q^alpha)/(p - q) in floating point, for finite alpha.
+
+    The bracket is symmetric in p and q.  With lo = min(p, q), hi = max(p, q)
+    and t = alpha ln(hi/lo) = alpha log1p((hi - lo)/lo), where |t| <= 1 it is
+    lo^alpha expm1(t)/(hi - lo), with hi - lo formed from the exact p and q
+    and floated once: there the two powers are close and their direct
+    difference cancels (a small alpha, or q/p near 1).  Elsewhere, and
+    where hi - lo underflows to 0.0, it is the direct quotient.
+    """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     p, q = params.as_floats()
     if p <= 0 or q <= 0:
         raise NonPositiveBaseError(f"real exponents need p, q > 0, got p={p}, q={q}")
+    big_p, big_q, s = params.as_ints()
+    lo, hi = (p, q) if p < q else (q, p)
+    diff = abs(big_p - big_q) / s
+    ratio = diff / lo  # hi/lo - 1 >= 0, where log1p is well conditioned
+    t = alpha * (math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo))
     try:
-        value = (p**alpha - q**alpha) / (p - q)
+        if abs(t) <= 1 and diff:
+            value = lo**alpha * math.expm1(t) / diff
+        else:
+            value = (p**alpha - q**alpha) / (p - q)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):  # a power, or their quotient by a small p - q, left the double range

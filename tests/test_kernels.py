@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from pqcalc.errors import DegenerateRegimeError, PoleError
-from pqcalc import polynomials
+from pqcalc import polynomials, pqpower
 from pqcalc.integration import antiderive_poly
 from pqcalc.polynomials import NumericFn, Polynomial, eval_poly, pq_derive_poly
 from pqcalc.pqpower import (
@@ -589,6 +589,68 @@ class TestNegativePower:
                         eval_pq_power(e, x)
                 else:
                     assert eval_pq_power(e, x) == 1 / denom
+
+
+class TestOnePowerPass:
+    """eval_pq_power and pq_power_value each make one call of ``pqpower._power_rat``, the one power product."""
+
+    PARAMS = PqParams("3/2", "-1/3")
+    CALLS = {
+        "eval n > 0": lambda p: eval_pq_power(PqPowerExpr("2/3", 4, p, "-1/2"), "5/7"),
+        "eval n < 0 reversed": lambda p: eval_pq_power(PqPowerExpr("2/3", -3, p, orientation=Orientation.A_MINUS_X), 2),
+        "eval n = 0": lambda p: eval_pq_power(PqPowerExpr(0, 0, p, 0), 0),
+        "value": lambda p: pq_power_value("1/2", 3, 6, p),
+        "value n = 0": lambda p: pq_power_value(0, 0, 0, p),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_one_helper_call(self, monkeypatch, call):
+        calls, real = [], pqpower._power_rat
+        monkeypatch.setattr(pqpower, "_power_rat", lambda *args: calls.append(args) or real(*args))
+        want = self.CALLS[call](self.PARAMS)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert self.CALLS[call](self.PARAMS) == want
+
+    def test_a_pole_is_one_helper_call(self, monkeypatch):
+        calls, real = [], pqpower._power_rat
+        monkeypatch.setattr(pqpower, "_power_rat", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(PoleError):
+            eval_pq_power(PqPowerExpr(1, -1, PqParams(2, 1)), 2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize("p, q", EDGE_PARAMS)
+    def test_every_n_against_the_product(self, p, q, orientation):
+        params, poles = PqParams(p, q), 0
+        slots = [
+            (0, Fraction(5, 3), Fraction(2, 7)),
+            (Fraction(-2, 7), 0, Fraction(3)),
+            (Fraction(4, 9), Fraction(-3, 2), 0),
+            (0, 0, 0),
+            (Fraction(1, 2), Fraction(3), Fraction(-5, 6)),
+        ]
+        for a, gamma, x in slots:
+            gx = gamma * x
+            first, second = (gx, a) if orientation is Orientation.X_MINUS_A else (a, gx)
+            for n in range(-6, 7):
+                e = PqPowerExpr(a, n, params, gamma, orientation)
+                if n >= 0:
+                    want = ref_power_value(first, second, n, p, q)
+                    for got in (eval_pq_power(e, x), pq_power_value(first, second, n, params)):
+                        assert got == want
+                        assert_lowest_rat(got)
+                    continue
+                denom = ref_power_value(p**n * first, q**n * second, -n, p, q)
+                if denom == 0:
+                    poles += 1
+                    with pytest.raises(PoleError):
+                        eval_pq_power(e, x)
+                    continue
+                got = eval_pq_power(e, x)
+                assert got == 1 / denom
+                assert_lowest_rat(got)
+        assert poles >= 6  # every n < 0 at the all-zero slots
 
 
 class TestPowerBasisEntryPoints:

@@ -1,6 +1,7 @@
 """Exact scalar layer: brackets, factorials, binomials, parameter guards."""
 
 import copy
+import decimal
 import math
 import pickle
 import re
@@ -326,6 +327,34 @@ class TestFloatView:
             _float_view("a", Rat(-1, 10**400))
 
 
+def decimal_bracket(alpha, p, q):
+    """(p^alpha - q^alpha)/(p - q) in ``decimal``, with digits to spare past the cancellation of a small alpha."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40 + max(0, -decimal.Decimal(alpha).adjusted())
+        dp, dq = (decimal.Decimal(v.numerator) / v.denominator for v in (p, q))
+        a = decimal.Decimal(alpha)
+        return float(((a * dp.ln()).exp() - (a * dq.ln()).exp()) / (dp - dq))
+
+
+def alpha_cases(family):
+    """(alpha, p, q) cases where the direct (p^alpha - q^alpha)/(p - q) cancels, and general ones."""
+    if family == "small alpha":  # both powers are near 1
+        pairs = [(Rat(1), Rat(1, 2)), (Rat(2), Rat(3)), (Rat(7, 5), Rat(1, 9)), (Rat(1, 3), Rat(5))]
+        pairs.append((Rat(1, 10**310), Rat(1)))  # q/p overflows a double
+        return [(s * 10.0**-e, p, q) for e in (300, 200, 100, 30, 10, 5, 3, 1) for s in (1, -1) for p, q in pairs]
+    if family == "q/p near 1":  # the two powers are close
+        return [
+            (a, p, p * (1 - Rat(1, 10**k)))
+            for k in range(3, 13) for p in (Rat(1), Rat(5, 2)) for a in (0.5, 2.5, -1.5, 7.25)
+        ]
+    rng, cases = random.Random(7), []
+    while len(cases) < 80:  # |alpha| <= 30, p and q in (0, 99]
+        p, q = (Rat(rng.randint(1, 99), rng.randint(1, 10)) for _ in range(2))
+        if p != q:
+            cases.append((rng.uniform(-30, 30), p, q))
+    return cases
+
+
 class TestBracketAlpha:
     def test_integer_agreement(self):
         params = PqParams(2, 1)
@@ -354,6 +383,23 @@ class TestBracketAlpha:
         with pytest.raises(OverflowError) as info:
             bracket_alpha(alpha, PqParams(p, q))
         assert str(info.value) == f"(p**alpha - q**alpha)/(p - q) overflows a double at alpha={alpha!r}"
+
+    @pytest.mark.parametrize(
+        "family, bound",
+        [("small alpha", 1e-15), ("q/p near 1", 4e-15), ("general", 1e-14)],
+    )
+    def test_matches_a_decimal_reference(self, family, bound):
+        cases = alpha_cases(family)
+        worst = max(abs(bracket_alpha(a, PqParams(p, q)).value / decimal_bracket(a, p, q) - 1) for a, p, q in cases)
+        assert worst <= bound
+
+    def test_an_underflowing_difference_takes_the_direct_quotient(self):
+        # p and q round to 3 and 2 units of 2^-1074, but their exact difference floats to 0.0
+        unit, eps = Rat(1, 2**1074), Rat(1, 2**1200)
+        params = PqParams(Rat(5, 2) * unit + eps, Rat(5, 2) * unit - eps)
+        p, q = params.as_floats()
+        assert (p, q, float(params.p - params.q)) == (3 * 5e-324, 2 * 5e-324, 0.0)
+        assert bracket_alpha(0.5, params).value == (p**0.5 - q**0.5) / (p - q)
 
     def test_float_scalar_guards(self):
         with pytest.raises(ValueError, match=r"^FloatScalar must be finite, got nan$"):
@@ -431,6 +477,50 @@ class TestNamedTupleHelpersValidate:
         assert (type(e.a), type(e.gamma)) == (Rat, Rat)
         expansion = PowerBasisExpansion(1, Orientation.X_MINUS_A, [1, 2])._replace(coeffs=[3, 0])
         assert expansion.coeffs == (3,) and type(expansion.coeffs[0]) is Rat
+
+
+class TestTupleBuiltRecords:
+    """PqParams and PqPowerExpr validate, then build through ``tuple.__new__``: every way in still checks."""
+
+    PARAMS = PqParams("3/2", "-1/3")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PqParams("3/2", "6/4"), "p and q must differ"),
+            (lambda: PqParams(0, "-1/3"), "p and q must be nonzero"),
+            (lambda: PqParams("3/2", "0/7"), "p and q must be nonzero"),
+            (lambda: PqParams._make(["-1/3", "-1/3"]), "p and q must differ"),
+            (lambda: PqParams._make([0, 1]), "p and q must be nonzero"),
+            (lambda: TestTupleBuiltRecords.PARAMS._replace(q=TestTupleBuiltRecords.PARAMS.p), "p and q must differ"),
+            (lambda: TestTupleBuiltRecords.PARAMS._replace(p=0), "p and q must be nonzero"),
+        ],
+        ids=["equal", "zero p", "zero q", "_make equal", "_make zero", "_replace equal", "_replace zero"],
+    )
+    def test_params_refuse(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    BUILDS = {
+        "__new__": lambda a, gamma: PqPowerExpr(a, -2, TestTupleBuiltRecords.PARAMS, gamma, Orientation.A_MINUS_X),
+        "_make": lambda a, gamma: PqPowerExpr._make([a, -2, TestTupleBuiltRecords.PARAMS, gamma, Orientation.A_MINUS_X]),
+        "_replace": lambda a, gamma: PqPowerExpr(7, -2, TestTupleBuiltRecords.PARAMS, 7, Orientation.A_MINUS_X)._replace(
+            a=a, gamma=gamma
+        ),
+    }
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_power_expr_coerces(self, build):
+        for a, gamma in [(2, "-5/3"), ("1/2", 3), (rat("-4/7"), rat(0))]:
+            e = self.BUILDS[build](a, gamma)
+            assert type(e) is PqPowerExpr and (type(e.a), type(e.gamma)) == (Rat, Rat)
+            assert e == (rat(a), -2, self.PARAMS, rat(gamma), Orientation.A_MINUS_X)
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @pytest.mark.parametrize("a, gamma", [(0.5, 1), (1, 0.5)], ids=["float a", "float gamma"])
+    def test_power_expr_refuses_a_float(self, build, a, gamma):
+        with pytest.raises(TypeError, match="refusing to coerce float"):
+            self.BUILDS[build](a, gamma)
 
 
 class TestFactorialAndBinomial:
