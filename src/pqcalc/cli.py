@@ -30,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from .errors import PqError
-from .scalars import PqParams, Rat, _falling_vanishes, _float_view, bracket, bracket_alpha, rat_named, rat_str
+from .scalars import DEFAULT_POLICY, PqParams, Rat, _falling_vanishes, _float_view, bracket, bracket_alpha, rat_named, rat_str
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -63,8 +63,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_policy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-terms", type=int, default=10_000, metavar="N")
-    parser.add_argument("--tail-tol", type=float, default=1e-12, metavar="EPS")
+    parser.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms, metavar="N")
+    parser.add_argument("--tail-tol", type=float, default=DEFAULT_POLICY.tail_tol, metavar="EPS")
 
 
 def _positive_int(text: str) -> int:
@@ -240,11 +240,7 @@ def _require_printable(digits: float, what: str) -> None:
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if limit and digits > limit:
-        raise _over_limit(what, limit)
-
-
-def _over_limit(what: str, limit: int) -> ValueError:
-    return ValueError(f"{what} has over {limit} digits, the int-to-str limit")
+        raise ValueError(f"{what} has over {limit} digits, the int-to-str limit")
 
 
 def _printed(fmt: Callable[[Any], Any], value: object, what: str) -> Any:
@@ -256,7 +252,8 @@ def _printed(fmt: Callable[[Any], Any], value: object, what: str) -> Any:
     try:
         return fmt(value)
     except ValueError:
-        raise _over_limit(what, sys.get_int_max_str_digits()) from None
+        _require_printable(math.inf, what)
+        raise  # no limit is in force: the error is the formatter's own
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:

@@ -21,7 +21,8 @@ what ``tail_estimate`` means:
 - ``small_terms`` (converged): the magnitude of the last term, not a bound
   on the error; on a slow lattice the omitted tail is many times larger;
 - ``accelerated`` (converged): a bound on the error of the extrapolated
-  value, the agreement of its last two extrapolants plus a roundoff term;
+  value, the agreement of its last two extrapolants plus a roundoff term,
+  accepted once the agreement is within ``tail_tol`` plus that term;
 - ``divergent``: the magnitude of the last term;
 - ``max_terms``: the magnitude of the last term above ``tail_tol``.
 
@@ -161,11 +162,9 @@ def _sum_walk(
     ``StopIteration`` is raised as a ``RuntimeError``, never taken for the
     end of the series.
 
-    The plain rules stop the sum on three small terms, on divergence or on
-    ``max_terms``, exactly as if nothing else ran.  With a component count
-    d + 1 (``components``, 0 for none), an exact 0.0 term counts towards
-    the three small terms only once d + 1 of them have come in a row: a
-    nonzero polynomial of degree d has at most d zeros on a lattice.
+    The plain rules of the module docstring stop the sum exactly as if
+    nothing else ran; ``components`` is the component count d + 1 of their
+    zero rule, 0 for none.
     ``ratio`` is the step of the lattice points of a lattice series, None
     for any other series, which is only summed.  With r = min(|ratio|,
     1/|ratio|) and the stride m = max(2, ceil(1/(2(1-r)))), the sum S_N of

@@ -311,8 +311,7 @@ def _pq_derivative(f: NumericFn, p: float, q: float) -> Callable[[float], float]
             return f.deriv_at_zero
         previous = None
         for exponent in range(10, 41):
-            h = 2.0**-exponent
-            value = (fn(p * h) - fn(q * h)) / ((p - q) * h)
+            value = derivative(2.0**-exponent)
             if previous is not None and math.isclose(value, previous, rel_tol=1e-8, abs_tol=1e-10):
                 return value
             previous = value

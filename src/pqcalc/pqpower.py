@@ -160,7 +160,8 @@ def derive_pq_power_iterated(e: PqPowerExpr, k: int) -> tuple[Rat, PqPowerExpr]:
     D^k (g x (-) a)^n = g^k p^{C(k,2)} [n][n-1]...[n-k+1] (g p^k x (-) a)^{n-k}
     D^k (a (-) g x)^n = (-g)^k q^{C(k,2)} [n][n-1]...[n-k+1] (a (-) g q^k x)^{n-k}
 
-    This is k folds of :func:`derive_pq_power`; the coefficient is exactly 0
+    This is k folds of the single step D (the two lines at k = 1, which is
+    :func:`derive_pq_power`); the coefficient is exactly 0
     once the falling product passes [0], i.e. for 0 <= n < k.
     """
     if k < 0:

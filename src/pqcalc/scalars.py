@@ -24,7 +24,7 @@ not the Python-level properties: this module (``PqParams``,
 Floating point appears only where the theory itself is non-algebraic:
 the real-exponent bracket and truncated series, carried by
 :class:`FloatScalar` (a finite double) and summed under the stopping rules
-of :class:`TruncationPolicy`.
+that ``pqcalc.integration`` states, tuned by a :class:`TruncationPolicy`.
 """
 
 from __future__ import annotations
@@ -188,19 +188,10 @@ class FloatScalar(namedtuple("FloatScalar", "value")):
 
 
 class TruncationPolicy(namedtuple("TruncationPolicy", "max_terms tail_tol")):
-    """Stopping rules for all series evaluations.
+    """The knobs of every series evaluation: at most ``max_terms`` terms, and the absolute ``tail_tol``.
 
-    ``tail_tol`` is absolute.  A sum converges after three consecutive
-    terms of magnitude at most ``tail_tol`` (stop reason ``small_terms``;
-    for an integrand with a component count d + 1, an exact 0.0 term
-    counts towards the three only once d + 1 zeros have come in a row),
-    or, on a lattice series, when two successive extrapolants of its
-    partial sums agree within ``tail_tol`` plus a roundoff term
-    (``accelerated``); it stops unconverged after ``max_terms`` terms.
-    The tail estimate of an accelerated sum bounds its error.  Every other
-    stop reports the magnitude of the last term, which is not a bound on
-    the omitted tail: on a slowly decaying lattice that tail can be many
-    times larger.
+    The rules that read them, the stop reasons and what a reported tail
+    means are stated once, in the module docstring of ``pqcalc.integration``.
     """
 
     __slots__ = ()
@@ -266,8 +257,10 @@ def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
     and t = alpha ln(hi/lo) = alpha log1p((hi - lo)/lo), where |t| <= 1 it is
     lo^alpha expm1(t)/(hi - lo), with hi - lo formed from the exact p and q
     and floated once: there the two powers are close and their direct
-    difference cancels (a small alpha, or q/p near 1).  Elsewhere, and
-    where hi - lo underflows to 0.0, it is the direct quotient.
+    difference cancels (a small alpha, or q/p near 1).  Where t is
+    subnormal, expm1(t) = t has already lost digits, so it is lo^alpha
+    (alpha (ln(hi/lo)/(hi - lo))), rounded into the subnormals once.
+    Elsewhere, and where hi - lo underflows to 0.0, it is the direct quotient.
     """
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -278,9 +271,13 @@ def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
     lo, hi = (p, q) if p < q else (q, p)
     diff = abs(big_p - big_q) / s
     ratio = diff / lo  # hi/lo - 1 >= 0, where log1p is well conditioned
-    t = alpha * (math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo))
+    log_ratio = math.log1p(ratio) if ratio < math.inf else math.log(hi) - math.log(lo)
+    t = alpha * log_ratio
     try:
-        if abs(t) <= 1 and diff:
+        if abs(t) < sys.float_info.min and diff:
+            slope = log_ratio / diff  # overflows only where p and q are subnormal, and then alpha / diff does not
+            value = lo**alpha * (alpha * slope if slope < math.inf else alpha / diff * log_ratio)
+        elif abs(t) <= 1 and diff:
             value = lo**alpha * math.expm1(t) / diff
         else:
             value = (p**alpha - q**alpha) / (p - q)
@@ -315,9 +312,8 @@ def bracket_falling(n: int, k: int, params: PqParams) -> Rat:
     num = den = 1
     for j in range(n - k + 1, n + 1):
         b, d = _bracket_ints(j, ints)
-        g = math.gcd(b, d)  # reduced factors keep the one final gcd small
-        num *= b // g
-        den *= d // g
+        num *= b
+        den *= d
     return rat_from_ints(num, den)
 
 

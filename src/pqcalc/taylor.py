@@ -195,13 +195,11 @@ def heine_series_eval(
 ) -> float:
     """Truncated sum of the claimed series sum_j heine_coeff(n,j) x^j.
 
-    Stops once ``integration._SMALL_RUN`` (3) term magnitudes in a row are
-    at most the policy tail tolerance; raises :class:`DivergenceError` after
-    ``integration.DIVERGENCE_WINDOW`` consecutive non-decreasing term
-    magnitudes (which is how |q/p| >= 1 or |x| too large announce
-    themselves).  Hitting ``max_terms`` returns the partial sum as a best
-    effort.  At p = -q the coefficient after the second term divides by
-    [2] = 0 and raises :class:`DegenerateRegimeError`.
+    The terms are summed under the stopping rules of ``pqcalc.integration``.
+    A ``divergent`` stop, which is how |q/p| >= 1 or |x| too large announce
+    themselves, raises :class:`DivergenceError`; every other stop returns
+    the partial sum.  At p = -q the coefficient after the second term
+    divides by [2] = 0 and raises :class:`DegenerateRegimeError`.
     """
     # imported here so that the Taylor layer alone does not load the integrals
     from .integration import DIVERGENCE_WINDOW, _sum_series

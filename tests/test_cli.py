@@ -380,6 +380,15 @@ class TestUnprintableOutput:
         assert (code, out) == (2, "")
         assert err == f"error: {what} has over {sys.get_int_max_str_digits()} digits, the int-to-str limit"
 
+    def test_with_no_limit_the_formatter_error_passes_through(self, capsys, monkeypatch):
+        # 0 is no int-to-str limit: a formatter's ValueError is then its own, not an over-limit refusal
+        def boom(value):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        monkeypatch.setattr(cli, "rat_str", boom)
+        assert run_cli(capsys, "bracket", "3") == (2, "", "error: boom")
+
 
 class TestTaylorCommand:
     def test_expansion_json(self, capsys):

@@ -23,8 +23,8 @@ EXPORTED = {
         "OutOfRangeError", "PoleError", "PqError", "WrongRegimeError",
     ),
     "integration": (
-        "BoundednessReport", "GapReport", "IntegralResult", "IntegralStatus", "TruncationPolicy",
-        "antiderive_poly", "check_convergence_hypothesis", "integral", "integral_exact", "integral_improper",
+        "BoundednessReport", "GapReport", "IntegralResult", "IntegralStatus", "antiderive_poly",
+        "check_convergence_hypothesis", "integral", "integral_exact", "integral_improper",
         "integral_riemann_stieltjes", "integral_to_infinity", "integral_zero_to",
         "integrate_by_parts", "newton_leibniz_check",
     ),
@@ -37,8 +37,8 @@ EXPORTED = {
         "eval_pq_power", "expand_expr", "format_power_expr", "parse_power_expr", "pq_power_value",
     ),
     "scalars": (
-        "FloatScalar", "PqParams", "Rat", "Regime", "bracket", "bracket_alpha",
-        "bracket_falling", "pq_binomial", "pq_factorial", "rat", "rat_str",
+        "FloatScalar", "PqParams", "Rat", "Regime", "TruncationPolicy", "bracket",
+        "bracket_alpha", "bracket_falling", "pq_binomial", "pq_factorial", "rat", "rat_str",
     ),
     "taylor": (
         "PowerBasisExpansion", "connect_monomial", "connect_power_to_power", "heine_coeff",
@@ -131,6 +131,7 @@ class TestLayering:
 class TestNamespace:
     @pytest.mark.parametrize("module, name", NAMES)
     def test_name_is_the_submodule_object(self, module, name):
+        assert pqcalc._OWNER[name] == module
         assert getattr(pqcalc, name) is getattr(importlib.import_module(f"pqcalc.{module}"), name)
 
     def test_policy_is_one_class_in_both_modules(self):

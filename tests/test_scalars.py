@@ -336,12 +336,21 @@ def decimal_bracket(alpha, p, q):
         return float(((a * dp.ln()).exp() - (a * dq.ln()).exp()) / (dp - dq))
 
 
+# (p, q) pairs for a small alpha, where both powers are near 1; in the last, q/p overflows a double
+SMALL_ALPHA_PAIRS = [
+    (Rat(1), Rat(1, 2)), (Rat(2), Rat(3)), (Rat(7, 5), Rat(1, 9)), (Rat(1, 3), Rat(5)), (Rat(1, 10**310), Rat(1))
+]
+# alphas at which alpha ln(hi/lo) is subnormal on those pairs, except 1e-310 on the last, where it is just normal
+SUBNORMAL_ALPHAS = [5e-324, -5e-324, 1e-323, 3e-322, 1e-320, 7.3e-315, 1e-310]
+
+
 def alpha_cases(family):
     """(alpha, p, q) cases where the direct (p^alpha - q^alpha)/(p - q) cancels, and general ones."""
-    if family == "small alpha":  # both powers are near 1
-        pairs = [(Rat(1), Rat(1, 2)), (Rat(2), Rat(3)), (Rat(7, 5), Rat(1, 9)), (Rat(1, 3), Rat(5))]
-        pairs.append((Rat(1, 10**310), Rat(1)))  # q/p overflows a double
-        return [(s * 10.0**-e, p, q) for e in (300, 200, 100, 30, 10, 5, 3, 1) for s in (1, -1) for p, q in pairs]
+    if family == "small alpha":
+        return [
+            (s * 10.0**-e, p, q)
+            for e in (300, 200, 100, 30, 10, 5, 3, 1) for s in (1, -1) for p, q in SMALL_ALPHA_PAIRS
+        ]
     if family == "q/p near 1":  # the two powers are close
         return [
             (a, p, p * (1 - Rat(1, 10**k)))
@@ -392,6 +401,19 @@ class TestBracketAlpha:
         cases = alpha_cases(family)
         worst = max(abs(bracket_alpha(a, PqParams(p, q)).value / decimal_bracket(a, p, q) - 1) for a, p, q in cases)
         assert worst <= bound
+
+    @pytest.mark.parametrize("alpha", SUBNORMAL_ALPHAS)
+    @pytest.mark.parametrize("p, q", SMALL_ALPHA_PAIRS)
+    def test_a_subnormal_bracket_is_correctly_rounded(self, alpha, p, q):
+        # alpha ln(hi/lo) is subnormal: the value is rounded once, not once as a product and again as a quotient
+        assert bracket_alpha(alpha, PqParams(p, q)).value == decimal_bracket(alpha, p, q)
+
+    @pytest.mark.parametrize("alpha", SUBNORMAL_ALPHAS)
+    @pytest.mark.parametrize("units", [(1, 2), (3, 1), (1, 1000)])
+    def test_subnormal_bases_keep_a_tiny_alpha_accurate(self, alpha, units):
+        # p and q a few units of 2^-1074: ln(hi/lo)/(hi - lo) overflows, alpha/(hi - lo) does not
+        p, q = (Rat(k, 2**1074) for k in units)
+        assert bracket_alpha(alpha, PqParams(p, q)).value == pytest.approx(decimal_bracket(alpha, p, q), rel=3e-16)
 
     def test_an_underflowing_difference_takes_the_direct_quotient(self):
         # p and q round to 3 and 2 units of 2^-1074, but their exact difference floats to 0.0
