@@ -393,14 +393,15 @@ class TestBracketAlpha:
             bracket_alpha(alpha, PqParams(p, q))
         assert str(info.value) == f"(p**alpha - q**alpha)/(p - q) overflows a double at alpha={alpha!r}"
 
-    @pytest.mark.parametrize(
-        "family, bound",
-        [("small alpha", 1e-15), ("q/p near 1", 4e-15), ("general", 1e-14)],
-    )
-    def test_matches_a_decimal_reference(self, family, bound):
-        cases = alpha_cases(family)
-        worst = max(abs(bracket_alpha(a, PqParams(p, q)).value / decimal_bracket(a, p, q) - 1) for a, p, q in cases)
-        assert worst <= bound
+    @pytest.mark.parametrize("family, ulps", [("small alpha", 2), ("q/p near 1", 4), ("general", 13)])
+    def test_matches_a_decimal_reference(self, family, ulps):
+        # in units of the reference's last place: a float v / r lands on the doubles next to 1, 2^-53 or
+        # 2^-52 apart, so v / r - 1 cannot tell 1 ulp from 2
+        worst = max(
+            abs(bracket_alpha(a, PqParams(p, q)).value - (r := decimal_bracket(a, p, q))) / math.ulp(r)
+            for a, p, q in alpha_cases(family)
+        )
+        assert worst <= ulps
 
     @pytest.mark.parametrize("alpha", SUBNORMAL_ALPHAS)
     @pytest.mark.parametrize("p, q", SMALL_ALPHA_PAIRS)
