@@ -9,7 +9,8 @@ term counts towards them only once d + 1 zeros have come in a row: a
 nonzero polynomial of degree d has at most d zeros on a lattice), on
 :data:`DIVERGENCE_WINDOW` consecutive non-decreasing term magnitudes
 (divergence, reported as a status, never raised, so failure cases such as
-1/x can be demonstrated rather than crashed on), or on ``max_terms``.
+1/x can be demonstrated rather than crashed on; a NaN magnitude counts as
+non-decreasing, like an infinite one), or on ``max_terms``.
 Between them the lattice ratio, known before the first term, lets the
 summer extrapolate the partial sums (:func:`_sum_walk`):
 a Richardson table at the known ratios on [0, a], Aitken's delta-squared
@@ -27,10 +28,10 @@ what ``tail_estimate`` means:
 - ``max_terms``: the magnitude of the last term above ``tail_tol``.
 
 A sum stopped by a plain rule is the sum the plain rules alone give.  An
-integral over two lattices extrapolates both sides and stops for the
-worse of their stop reasons; if its second side fails after an
-accelerated first side, the first side is summed again plainly.  The
-exact value of a polynomial integrand is :func:`integral_exact`.
+integral over two lattices sums each side once: its second side first,
+with extrapolation, then its first side, extrapolated only if the second
+converged; it stops for the worse of their stop reasons.  The exact value
+of a polynomial integrand is :func:`integral_exact`.
 
 A term is float work only.  The summer walks the lattice itself: its one
 loop (:func:`_sum_walk`), the only place the term formula is written,
@@ -247,7 +248,7 @@ def _sum_walk(
                     return total, count, mag, "small_terms"
             else:
                 small_run = 0
-                if mag >= last_mag and count > 1:
+                if not mag < last_mag and count > 1:  # a NaN magnitude is not falling either
                     run += 1
                     if run >= DIVERGENCE_WINDOW:
                         return total, count, mag, "divergent"
@@ -321,17 +322,15 @@ def _one_sided(
 def _two_sided(
     f: NumericFn, params: PqParams, regime: Regime, policy: TruncationPolicy, first: tuple, second: tuple, sign: float
 ) -> tuple[float, int, float, str]:
-    """first + sign * second, each side an (a, to_zero) pair.
+    """first + sign * second, each side an (a, to_zero) pair, each summed once.
 
-    Both sides are summed with extrapolation, and the worse stop reason
-    stops the whole.  If the second side fails after the first side was
-    accelerated, the first side is summed again without extrapolation.
+    The second side is summed first, with extrapolation; the first side is
+    extrapolated only if the second converged, and the worse stop reason
+    stops the whole.
     """
-    x = _one_sided(f, first, params, regime, policy)
-    y = _one_sided(f, second, params, regime, policy)
-    if _STOP_STATUS[y[3]] is not IntegralStatus.CONVERGED and x[3] == "accelerated":
-        x = _one_sided(f, first, params, regime, policy, extrapolate=False)
-    (x_value, x_terms, x_tail, x_reason), (y_value, y_terms, y_tail, y_reason) = x, y
+    y_value, y_terms, y_tail, y_reason = _one_sided(f, second, params, regime, policy)
+    converged = _STOP_STATUS[y_reason] is IntegralStatus.CONVERGED
+    x_value, x_terms, x_tail, x_reason = _one_sided(f, first, params, regime, policy, extrapolate=converged)
     return x_value + sign * y_value, x_terms + y_terms, x_tail + y_tail, _worst_reason(x_reason, y_reason)
 
 

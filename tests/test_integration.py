@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pqcalc.cli import main
-from pqcalc.errors import DegenerateRegimeError, InvalidIntervalError, WrongRegimeError
+from pqcalc.errors import DegenerateRegimeError, DivergenceError, InvalidIntervalError, WrongRegimeError
 from pqcalc.integration import (
     DEFAULT_POLICY,
     DIVERGENCE_WINDOW,
@@ -193,7 +193,7 @@ class TestImproper:
         assert down == [0.5**k for k in range(len(down))]
         assert up == [2.0 ** (k + 1) for k in range(len(up))]
         assert sorted(down + up) == [2.0**k for k in range(1 - len(down), len(up) + 1)]
-        assert sampled(integral_improper) == down + up
+        assert sampled(integral_improper) == up + down
 
 
 class TestIntervalDispatch:
@@ -462,10 +462,9 @@ def _naive_sum(f, a, params, to_zero, extrapolate=True, policy=DEFAULT_POLICY):
 
 
 def _naive_pair(f, params, first, second, sign, policy=DEFAULT_POLICY):
-    """Two sides, both extrapolated; when the second fails, an accelerated first side is summed again plainly."""
-    x, y = (_naive_sum(f, a, params, to_zero, policy=policy) for a, to_zero in (first, second))
-    if y[3] not in ("small_terms", "accelerated") and x[3] == "accelerated":
-        x = _naive_sum(f, first[0], params, first[1], extrapolate=False, policy=policy)
+    """Two sides, each summed once: the second extrapolated, the first only when the second converged."""
+    y = _naive_sum(f, second[0], params, second[1], policy=policy)
+    x = _naive_sum(f, first[0], params, first[1], y[3] in ("small_terms", "accelerated"), policy)
     reason = max(x[3], y[3], key=STOP_REASONS.index)  # listed mildest first
     return x[0] + sign * y[0], x[1] + y[1], x[2] + y[2], reason
 
@@ -547,36 +546,29 @@ class TestLazyWalk:
         params = PqParams(1, r) if lt1 else PqParams(r, 1)
         fn, policy = self.INTEGRANDS[kind], self.POLICIES[rules]
         a, b = 0.75, 2.5
-        cases = [  # (entry, the naive sum of the same integral, one side)
+        cases = [  # (entry, the naive sum of the same integral)
             (
                 lambda f: integral_zero_to(f, b, params, policy),
                 lambda f: _naive_sum(f, b, params, True, policy=policy),
-                True,
             ),
             (
                 lambda f: integral_to_infinity(f, a, params, policy),
                 lambda f: _naive_sum(f, a, params, False, policy=policy),
-                True,
             ),
             (
                 lambda f: integral(f, a, b, params, policy),
                 lambda f: _naive_pair(f, params, (b, True), (a, True), -1.0, policy),
-                False,
             ),
             (
                 lambda f: integral_improper(f, params, policy),
                 lambda f: _naive_pair(f, params, (1.0, True), (1.0, False), 1.0, policy),
-                False,
             ),
         ]
-        for entry, naive, one_side in cases:
+        for entry, naive in cases:
             ours, theirs = _Counted(fn), _Counted(fn)
             result = entry(NumericFn(ours))
-            # the naive generator calls f once per term read, a discarded accelerated first side included
             assert _fields(result) == naive(theirs)
-            assert ours.calls == theirs.calls
-            if one_side:
-                assert ours.calls == result.terms_used
+            assert ours.calls == theirs.calls == result.terms_used
 
 
 class TestIntegrandErrors:
@@ -933,8 +925,8 @@ class TestSummerPins:
     STRIDES = {"1/2": (2,), "9/10": (5, 6), "99/100": (50,)}
     ENTRY_DIGEST = "d20706a313860c23f0c8ef287d7ce64b62f4e88caf408f47770e912aac31d010"
     ENTRY_REASONS = {"accelerated": 74, "divergent": 339, "small_terms": 4, "max_terms": 815, "heine": 2}
-    RAW_DIGEST = "9509906e490eeafeae6d40c518288363f35c40c64ab799d65bdaf0d2973c0c53"
-    RAW_REASONS = {"max_terms": 8310, "small_terms": 1739, "accelerated": 467, "divergent": 554}
+    RAW_DIGEST = "8fd379927596a76093e477d8d517c11af8201b5e97c069eac9bb1c3e759cca4e"
+    RAW_REASONS = {"max_terms": 8192, "small_terms": 1704, "accelerated": 467, "divergent": 707}
 
     def _entry_rows(self):
         g = NumericFn(lambda x: x * x)
@@ -1003,6 +995,20 @@ class TestSummerBoundaries:
         terms = [1.0, 1e-12, 1e-12, 1e-12, 0.5, 0.25]
         total = list(itertools.accumulate(terms))[3]
         assert _sum_series(terms, TruncationPolicy(tail_tol=1e-12)) == (total, 4, 1e-12, "small_terms")
+
+    @pytest.mark.parametrize("ratio", [None, 0.5, 2.0], ids=["plain", "richardson", "aitken"])
+    @pytest.mark.parametrize("first", [1.0, -1e-13, 1e300], ids=["one", "small", "huge"])
+    def test_nan_terms_are_not_falling(self, first, ratio):
+        # a NaN magnitude is neither small nor below the last one, so it extends the non-decreasing run
+        terms = itertools.chain([first], itertools.repeat(math.nan))
+        value, count, tail, reason = _sum_series(terms, DEFAULT_POLICY, ratio)
+        assert (reason, count) == ("divergent", DIVERGENCE_WINDOW)
+        assert math.isnan(value) and math.isnan(tail)
+
+    def test_heine_series_at_nan_is_divergent(self):
+        # the first term is nan**0 = 1.0, every later one NaN
+        with pytest.raises(DivergenceError):
+            heine_series_eval(2, math.nan, P1H)
 
     def test_a_checkpoint_term_as_large_as_the_last_one_is_not_falling(self):
         # stride 2 at ratio 1/2, and the checkpoint sums 3/4, 15/16, 63/64 lose exactly lam = 1/4
