@@ -186,7 +186,8 @@ def _sum_walk(
       component that moves E_i too little per term to show above roundoff.
 
     E_i is accepted only while the terms fall: |t_{N-1}| is below the term
-    at the previous checkpoint, and on [a, infinity) |kappa| < 1.
+    at the previous checkpoint, and on [a, infinity) |kappa| < 1 - (N+3) u,
+    since a ratio within roundoff of 1 extrapolates nothing.
     It is also accepted only once two differences d_{i-1}, d_i of
     extrapolants exist, some checkpoint sum is not exactly 0.0 and, on
     [0, a], the table has at least ``components`` levels.  Until the table
@@ -272,7 +273,7 @@ def _sum_walk(
             latest = row[-1]
         else:
             kappa = term / prev_term if prev_term else math.inf
-            if not abs(kappa) < 1:
+            if not abs(kappa) < 1.0 - (count + 3) * _U:  # a ratio within roundoff of 1 extrapolates nothing
                 estimate = diff = math.nan
                 continue
             latest = total + term * kappa / (1.0 - kappa)

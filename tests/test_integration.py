@@ -792,6 +792,19 @@ class TestExtrapolation:
             assert result.status is not IntegralStatus.CONVERGED
 
     @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize(
+        "ratio", ["1/2", "3/4", "7/8", "9/10", "19/20", "97/100", "99/100", "199/200", "995/1000", "999/1000", "9999/10000"]
+    )
+    def test_reciprocal_tails_never_converge(self, ratio, lt1):
+        # every [a, infinity) term of c/x has the magnitude |c| (p - q) / p, up to roundoff, so the
+        # observed ratio is 1 - O(u): an Aitken step on it would extrapolate a constant series
+        params = _lattice(ratio, lt1)
+        for c in (1.0, 2.0, -0.7):
+            for a in (0.3, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0):
+                result = integral_to_infinity(NumericFn(lambda x, c=c: c / x), a, params)
+                assert result.status is not IntegralStatus.CONVERGED, (c, a, result)
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
     @pytest.mark.parametrize("ratio", RATIOS)
     def test_results_the_plain_rules_stop_are_unchanged(self, ratio, lt1):
         """A sum not stopped by extrapolation is, field for field, the plain sum."""
