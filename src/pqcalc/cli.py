@@ -152,7 +152,7 @@ def _params(args: argparse.Namespace) -> PqParams:
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    print(json.dumps(payload) if args.json else human)
+    print(json.dumps(payload, allow_nan=False) if args.json else human)  # NaN and Infinity are not JSON
 
 
 def _log10(x) -> float:

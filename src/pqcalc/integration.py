@@ -14,7 +14,11 @@ non-decreasing, like an infinite one), or on ``max_terms``.
 Between them the lattice ratio, known before the first term, lets the
 summer extrapolate the partial sums (:func:`_sum_walk`):
 a Richardson table at the known ratios on [0, a], Aitken's delta-squared
-on the observed ratio on [a, infinity).
+on the observed ratio on [a, infinity).  An extrapolant is judged on two
+differences of extrapolants, or on [a, infinity) on one within roundoff
+while the observed ratio holds steady, as it does on the single geometric
+series of x^{-s}; an observed ratio within roundoff of 1 extrapolates
+nothing.
 
 ``IntegralResult.stop_reason`` says which rule stopped the sum, and so
 what ``tail_estimate`` means:
@@ -78,10 +82,11 @@ class IntegralResult(NamedTuple):
     stop_reason: str  # one of STOP_REASONS
 
     def to_json_dict(self) -> dict:
+        """The result as JSON values; a non-finite value or tail, which JSON cannot write, is None."""
         return {
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "terms": self.terms_used,
-            "tail": self.tail_estimate,
+            "tail": self.tail_estimate if math.isfinite(self.tail_estimate) else None,
             "status": self.status.value,
             "stop_reason": self.stop_reason,
             "regime": self.regime.value,
@@ -188,20 +193,24 @@ def _sum_walk(
     E_i is accepted only while the terms fall: |t_{N-1}| is below the term
     at the previous checkpoint, and on [a, infinity) |kappa| < 1 - (N+3) u,
     since a ratio within roundoff of 1 extrapolates nothing.
-    It is also accepted only once two differences d_{i-1}, d_i of
-    extrapolants exist, some checkpoint sum is not exactly 0.0 and, on
-    [0, a], the table has at least ``components`` levels.  Until the table
-    has a level for each component of a polynomial, two extrapolants can
-    agree exactly, or checkpoint sums that vanish as rationals can leave
-    only roundoff in floats; without a count either is accepted.
+    It is also accepted only once some checkpoint sum is not exactly 0.0
+    and, on [0, a], the table has at least ``components`` levels.  Until
+    the table has a level for each component of a polynomial, two
+    extrapolants can agree exactly, or checkpoint sums that vanish as
+    rationals can leave only roundoff in floats; without a count either is
+    accepted.
     With d_i = |E_i - E_{i-1}|, u = 2^-53 and the roundoff term
     R = (N+3) u (sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)), where
     kappa is the ratio of the extrapolated tail (lam on [0, a]), the bound
     is d_i if d_i <= R (the extrapolants agree to roundoff), otherwise
     d_i / (1 - d_i / d_{i-1}) if the differences contract, the rest of a
-    geometric series of them.  E_i is accepted, with stop reason
-    ``accelerated``, when the bound is at most ``tail_tol + R``, and the
-    tail estimate is the bound plus R.
+    geometric series of them.  Both need two differences d_{i-1}, d_i, but
+    one on [a, infinity) when d_i <= R and kappa is the previous
+    checkpoint's to within (N+3) u |kappa|: a steady observed ratio is what
+    a single geometric series shows, and Aitken's E_i is exact on one from
+    the first, so such a sum stops at N = m + 2.  E_i is accepted, with
+    stop reason ``accelerated``, when the bound is at most ``tail_tol + R``,
+    and the tail estimate is the bound plus R.
     """
     tail_tol, max_terms = policy.tail_tol, policy.max_terms
     known = ratio is not None and abs(ratio) < 1
@@ -222,6 +231,8 @@ def _sum_walk(
     block_mag = math.inf  # |term| at the previous checkpoint
     estimate = math.nan
     diff = math.nan
+    kappa = math.nan  # the observed ratio at the last checkpoint, on [a, infinity)
+    steady = False  # it equals the one at the checkpoint before, to roundoff
     nonzero = False  # some checkpoint sum so far is not exactly 0.0
     pre *= a
     count = 0
@@ -272,20 +283,21 @@ def _sum_walk(
             row = new_row
             latest = row[-1]
         else:
-            kappa = term / prev_term if prev_term else math.inf
+            last_kappa, kappa = kappa, term / prev_term if prev_term else math.inf
             if not abs(kappa) < 1.0 - (count + 3) * _U:  # a ratio within roundoff of 1 extrapolates nothing
                 estimate = diff = math.nan
                 continue
             latest = total + term * kappa / (1.0 - kappa)
             gain = 1.0 / (1.0 - abs(kappa))
+            steady = abs(kappa - last_kappa) <= (count + 3) * _U * abs(kappa)
         prev_diff, diff = diff, abs(latest - estimate)
         estimate = latest
-        if not falling or not nonzero or math.isnan(prev_diff):  # accept on two real differences only
+        if not falling or not nonzero:
             continue
         if known and len(factors) < components:  # the table cannot yet remove every component of f
             continue
         roundoff = (count + 3) * _U * (abs_total + 2.0 * gain * abs(latest - total))
-        if diff <= roundoff:
+        if diff <= roundoff and (steady or not math.isnan(prev_diff)):  # one difference only for one steady ratio
             bound = diff
         elif diff < prev_diff:  # still moving: add the rest of a geometric contraction
             bound = diff / (1.0 - diff / prev_diff)

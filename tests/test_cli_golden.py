@@ -48,6 +48,18 @@ def test_row_is_byte_identical(row):
     assert record(row["argv"]) == row
 
 
+def _refuse(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_json_row_is_strict_json():
+    # a refused command prints its error to stderr and nothing to stdout
+    rows = [row for row in ROWS if "--json" in row["argv"] and row["stdout"]]
+    assert len(rows) >= 35
+    for row in rows:
+        json.loads(row["stdout"], parse_constant=_refuse)
+
+
 if __name__ == "__main__":
     rows = [record(row["argv"]) for row in ROWS]
     for old, new in zip(ROWS, rows):

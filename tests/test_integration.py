@@ -399,6 +399,9 @@ class TestResultSerialization:
         assert payload["regime"] == "lt1"
         gt = integral_zero_to(NumericFn(lambda x: x), 1.0, P13)
         assert gt.to_json_dict()["regime"] == "gt1"
+        # JSON has no NaN or infinity
+        stopped = result._replace(value=math.nan, tail_estimate=-math.inf).to_json_dict()
+        assert (stopped["value"], stopped["tail"]) == (None, None)
 
     def test_result_value_semantics(self):
         result = IntegralResult(1.5, 3, 0.0, Regime.RATIO_LT_ONE, IntegralStatus.CONVERGED, "small_terms")
@@ -936,10 +939,10 @@ class TestSummerPins:
     )
     # the checkpoint stride m on each side; at 9/10, 0.5 / (1 - 0.9) rounds above 5 on [0, a]
     STRIDES = {"1/2": (2,), "9/10": (5, 6), "99/100": (50,)}
-    ENTRY_DIGEST = "d20706a313860c23f0c8ef287d7ce64b62f4e88caf408f47770e912aac31d010"
-    ENTRY_REASONS = {"accelerated": 74, "divergent": 339, "small_terms": 4, "max_terms": 815, "heine": 2}
-    RAW_DIGEST = "8fd379927596a76093e477d8d517c11af8201b5e97c069eac9bb1c3e759cca4e"
-    RAW_REASONS = {"max_terms": 8192, "small_terms": 1704, "accelerated": 467, "divergent": 707}
+    ENTRY_DIGEST = "89fad3b54ec6b4535874d9fd57349ca7845614fa86e30bd3d55318ff906b1dd0"
+    ENTRY_REASONS = {"accelerated": 86, "divergent": 339, "small_terms": 4, "max_terms": 803, "heine": 2}
+    RAW_DIGEST = "dc66be2fce1774caeec5afe3730eb41196a01a03e8c4823262f74fcb4abe3ec0"
+    RAW_REASONS = {"max_terms": 8046, "small_terms": 1688, "accelerated": 629, "divergent": 707}
 
     def _entry_rows(self):
         g = NumericFn(lambda x: x * x)
@@ -1056,3 +1059,51 @@ class TestSummerBoundaries:
         value, count, _, reason = _sum_series(terms, TruncationPolicy(tail_tol=100.0), ratio)
         assert (value, count, reason) == (richardson(3), 6, "accelerated")
         assert richardson(3) != richardson(2)
+
+    @pytest.mark.parametrize(
+        "first, ratio, step",
+        [(1.0, "1/2", 2.0), (3.0, "-1/2", -2.0), (-0.5, "3/4", 4 / 3), (1.0, "7/8", 8 / 7), (2.0, "15/16", 16 / 15)],
+    )
+    def test_one_geometric_series_is_accepted_one_stride_after_the_run_up(self, first, ratio, step):
+        # dyadic terms and limits, so each Aitken extrapolant is the limit exactly and the first
+        # difference, at count m + 2, is 0 with the observed ratio unchanged
+        terms = [float(first * rat(ratio) ** n) for n in range(60)]
+        stride = max(2, math.ceil(0.5 / (1.0 - 1.0 / abs(step))))
+        value, count, _, reason = _sum_series(terms, DEFAULT_POLICY, step)
+        assert (value, count, reason) == (float(first / (1 - rat(ratio))), stride + 2, "accelerated")
+
+    def test_a_changing_observed_ratio_needs_a_second_difference(self):
+        # stride 2: both streams have the extrapolants 2.0 at counts 2 and 4, but only the first
+        # keeps its observed ratio 1/2 there; the second's drops from 1/2 to 1/4
+        steady = [0.5**n for n in range(40)]
+        changing = [1.0, 0.5] + [0.375 * 0.25**n for n in range(38)]
+        for terms, count in ((steady, 4), (changing, 6)):
+            value, used, _, reason = _sum_series(terms, DEFAULT_POLICY, 2.0)
+            assert (value, used, reason) == (2.0, count, "accelerated")
+        # two raw pin streams whose extrapolants at counts 2 and 4 are both 1e300, by observed
+        # ratios 1e-300 and -0.0
+        nan, inf = math.nan, math.inf
+        for tail_tol, terms in (
+            (1e-12, [1e300, 1.0, -1e-13, 0.0, nan, 0.0, 1e300, nan, -1e-13, -0.5, -0.5, 1e-13, 1e-13, nan, -0.5]),
+            (1e-3, [1e300, 1.0, -1e-13, 0.0, 1e300, 0.0, 1e-13, inf, nan, 1.0, nan, nan, -0.5, -0.5, 1e-13]),
+        ):
+            assert _sum_series(terms, TruncationPolicy(tail_tol=tail_tol), -3.0)[3] != "accelerated"
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio, stride", [("1/2", 2), ("9/10", 5), ("99/100", 50), ("999/1000", 500)])
+    def test_a_second_power_waits_for_its_component_to_fade(self, ratio, stride, lt1):
+        # on [a, infinity) the terms of x^-s are one geometric series of ratio R^(s-1), R the float
+        # lattice's q/p as a rational; x^-2 stops one stride after the run-up, x^-2 + x^-3 does not
+        params = _lattice(ratio, lt1)
+        big, small = (params.p, params.q) if lt1 else (params.q, params.p)
+        R = Fraction(float(small / big))
+        policy = TruncationPolicy(max_terms=20_000)
+        for a in (rat("3/4"), rat(1), rat(3)):
+            series = {s: (1 - R) * a ** (1 - s) * R ** (s - 1) / (1 - R ** (s - 1)) for s in (2, 3)}
+            one = integral_to_infinity(NumericFn(lambda x: x**-2), float(a), params, policy)
+            two = integral_to_infinity(NumericFn(lambda x: x**-2 + x**-3), float(a), params, policy)
+            for result, exact in ((one, series[2]), (two, series[2] + series[3])):
+                error = abs(Fraction(result.value) - exact)
+                assert result.stop_reason == "accelerated", (a, result)
+                assert error <= min(1e-9, result.tail_estimate), (a, result)
+            assert one.terms_used == stride + 2 < two.terms_used
