@@ -1080,8 +1080,8 @@ class TestSummerBoundaries:
         for terms, count in ((steady, 4), (changing, 6)):
             value, used, _, reason = _sum_series(terms, DEFAULT_POLICY, 2.0)
             assert (value, used, reason) == (2.0, count, "accelerated")
-        # two raw pin streams whose extrapolants at counts 2 and 4 are both 1e300, by observed
-        # ratios 1e-300 and -0.0
+        # the first 15 terms of _raw_rows() 9756 and 9775, whose extrapolants at counts 2 and 4 are
+        # both 1e300, by observed ratios 1e-300 and -0.0
         nan, inf = math.nan, math.inf
         for tail_tol, terms in (
             (1e-12, [1e300, 1.0, -1e-13, 0.0, nan, 0.0, 1e300, nan, -1e-13, -0.5, -0.5, 1e-13, 1e-13, nan, -0.5]),
