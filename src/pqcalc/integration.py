@@ -14,11 +14,15 @@ non-decreasing, like an infinite one), or on ``max_terms``.
 Between them the lattice ratio, known before the first term, lets the
 summer extrapolate the partial sums (:func:`_sum_walk`):
 a Richardson table at the known ratios on [0, a], Aitken's delta-squared
-on the observed ratio on [a, infinity).  An extrapolant is judged on two
-differences of extrapolants, or on [a, infinity) on one within roundoff
-while the observed ratio holds steady, as it does on the single geometric
-series of x^{-s}; an observed ratio within roundoff of 1 extrapolates
-nothing.
+on the observed ratio on [a, infinity).  A polynomial's table on [0, a]
+has one level per component, at the shortest stride whose table
+amplifies roundoff by at most :data:`RICHARDSON_BUDGET`, and its
+extrapolant is accepted at the first checkpoint where the table is full,
+with an a priori bound on its float error.  Any other extrapolant is
+judged on two differences of extrapolants, or on [a, infinity) on one
+within roundoff while the observed ratio holds steady, as it does on the
+single geometric series of x^{-s}; an observed ratio within roundoff of 1
+extrapolates nothing.
 
 ``IntegralResult.stop_reason`` says which rule stopped the sum, and so
 what ``tail_estimate`` means:
@@ -26,8 +30,11 @@ what ``tail_estimate`` means:
 - ``small_terms`` (converged): the magnitude of the last term, not a bound
   on the error; on a slow lattice the omitted tail is many times larger;
 - ``accelerated`` (converged): a bound on the error of the extrapolated
-  value, the agreement of its last two extrapolants plus a roundoff term,
-  accepted once the agreement is within ``tail_tol`` plus that term;
+  value.  For a polynomial on [0, a] it bounds the float error of the full
+  table: the roundoff of the summed blocks, the table's arithmetic and the
+  float lattice's own error.  Otherwise it is the agreement of the last two
+  extrapolants plus a roundoff term, accepted once the agreement is within
+  ``tail_tol`` plus that term;
 - ``divergent``: the magnitude of the last term;
 - ``max_terms``: the magnitude of the last term above ``tail_tol``.
 
@@ -59,6 +66,8 @@ The |q/p| = 1 regime has no defined lattice and is rejected outright.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -116,6 +125,9 @@ _SMALL_RUN = 3
 DIVERGENCE_WINDOW = 8
 #: unit roundoff of a float
 _U = 2.0**-53
+#: the most a Richardson table with one level per known component may amplify its inputs' errors by;
+#: it sets the stride of such a table (:func:`_richardson_plan`)
+RICHARDSON_BUDGET = 64.0
 
 #: why a sum stopped, mildest first, and the status each reason reports
 _STOP_STATUS = {
@@ -132,14 +144,96 @@ def _worst_reason(*reasons: str) -> str:
     return max(reasons, key=STOP_REASONS.index)
 
 
+def _amplification(lam: float, levels: int) -> float:
+    """prod_{j <= levels} (1 + 2 |lam^j / (1 - lam^j)|): a bound on the sum of |weights| of a table's diagonal."""
+    out, power = 1.0, lam
+    for _ in range(levels):
+        out *= 1.0 + 2.0 * abs(power / (1.0 - power))
+        power *= lam
+    return out
+
+
+def _stride(ratio: float, levels: int) -> int:
+    """The shortest stride m >= 2, no longer than the black-box one, whose table fits the budget.
+
+    The table has ``levels`` levels lam^j, lam = ratio^m.  Its amplification
+    falls as m grows through either parity (a negative ratio keeps only
+    that order), so each parity is bisected.  When no stride fits, the
+    black-box stride max(2, ceil(1 / (2 (1 - |ratio|)))) is kept.
+    """
+    longest = max(2, math.ceil(0.5 / (1.0 - abs(ratio))))
+    best = longest
+    for lo in (2, 3):
+        hi = longest - (longest - lo) % 2
+        if hi < lo or _amplification(ratio**hi, levels) > RICHARDSON_BUDGET:
+            continue
+        while lo < hi:  # hi fits and lo, of the same parity, is not known to
+            mid = lo + (hi - lo) // 4 * 2
+            if _amplification(ratio**mid, levels) <= RICHARDSON_BUDGET:
+                hi = mid
+            else:
+                lo = mid + 2
+        best = min(best, hi)
+    return best
+
+
+class _Plan(NamedTuple):
+    """How :func:`_sum_walk` sums an integrand of known component count on [0, a]."""
+
+    stride: int
+    factors: tuple[float, ...]  # lam^j / (1 - lam^j) of the levels j = 1..L
+    amplification: float  # _amplification(lam, L)
+    weights: tuple[float, ...]  # |G_b|, b = 1..L: the diagonal's weight on the sum of block b
+
+
+@functools.lru_cache(maxsize=1024)
+def _richardson_plan(ratio: float, levels: int) -> _Plan:
+    """The stride, level factors, amplification and block weights of an L-level table; built once per pair.
+
+    The diagonal of the table over S_0, S_m, ..., S_{Lm} is sum_i g_i S_{im},
+    where g_i is the z^i coefficient of prod_j (z - lam^j) / (1 - lam^j), so
+    the sum of block b, which S_{im} holds for every i >= b, enters it with
+    the weight G_b = sum_{i >= b} g_i.
+    """
+    stride = _stride(ratio, levels)
+    lam = power = ratio**stride
+    factors, coeffs = [], [1.0]  # coeffs: the product so far, lowest power of z first
+    for _ in range(levels):
+        factors.append(power / (1.0 - power))
+        coeffs = [(high - power * low) / (1.0 - power) for high, low in zip([0.0, *coeffs], [*coeffs, 0.0])]
+        power *= lam
+    weights = list(itertools.accumulate(reversed(coeffs)))[-2::-1]
+    return _Plan(stride, tuple(factors), _amplification(lam, levels), tuple(map(abs, weights)))
+
+
+def _planned_tail(plan: _Plan, reach: list[float], ratio: float, row: list[float], extrapolated: float) -> float:
+    """The a priori error bound of a full L-level table's extrapolant; see :func:`_sum_walk`.
+
+    ``reach`` holds sum |t_k| at each checkpoint so far and ``row`` the
+    table's last row; ``extrapolated`` is the extrapolant minus the sum.
+    """
+    levels = len(plan.weights)
+    base = len(reach) - levels  # the blocks before the table's first sum enter with weight 1
+    blocks = before = 0.0
+    for b, here in enumerate(reach):
+        weight = plan.weights[b - base] if b >= base else 1.0
+        blocks += weight * (plan.stride * here + (4 * levels + 2) * (here - before))
+        before = here
+    r = abs(ratio)
+    scale = 1.0 if ratio > 0 else (1.0 + r) / (1.0 - r)  # how far p and q's rounding moves [n + 1], per unit of n
+    lattice = (2.0 * r / (1.0 - r) + 2 * (levels - 1) * scale) * (reach[-1] + abs(extrapolated))
+    table = 3 * levels * plan.amplification * max(map(abs, row))
+    return _U * (blocks + lattice + table)
+
+
 class _StreamEnd(Exception):
     """A ready-made term stream read by :func:`_sum_series` ran out."""
 
 
 def _sum_series(
-    terms: Iterable[float], policy: TruncationPolicy, ratio: Optional[float] = None
+    terms: Iterable[float], policy: TruncationPolicy, ratio: Optional[float] = None, components: int = 0
 ) -> tuple[float, int, float, str]:
-    """Sum a ready-made term stream through :func:`_sum_walk`.
+    """Sum a ready-made term stream through :func:`_sum_walk`, with the integrand's component count.
 
     The stream is read as the integrand of a walk that stays at one point,
     pre = a = w = step = 1.0, so each term is 1.0 * 1.0 * t, which is t bit
@@ -153,7 +247,7 @@ def _sum_series(
             return term
         raise _StreamEnd
 
-    return _sum_walk(read, 1.0, 1.0, 1.0, 1.0, policy, ratio)
+    return _sum_walk(read, 1.0, 1.0, 1.0, 1.0, policy, ratio, components)
 
 
 def _sum_walk(
@@ -169,20 +263,21 @@ def _sum_walk(
     end of the series.
 
     The plain rules of the module docstring stop the sum exactly as if
-    nothing else ran; ``components`` is the component count d + 1 of their
-    zero rule, 0 for none.
+    nothing else ran; ``components`` is the component count L = d + 1 of a
+    polynomial integrand, which their zero rule reads, 0 for none.
     ``ratio`` is the step of the lattice points of a lattice series, None
     for any other series, which is only summed.  With r = min(|ratio|,
-    1/|ratio|) and the stride m = max(2, ceil(1/(2(1-r)))), the sum S_N of
-    the first N terms is extrapolated to E_i at checkpoints N, after the
-    plain rules saw term N:
+    1/|ratio|) and the black-box stride m = max(2, ceil(1/(2(1-r)))), the
+    sum S_N of the first N terms is extrapolated to E_i at checkpoints N,
+    after the plain rules saw term N:
 
     - |ratio| < 1 (towards 0), N = m, 2m, 3m, ...: a polynomial integrand's
       partial sums miss geometric components of the known ratios ratio^{n+1},
       so the checkpoint sums feed a Richardson table, from S_0 = 0, whose
-      level j removes lam^j with lam = ratio^m; E_i is its diagonal.  The
-      stride keeps |lam| near e^{-1/2}, so the levels hardly amplify
-      roundoff.  Level j is built with row j, and none once |lam^j| < u.
+      level j removes lam^j with lam = ratio^m; E_i is its diagonal.
+      Without a count the stride keeps |lam| near e^{-1/2}, so the levels
+      hardly amplify roundoff; level j is built with row j, and none once
+      |lam^j| < u.
     - |ratio| > 1 (towards infinity), N = 2, m+2, 2m+2, ... (a run-up to two
       terms): Aitken's delta-squared on the last two terms, E_i = S_N +
       t_{N-1} kappa / (1 - kappa) with the observed ratio kappa = t_{N-1} /
@@ -192,38 +287,67 @@ def _sum_walk(
 
     E_i is accepted only while the terms fall: |t_{N-1}| is below the term
     at the previous checkpoint, and on [a, infinity) |kappa| < 1 - (N+3) u,
-    since a ratio within roundoff of 1 extrapolates nothing.
-    It is also accepted only once some checkpoint sum is not exactly 0.0
-    and, on [0, a], the table has at least ``components`` levels.  Until
-    the table has a level for each component of a polynomial, two
-    extrapolants can agree exactly, or checkpoint sums that vanish as
-    rationals can leave only roundoff in floats; without a count either is
-    accepted.
-    With d_i = |E_i - E_{i-1}|, u = 2^-53 and the roundoff term
-    R = (N+3) u (sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)), where
-    kappa is the ratio of the extrapolated tail (lam on [0, a]), the bound
-    is d_i if d_i <= R (the extrapolants agree to roundoff), otherwise
-    d_i / (1 - d_i / d_{i-1}) if the differences contract, the rest of a
-    geometric series of them.  Both need two differences d_{i-1}, d_i, but
-    one on [a, infinity) when d_i <= R and kappa is the previous
-    checkpoint's to within (N+3) u |kappa|: a steady observed ratio is what
-    a single geometric series shows, and Aitken's E_i is exact on one from
-    the first, so such a sum stops at N = m + 2.  E_i is accepted, with
-    stop reason ``accelerated``, when the bound is at most ``tail_tol + R``,
-    and the tail estimate is the bound plus R.
+    since a ratio within roundoff of 1 extrapolates nothing.  It is also
+    accepted only once some checkpoint sum is not exactly 0.0.
+
+    With a count L on [0, a] the table has the L levels of the components
+    and no more, so its E_i is the limit up to float error from the first
+    checkpoint N = L m on, and it is accepted there, with stop reason
+    ``accelerated``, or at the first later checkpoint where the two gates
+    above hold.  Its stride m is the shortest m >= 2, never longer than the
+    black-box one, for which the table amplifies errors by at most
+    Lambda = prod_{j<=L} (1 + 2 |lam^j / (1 - lam^j)|) <= RICHARDSON_BUDGET;
+    :func:`_richardson_plan` works it out once per (ratio, L).  The tail
+    estimate is an a priori bound, u = 2^-53 times the sum of three parts
+    (:func:`_planned_tail`):
+
+    - the roundoff of each block of m terms, m sum_{k<N} |t_k| for its
+      running sums plus (4 L + 2) |t_k| for each term's own roundings
+      (coefficients, Horner, lattice point, products), weighted by the
+      tail sum G_b of the diagonal's weights on the sums that hold block b;
+    - the table's own arithmetic, 3 L Lambda times its largest entry;
+    - the float lattice's own error.  The rounding of the step and the
+      drift of w *= step, at most u a step each, move the sum as a change
+      of the lattice ratio would, by |r| / (1 - |r|) of sum |t_k| each; the
+      rounding of p and q moves each [n + 1] by n times it, or by
+      n (1 + r) / (1 - r) on a lattice of negative ratio.
+
+    Any other E_i is judged on d_i = |E_i - E_{i-1}| and the roundoff term
+    R = (N+3) u ((1 + e) sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)),
+    where kappa is the ratio of the extrapolated tail (lam on [0, a]) and,
+    on [a, infinity), e = |ln |kappa| / ln |ratio|| estimates the term's
+    exponent in its lattice point (x^{-s} has e = s - 1), which multiplies
+    that point's rounding; e = 0 on [0, a].  A black box's table can show
+    two agreeing extrapolants, or checkpoint sums that vanish as rationals
+    but leave roundoff in floats, before it has a level for each component
+    of its integrand.  The bound is d_i if d_i <= R (the extrapolants agree
+    to roundoff), otherwise d_i / (1 - d_i / d_{i-1}) if the differences
+    contract, the rest of a geometric series of them.  Both need two
+    differences d_{i-1}, d_i, but one on [a, infinity) when d_i <= R and
+    kappa is the previous checkpoint's to within (N+3) u |kappa|: a steady
+    observed ratio is what a single geometric series shows, and Aitken's
+    E_i is exact on one from the first, so such a sum stops at N = m + 2.
+    E_i is accepted, with stop reason ``accelerated``, when the bound is at
+    most ``tail_tol + R``, and the tail estimate is the bound plus R.
     """
     tail_tol, max_terms = policy.tail_tol, policy.max_terms
     known = ratio is not None and abs(ratio) < 1
+    planned = known and components > 0  # one level per component, at the stride the plan sets
     checkpoint = 0  # the count of the next checkpoint; no term has count 0
-    if ratio is not None:
+    if planned:
+        plan = _richardson_plan(ratio, components)
+        stride, factors = plan.stride, plan.factors
+        reach = []  # sum_{k<N} |t_k| at each checkpoint N
+    elif ratio is not None:
         r = abs(ratio) if known else 1.0 / abs(ratio)
         stride = max(2, math.ceil(0.5 / (1.0 - r)))
+        if known:
+            lam = power = ratio**stride
+            factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
+            gain = 1.0 / (1.0 - abs(lam))
+    if ratio is not None:
         checkpoint = stride if known else 2
-    if known:
-        lam = power = ratio**stride
-        factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
-        gain = 1.0 / (1.0 - abs(lam))
-        row = [0.0]  # the last row of the Richardson table
+    row = [0.0]  # the last row of the Richardson table
     total = abs_total = term = 0.0
     run = 1
     small_run = zeros = 0
@@ -233,6 +357,7 @@ def _sum_walk(
     diff = math.nan
     kappa = math.nan  # the observed ratio at the last checkpoint, on [a, infinity)
     steady = False  # it equals the one at the checkpoint before, to roundoff
+    exponent = 0.0  # |ln |kappa| / ln |ratio|| at the last nonzero kappa, on [a, infinity)
     nonzero = False  # some checkpoint sum so far is not exactly 0.0
     pre *= a
     count = 0
@@ -273,7 +398,7 @@ def _sum_walk(
         falling, block_mag = mag < block_mag, mag
         nonzero = nonzero or total != 0.0
         if known:
-            if abs(power) >= _U:  # one level more for the new row, until lam^j is roundoff
+            if not planned and abs(power) >= _U:  # one level more for the new row, until lam^j is roundoff
                 factors.append(power / (1.0 - power))
                 power *= lam
             new_row = [total]
@@ -282,6 +407,11 @@ def _sum_walk(
                 new_row.append(cur + (cur - old) * factor)
             row = new_row
             latest = row[-1]
+            if planned:
+                reach.append(abs_total)
+                if len(row) > components and falling and nonzero:  # the full table: its limit up to roundoff
+                    return latest, count, _planned_tail(plan, reach, ratio, row, latest - total), "accelerated"
+                continue
         else:
             last_kappa, kappa = kappa, term / prev_term if prev_term else math.inf
             if not abs(kappa) < 1.0 - (count + 3) * _U:  # a ratio within roundoff of 1 extrapolates nothing
@@ -290,13 +420,13 @@ def _sum_walk(
             latest = total + term * kappa / (1.0 - kappa)
             gain = 1.0 / (1.0 - abs(kappa))
             steady = abs(kappa - last_kappa) <= (count + 3) * _U * abs(kappa)
+            if kappa:  # the term's exponent in its lattice point, which scales that point's rounding
+                exponent = abs(math.log(abs(kappa)) / math.log(abs(ratio)))
         prev_diff, diff = diff, abs(latest - estimate)
         estimate = latest
         if not falling or not nonzero:
             continue
-        if known and len(factors) < components:  # the table cannot yet remove every component of f
-            continue
-        roundoff = (count + 3) * _U * (abs_total + 2.0 * gain * abs(latest - total))
+        roundoff = (count + 3) * _U * ((1.0 + exponent) * abs_total + 2.0 * gain * abs(latest - total))
         if diff <= roundoff and (steady or not math.isnan(prev_diff)):  # one difference only for one steady ratio
             bound = diff
         elif diff < prev_diff:  # still moving: add the rest of a geometric contraction

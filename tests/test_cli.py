@@ -567,14 +567,15 @@ class TestIntegrateCommand:
         assert code == 2
 
     def test_policy_flags(self, capsys):
+        # poly:0,1 on [0, 1] converges at 4 terms, so a cap of 3 is what stops it
         code, out, _ = run_cli(
             capsys,
             "integrate", "poly:0,1", "0", "1",
-            "--max-terms", "5", "--tail-tol", "1e-12", "--json",
+            "--max-terms", "3", "--tail-tol", "1e-12", "--json",
         )
         payload = json.loads(out)
         assert payload["status"] == "max_terms"
-        assert payload["terms"] == 5
+        assert payload["terms"] == 3
         assert payload["stop_reason"] == "max_terms"
 
     def test_slow_lattice_is_accelerated(self, capsys):

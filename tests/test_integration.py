@@ -5,15 +5,18 @@ import itertools
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from pqcalc import integration
 from pqcalc.cli import main
 from pqcalc.errors import DegenerateRegimeError, DivergenceError, InvalidIntervalError, WrongRegimeError
 from pqcalc.integration import (
     DEFAULT_POLICY,
     DIVERGENCE_WINDOW,
+    RICHARDSON_BUDGET,
     STOP_REASONS,
     BoundednessReport,
     IntegralResult,
@@ -371,6 +374,25 @@ class TestFloatsOncePerIntegral:
         assert len(calls) <= 7
 
 
+class TestPlanOncePerPair:
+    """A known-count table's stride and weights are worked out once per (ratio, L), not once per sum."""
+
+    def test_repeated_integrals_reuse_the_plan(self, monkeypatch):
+        integration._richardson_plan.cache_clear()
+        calls = []
+        real = integration._stride
+        monkeypatch.setattr(integration, "_stride", lambda *pair: calls.append(pair) or real(*pair))
+        fs = [NumericFn.from_polynomial(Polynomial([1] * (d + 1))) for d in (0, 3)]
+        lattices = [_lattice("99/100", True), _lattice("99/100", False), _lattice("9/10", True)]
+        for _ in range(3):
+            for params in lattices:
+                for f in fs:
+                    assert integral_zero_to(f, 1.5, params).stop_reason == "accelerated"
+                    assert integral(f, 0.5, 2.0, params).stop_reason == "accelerated"
+        # both regimes of one q/p walk towards 0 by the same float step
+        assert sorted(calls) == [(0.9, 1), (0.9, 4), (0.99, 1), (0.99, 4)]
+
+
 class TestTermsCallFnDirectly:
     """The derivative integrands call each function's ``fn``; ``NumericFn.__call__`` runs only for the end values."""
 
@@ -458,16 +480,16 @@ def _naive_terms(f, a, params, to_zero):
         w *= ratio
 
 
-def _naive_sum(f, a, params, to_zero, extrapolate=True, policy=DEFAULT_POLICY):
+def _naive_sum(f, a, params, to_zero, extrapolate=True, policy=DEFAULT_POLICY, components=0):
     _, num, den = _naive_walk(params, to_zero)
     ratio = num / den if extrapolate else None
-    return _sum_series(_naive_terms(f, a, params, to_zero), policy, ratio)
+    return _sum_series(_naive_terms(f, a, params, to_zero), policy, ratio, components)
 
 
-def _naive_pair(f, params, first, second, sign, policy=DEFAULT_POLICY):
+def _naive_pair(f, params, first, second, sign, policy=DEFAULT_POLICY, components=0):
     """Two sides, each summed once: the second extrapolated, the first only when the second converged."""
-    y = _naive_sum(f, second[0], params, second[1], policy=policy)
-    x = _naive_sum(f, first[0], params, first[1], y[3] in ("small_terms", "accelerated"), policy)
+    y = _naive_sum(f, second[0], params, second[1], policy=policy, components=components)
+    x = _naive_sum(f, first[0], params, first[1], y[3] in ("small_terms", "accelerated"), policy, components)
     reason = max(x[3], y[3], key=STOP_REASONS.index)  # listed mildest first
     return x[0] + sign * y[0], x[1] + y[1], x[2] + y[2], reason
 
@@ -508,10 +530,13 @@ class TestLatticeAgainstNaiveSums:
         params = PqParams(1, r) if lt1 else PqParams(r, 1)
         f, naive = self.INTEGRANDS[kind]
         a, b = 0.75, 2.5
-        assert _fields(integral_zero_to(f, b, params)) == _naive_sum(naive, b, params, True)
-        assert _fields(integral(f, a, b, params)) == _naive_pair(naive, params, (b, True), (a, True), -1.0)
-        assert _fields(integral_to_infinity(f, a, params)) == _naive_sum(naive, a, params, False)
-        assert _fields(integral_improper(f, params)) == _naive_pair(naive, params, (1.0, True), (1.0, False), 1.0)
+        count = {"components": f.components}  # the naive stream sums by the integrand's count too
+        assert _fields(integral_zero_to(f, b, params)) == _naive_sum(naive, b, params, True, **count)
+        assert _fields(integral(f, a, b, params)) == _naive_pair(naive, params, (b, True), (a, True), -1.0, **count)
+        assert _fields(integral_to_infinity(f, a, params)) == _naive_sum(naive, a, params, False, **count)
+        assert _fields(integral_improper(f, params)) == _naive_pair(
+            naive, params, (1.0, True), (1.0, False), 1.0, **count
+        )
 
 
 class _Counted:
@@ -685,6 +710,64 @@ class TestExtrapolation:
                     assert result.tail_estimate >= error, (f, a, params)
                     assert result.terms_used < _plain_terms(NumericFn.from_polynomial(f), float(a), params, True)
         assert accelerated >= 40
+
+    @staticmethod
+    def _shortest_stride(ratio, levels):
+        """The first m >= 2 whose table of `levels` levels fits the budget, or the black-box stride."""
+        longest = max(2, math.ceil(0.5 / (1.0 - abs(ratio))))
+        for m in range(2, longest):
+            lam = power = ratio**m
+            amplification = 1.0
+            for _ in range(levels):
+                amplification *= 1.0 + 2.0 * abs(power / (1.0 - power))
+                power *= lam
+            if amplification <= RICHARDSON_BUDGET:
+                return m
+        return longest
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    @pytest.mark.parametrize("ratio", [*RATIOS, "-1/2"])
+    def test_a_full_table_is_accepted_at_its_first_checkpoint(self, ratio, lt1):
+        # d + 1 = L components, one level each: the sum stops at L strides m_L, with a tail that bounds
+        # its error against the exact integral; c_n of the sign of x^n on the lattice makes |t_k| fall
+        # and stay above tail_tol until then, so neither a plain rule nor the falling gate stops the sum
+        rng, sign = random.Random(ratio), -1 if ratio.startswith("-") else 1
+        for scale in (1, rat("3/2")):
+            params = _lattice(ratio, lt1, scale)
+            _, num, den = _naive_walk(params, True)
+            for d in range(7):
+                for _ in range(2):
+                    f = Polynomial([sign**n * rat(rng.randint(1, 9)) / rng.randint(1, 9) for n in range(d + 1)])
+                    for a in (rat("1/2"), rat("9/4")):
+                        result = integral_zero_to(NumericFn.from_polynomial(f), float(a), params)
+                        error = abs(Fraction(result.value) - integral_exact(f, 0, a, params))
+                        assert result.stop_reason == "accelerated", (f, a, params, result)
+                        assert result.terms_used == (d + 1) * self._shortest_stride(num / den, d + 1)
+                        assert result.tail_estimate >= error, (f, a, params, result)
+
+    @pytest.mark.parametrize("lt1", [True, False], ids=["lt1", "gt1"])
+    def test_steep_power_tails_cover_the_lattice_sum(self, lt1):
+        # x^-s on [a, infinity) is one geometric series; a steep s multiplies the rounding of each
+        # lattice point by s, which the tail of an accelerated stop must carry
+        covered = 0
+        for ratio in ("1/2", "2/3", "3/4", "9/10", "19/20", "99/100", "999/1000"):
+            params = _lattice(ratio, lt1)
+            big, small = (params.p, params.q) if lt1 else (params.q, params.p)
+            for s in (1.0001, 1.01, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 25.0, 60.0, 200.0):
+                for a in (0.3, 1.0, 7.0):
+                    result = integral_to_infinity(NumericFn(lambda x, s=s: x**-s), a, params)
+                    if result.stop_reason != "accelerated":
+                        continue
+                    # terms (big - small) a w_k (a w_k)^-s with w_k = (big/small)^k / small, at 60 digits
+                    with localcontext() as ctx:
+                        ctx.prec = 60
+                        hi, lo = (Decimal(x.numerator) / x.denominator for x in (big, small))
+                        e = 1 - Decimal(s)
+                        exact = (hi - lo) * (Decimal(a) / lo) ** e / (1 - (hi / lo) ** e)
+                        error = abs(Decimal(result.value) - exact)
+                    assert error <= Decimal(result.tail_estimate), (ratio, s, a, result)
+                    covered += 1
+        assert covered >= 180
 
     @pytest.mark.parametrize("counted", [True, False], ids=["counted", "black-box"])
     def test_vanishing_checkpoint_sums_are_no_limit(self, counted):
@@ -939,9 +1022,9 @@ class TestSummerPins:
     )
     # the checkpoint stride m on each side; at 9/10, 0.5 / (1 - 0.9) rounds above 5 on [0, a]
     STRIDES = {"1/2": (2,), "9/10": (5, 6), "99/100": (50,)}
-    ENTRY_DIGEST = "89fad3b54ec6b4535874d9fd57349ca7845614fa86e30bd3d55318ff906b1dd0"
-    ENTRY_REASONS = {"accelerated": 86, "divergent": 339, "small_terms": 4, "max_terms": 803, "heine": 2}
-    RAW_DIGEST = "dc66be2fce1774caeec5afe3730eb41196a01a03e8c4823262f74fcb4abe3ec0"
+    ENTRY_DIGEST = "dbac4eaaf92b631727b21a8e453336de2e6022aaffbf6d53890a272cc7666fe4"
+    ENTRY_REASONS = {"accelerated": 94, "divergent": 331, "small_terms": 4, "max_terms": 803, "heine": 2}
+    RAW_DIGEST = "31ab2a128ac1ceb715c55f9ca0139567826726c6bee2e9ad3b3b30cd256353ac"
     RAW_REASONS = {"max_terms": 8046, "small_terms": 1688, "accelerated": 629, "divergent": 707}
 
     def _entry_rows(self):
