@@ -2,27 +2,27 @@
 
 Every definite integral here is a geometric-lattice sum: the integrand is
 sampled on points a*(q/p)^k (scaled by 1/p or 1/q) and the weighted terms
-are added until a :class:`TruncationPolicy` says stop.  The plain rules
-stop a sum on ``_SMALL_RUN`` (3) consecutive terms of magnitude at most
-``tail_tol`` (for an integrand with a component count d + 1, an exact 0.0
-term counts towards them only once d + 1 zeros have come in a row: a
-nonzero polynomial of degree d has at most d zeros on a lattice), on
+are added.  An integrand with a component count L (every nonzero
+polynomial, :meth:`NumericFn.from_polynomial`) is summed by that count
+alone, with no rule, gate or tolerance (:func:`_sum_counted`): on [0, a]
+a Richardson table with one level per component has the lattice limit up
+to float error after L strides, and on [a, infinity) every component
+grows, so the sum diverges.
+
+Any other integrand is a black box (:func:`_sum_walk`), summed until a
+:class:`TruncationPolicy` says stop.  The plain rules stop a sum on
+``_SMALL_RUN`` (3) consecutive terms of magnitude at most ``tail_tol``, on
 :data:`DIVERGENCE_WINDOW` consecutive non-decreasing term magnitudes
 (divergence, reported as a status, never raised, so failure cases such as
 1/x can be demonstrated rather than crashed on; a NaN magnitude counts as
 non-decreasing, like an infinite one), or on ``max_terms``.
 Between them the lattice ratio, known before the first term, lets the
-summer extrapolate the partial sums (:func:`_sum_walk`):
-a Richardson table at the known ratios on [0, a], Aitken's delta-squared
-on the observed ratio on [a, infinity).  A polynomial's table on [0, a]
-has one level per component, at the shortest stride whose table
-amplifies roundoff by at most :data:`RICHARDSON_BUDGET`, and its
-extrapolant is accepted at the first checkpoint where the table is full,
-with an a priori bound on its float error.  Any other extrapolant is
-judged on two differences of extrapolants, or on [a, infinity) on one
-within roundoff while the observed ratio holds steady, as it does on the
-single geometric series of x^{-s}; an observed ratio within roundoff of 1
-extrapolates nothing.
+summer extrapolate the partial sums: a Richardson table at the known
+ratios on [0, a], Aitken's delta-squared on the observed ratio on
+[a, infinity).  An extrapolant is judged on two differences of
+extrapolants, or on [a, infinity) on one within roundoff while the
+observed ratio holds steady, as it does on the single geometric series of
+x^{-s}; an observed ratio within roundoff of 1 extrapolates nothing.
 
 ``IntegralResult.stop_reason`` says which rule stopped the sum, and so
 what ``tail_estimate`` means:
@@ -30,35 +30,36 @@ what ``tail_estimate`` means:
 - ``small_terms`` (converged): the magnitude of the last term, not a bound
   on the error; on a slow lattice the omitted tail is many times larger;
 - ``accelerated`` (converged): a bound on the error of the extrapolated
-  value.  For a polynomial on [0, a] it bounds the float error of the full
-  table: the roundoff of the summed blocks, the table's arithmetic and the
-  float lattice's own error.  Otherwise it is the agreement of the last two
+  value.  For a counted sum it bounds the float error of the full table:
+  the roundoff of the summed blocks, the table's arithmetic and the float
+  lattice's own error.  Otherwise it is the agreement of the last two
   extrapolants plus a roundoff term, accepted once the agreement is within
   ``tail_tol`` plus that term;
 - ``divergent``: the magnitude of the last term;
-- ``max_terms``: the magnitude of the last term above ``tail_tol``.
+- ``max_terms``: the magnitude of the last term above ``tail_tol``, or of
+  the last term for a counted sum.
 
-A sum stopped by a plain rule is the sum the plain rules alone give.  An
-integral over two lattices sums each side once: its second side first,
-with extrapolation, then its first side, extrapolated only if the second
-converged; it stops for the worse of their stop reasons.  The exact value
-of a polynomial integrand is :func:`integral_exact`.
+A black box's sum stopped by a plain rule is the sum the plain rules alone
+give.  An integral over two lattices sums each side once: its second side
+first, with extrapolation, then its first side, extrapolated only if the
+second converged.  It is ``accelerated`` only when both sides are, as only
+then is its tail a bound, and otherwise stops for the worse of their stop
+reasons.  The exact value of a polynomial integrand is :func:`integral_exact`.
 
-A term is float work only.  The summer walks the lattice itself: its one
-loop (:func:`_sum_walk`), the only place the term formula is written,
-computes each term from the integrand's plain ``fn`` when it reaches it
-and steps the weight w, in either direction.  That loop runs from one
-checkpoint to the next and pauses only there; per term it does nothing
-but the term, the plain rules and keeping the term before it, which
-Aitken's observed ratio needs.  Sides pass plain (value, terms, tail,
-reason) tuples, and each integral builds its one :class:`IntegralResult`
-at the end.  A ready-made term stream (the Heine series, the
-Riemann-Stieltjes sum) goes through the same loop as the integrand of a
-walk that stays at one point (:func:`_sum_series`).  A polynomial
-integrand arrives with its coefficients already floated, its Horner
-written out and its component count (:meth:`NumericFn.from_polynomial`),
-and the integrands that the identity checks build call their functions'
-``fn`` directly.
+A term is float work only.  Each summer walks the lattice itself: its
+loop computes each term from the integrand's plain ``fn`` when it reaches
+it and steps the weight w, in either direction.  The black-box loop runs
+from one checkpoint to the next and pauses only there; per term it does
+nothing but the term, the plain rules and keeping the term before it,
+which Aitken's observed ratio needs.  The counted loop sums whole blocks
+and tests nothing per term.  Sides pass plain (value, terms, tail, reason)
+tuples, and each integral builds its one :class:`IntegralResult` at the
+end.  A ready-made term stream (the Heine series, the Riemann-Stieltjes
+sum) goes through the black-box loop as the integrand of a walk that
+stays at one point (:func:`_sum_series`).  A polynomial integrand arrives
+with its coefficients already floated, its Horner written out and its
+component count, and the integrands that the identity checks build call
+their functions' ``fn`` directly.
 
 The |q/p| = 1 regime has no defined lattice and is rejected outright.
 """
@@ -129,7 +130,7 @@ _U = 2.0**-53
 #: it sets the stride of such a table (:func:`_richardson_plan`)
 RICHARDSON_BUDGET = 64.0
 
-#: why a sum stopped, mildest first, and the status each reason reports
+#: why a sum stopped, and the status each reason reports
 _STOP_STATUS = {
     "small_terms": IntegralStatus.CONVERGED,
     "accelerated": IntegralStatus.CONVERGED,
@@ -140,8 +141,8 @@ STOP_REASONS = tuple(_STOP_STATUS)
 
 
 def _worst_reason(*reasons: str) -> str:
-    """The most severe of some stop reasons; a combined sum stops for it."""
-    return max(reasons, key=STOP_REASONS.index)
+    """The most severe of some stop reasons; a combined sum stops for it, so it is accelerated only if all are."""
+    return max(reasons, key=("accelerated", "small_terms", "max_terms", "divergent").index)
 
 
 def _amplification(lam: float, levels: int) -> float:
@@ -178,7 +179,7 @@ def _stride(ratio: float, levels: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """How :func:`_sum_walk` sums an integrand of known component count on [0, a]."""
+    """How :func:`_sum_counted` sums an integrand of known component count on [0, a]."""
 
     stride: int
     factors: tuple[float, ...]  # lam^j / (1 - lam^j) of the levels j = 1..L
@@ -206,17 +207,24 @@ def _richardson_plan(ratio: float, levels: int) -> _Plan:
     return _Plan(stride, tuple(factors), _amplification(lam, levels), tuple(map(abs, weights)))
 
 
-def _planned_tail(plan: _Plan, reach: list[float], ratio: float, row: list[float], extrapolated: float) -> float:
-    """The a priori error bound of a full L-level table's extrapolant; see :func:`_sum_walk`.
+def _richardson_row(row: list[float], total: float, factors: Iterable[float]) -> list[float]:
+    """The Richardson table's next row, from its last ``row`` and the new checkpoint sum; level j uses factors[j-1]."""
+    new_row = [total]
+    for factor, old in zip(factors, row):
+        cur = new_row[-1]
+        new_row.append(cur + (cur - old) * factor)
+    return new_row
 
-    ``reach`` holds sum |t_k| at each checkpoint so far and ``row`` the
+
+def _planned_tail(plan: _Plan, reach: list[float], ratio: float, row: list[float], extrapolated: float) -> float:
+    """The a priori error bound of a full L-level table's extrapolant; see :func:`_sum_counted`.
+
+    ``reach`` holds sum |t_k| at each of the L checkpoints and ``row`` the
     table's last row; ``extrapolated`` is the extrapolant minus the sum.
     """
     levels = len(plan.weights)
-    base = len(reach) - levels  # the blocks before the table's first sum enter with weight 1
     blocks = before = 0.0
-    for b, here in enumerate(reach):
-        weight = plan.weights[b - base] if b >= base else 1.0
+    for weight, here in zip(plan.weights, reach):
         blocks += weight * (plan.stride * here + (4 * levels + 2) * (here - before))
         before = here
     r = abs(ratio)
@@ -231,9 +239,9 @@ class _StreamEnd(Exception):
 
 
 def _sum_series(
-    terms: Iterable[float], policy: TruncationPolicy, ratio: Optional[float] = None, components: int = 0
+    terms: Iterable[float], policy: TruncationPolicy, ratio: Optional[float] = None
 ) -> tuple[float, int, float, str]:
-    """Sum a ready-made term stream through :func:`_sum_walk`, with the integrand's component count.
+    """Sum a ready-made term stream through :func:`_sum_walk`.
 
     The stream is read as the integrand of a walk that stays at one point,
     pre = a = w = step = 1.0, so each term is 1.0 * 1.0 * t, which is t bit
@@ -247,14 +255,14 @@ def _sum_series(
             return term
         raise _StreamEnd
 
-    return _sum_walk(read, 1.0, 1.0, 1.0, 1.0, policy, ratio, components)
+    return _sum_walk(read, 1.0, 1.0, 1.0, 1.0, policy, ratio)
 
 
 def _sum_walk(
     fn: Callable[[float], float], a: float, pre: float, w: float, step: float,
-    policy: TruncationPolicy, ratio: Optional[float], components: int = 0,
+    policy: TruncationPolicy, ratio: Optional[float],
 ) -> tuple[float, int, float, str]:
-    """Sum the lattice terms pre a w_k fn(a w_k) with the weights w_k = w step^k.
+    """Sum the lattice terms pre a w_k fn(a w_k) of a black box, with the weights w_k = w step^k.
 
     Return (value, terms used, tail estimate, stop reason).  Each term is
     computed in the summing loop itself when the loop reaches it, so no
@@ -263,21 +271,18 @@ def _sum_walk(
     end of the series.
 
     The plain rules of the module docstring stop the sum exactly as if
-    nothing else ran; ``components`` is the component count L = d + 1 of a
-    polynomial integrand, which their zero rule reads, 0 for none.
-    ``ratio`` is the step of the lattice points of a lattice series, None
-    for any other series, which is only summed.  With r = min(|ratio|,
-    1/|ratio|) and the black-box stride m = max(2, ceil(1/(2(1-r)))), the
-    sum S_N of the first N terms is extrapolated to E_i at checkpoints N,
-    after the plain rules saw term N:
+    nothing else ran.  ``ratio`` is the step of the lattice points of a
+    lattice series, None for any other series, which is only summed.  With
+    r = min(|ratio|, 1/|ratio|) and the stride m = max(2, ceil(1/(2(1-r)))),
+    the sum S_N of the first N terms is extrapolated to E_i at checkpoints
+    N, after the plain rules saw term N:
 
     - |ratio| < 1 (towards 0), N = m, 2m, 3m, ...: a polynomial integrand's
       partial sums miss geometric components of the known ratios ratio^{n+1},
       so the checkpoint sums feed a Richardson table, from S_0 = 0, whose
       level j removes lam^j with lam = ratio^m; E_i is its diagonal.
-      Without a count the stride keeps |lam| near e^{-1/2}, so the levels
-      hardly amplify roundoff; level j is built with row j, and none once
-      |lam^j| < u.
+      The stride keeps |lam| near e^{-1/2}, so the levels hardly amplify
+      roundoff; level j is built with row j, and none once |lam^j| < u.
     - |ratio| > 1 (towards infinity), N = 2, m+2, 2m+2, ... (a run-up to two
       terms): Aitken's delta-squared on the last two terms, E_i = S_N +
       t_{N-1} kappa / (1 - kappa) with the observed ratio kappa = t_{N-1} /
@@ -290,29 +295,7 @@ def _sum_walk(
     since a ratio within roundoff of 1 extrapolates nothing.  It is also
     accepted only once some checkpoint sum is not exactly 0.0.
 
-    With a count L on [0, a] the table has the L levels of the components
-    and no more, so its E_i is the limit up to float error from the first
-    checkpoint N = L m on, and it is accepted there, with stop reason
-    ``accelerated``, or at the first later checkpoint where the two gates
-    above hold.  Its stride m is the shortest m >= 2, never longer than the
-    black-box one, for which the table amplifies errors by at most
-    Lambda = prod_{j<=L} (1 + 2 |lam^j / (1 - lam^j)|) <= RICHARDSON_BUDGET;
-    :func:`_richardson_plan` works it out once per (ratio, L).  The tail
-    estimate is an a priori bound, u = 2^-53 times the sum of three parts
-    (:func:`_planned_tail`):
-
-    - the roundoff of each block of m terms, m sum_{k<N} |t_k| for its
-      running sums plus (4 L + 2) |t_k| for each term's own roundings
-      (coefficients, Horner, lattice point, products), weighted by the
-      tail sum G_b of the diagonal's weights on the sums that hold block b;
-    - the table's own arithmetic, 3 L Lambda times its largest entry;
-    - the float lattice's own error.  The rounding of the step and the
-      drift of w *= step, at most u a step each, move the sum as a change
-      of the lattice ratio would, by |r| / (1 - |r|) of sum |t_k| each; the
-      rounding of p and q moves each [n + 1] by n times it, or by
-      n (1 + r) / (1 - r) on a lattice of negative ratio.
-
-    Any other E_i is judged on d_i = |E_i - E_{i-1}| and the roundoff term
+    E_i is judged on d_i = |E_i - E_{i-1}| and the roundoff term
     R = (N+3) u ((1 + e) sum_{k<N} |t_k| + 2 |E_i - S_N| / (1 - |kappa|)),
     where kappa is the ratio of the extrapolated tail (lam on [0, a]) and,
     on [a, infinity), e = |ln |kappa| / ln |ratio|| estimates the term's
@@ -332,25 +315,19 @@ def _sum_walk(
     """
     tail_tol, max_terms = policy.tail_tol, policy.max_terms
     known = ratio is not None and abs(ratio) < 1
-    planned = known and components > 0  # one level per component, at the stride the plan sets
     checkpoint = 0  # the count of the next checkpoint; no term has count 0
-    if planned:
-        plan = _richardson_plan(ratio, components)
-        stride, factors = plan.stride, plan.factors
-        reach = []  # sum_{k<N} |t_k| at each checkpoint N
-    elif ratio is not None:
+    if ratio is not None:
         r = abs(ratio) if known else 1.0 / abs(ratio)
         stride = max(2, math.ceil(0.5 / (1.0 - r)))
+        checkpoint = stride if known else 2
         if known:
             lam = power = ratio**stride
             factors = []  # lam^j / (1 - lam^j) for the levels j >= 1 built so far
             gain = 1.0 / (1.0 - abs(lam))
-    if ratio is not None:
-        checkpoint = stride if known else 2
     row = [0.0]  # the last row of the Richardson table
     total = abs_total = term = 0.0
     run = 1
-    small_run = zeros = 0
+    small_run = 0
     last_mag = 0.0
     block_mag = math.inf  # |term| at the previous checkpoint
     estimate = math.nan
@@ -376,10 +353,6 @@ def _sum_walk(
             mag = abs(term)
             abs_total += mag
             if mag <= tail_tol:
-                if not term and components:  # a lattice root, until `components` of them come in a row
-                    zeros = zeros + 1 if not prev_term else 1
-                    if zeros < components:
-                        continue
                 small_run += 1
                 if small_run >= _SMALL_RUN:
                     return total, count, mag, "small_terms"
@@ -398,20 +371,11 @@ def _sum_walk(
         falling, block_mag = mag < block_mag, mag
         nonzero = nonzero or total != 0.0
         if known:
-            if not planned and abs(power) >= _U:  # one level more for the new row, until lam^j is roundoff
+            if abs(power) >= _U:  # one level more for the new row, until lam^j is roundoff
                 factors.append(power / (1.0 - power))
                 power *= lam
-            new_row = [total]
-            for factor, old in zip(factors, row):
-                cur = new_row[-1]
-                new_row.append(cur + (cur - old) * factor)
-            row = new_row
+            row = _richardson_row(row, total, factors)
             latest = row[-1]
-            if planned:
-                reach.append(abs_total)
-                if len(row) > components and falling and nonzero:  # the full table: its limit up to roundoff
-                    return latest, count, _planned_tail(plan, reach, ratio, row, latest - total), "accelerated"
-                continue
         else:
             last_kappa, kappa = kappa, term / prev_term if prev_term else math.inf
             if not abs(kappa) < 1.0 - (count + 3) * _U:  # a ratio within roundoff of 1 extrapolates nothing
@@ -438,6 +402,62 @@ def _sum_walk(
     return total, count, last_mag, "max_terms"
 
 
+def _sum_counted(
+    fn: Callable[[float], float], a: float, pre: float, w: float, step: float, max_terms: int, components: int
+) -> tuple[float, int, float, str]:
+    """Sum the lattice terms pre a w_k fn(a w_k) of an integrand with L = ``components`` components.
+
+    Return (value, terms used, tail estimate, stop reason) as :func:`_sum_walk`
+    does, but with no rule, gate or tolerance: the count alone sets how many
+    terms are summed, and a ``max_terms`` below that returns the partial sum
+    as ``max_terms``, with the magnitude of the last term.  Towards infinity
+    (|step| > 1) every component of a nonzero polynomial grows, so the sum of
+    :data:`DIVERGENCE_WINDOW` terms is returned as ``divergent``, likewise.
+
+    Towards 0 the partial sums S_N of a polynomial of degree L - 1 miss
+    exactly L geometric components, of the known ratios step^{n+1}.  So
+    S_0 = 0, S_m, ..., S_{Lm}, summed in blocks of m terms, feed a Richardson
+    table whose level j removes lam^j, lam = step^m, and its diagonal, the
+    limit up to float error, is returned as ``accelerated`` after N = L m
+    terms.  The stride m is the shortest m >= 2, never longer than the
+    black-box one, for which the table amplifies errors by at most
+    Lambda = prod_{j<=L} (1 + 2 |lam^j / (1 - lam^j)|) <= RICHARDSON_BUDGET;
+    :func:`_richardson_plan` works it out once per (step, L).  The tail
+    estimate is an a priori bound, u = 2^-53 times the sum of three parts
+    (:func:`_planned_tail`):
+
+    - the roundoff of each block of m terms, m sum_{k<N} |t_k| for its
+      running sums plus (4 L + 2) |t_k| for each term's own roundings
+      (coefficients, Horner, lattice point, products), weighted by the
+      tail sum G_b of the diagonal's weights on the sums that hold block b;
+    - the table's own arithmetic, 3 L Lambda times its largest entry;
+    - the float lattice's own error.  The rounding of the step and the
+      drift of w *= step, at most u a step each, move the sum as a change
+      of the lattice ratio would, by |r| / (1 - |r|) of sum |t_k| each; the
+      rounding of p and q moves each [n + 1] by n times it, or by
+      n (1 + r) / (1 - r) on a lattice of negative ratio.
+    """
+    plan = _richardson_plan(step, components) if abs(step) < 1 else None
+    if plan and components * plan.stride <= max_terms:  # the full table
+        stride, blocks, factors = plan.stride, components, plan.factors
+    else:  # a capped sum on [0, a], or one on [a, infinity), which diverges
+        stride, blocks, factors = max_terms if plan else min(DIVERGENCE_WINDOW, max_terms), 1, ()
+    pre *= a
+    total = abs_total = term = 0.0
+    row, reach = [0.0], []  # the table's last row, and sum_{k<N} |t_k| at each checkpoint N
+    for _ in range(blocks):
+        for _ in range(stride):
+            term = pre * w * fn(a * w)
+            w *= step
+            total += term
+            abs_total += abs(term)
+        row = _richardson_row(row, total, factors)
+        reach.append(abs_total)
+    if factors:
+        return row[-1], blocks * stride, _planned_tail(plan, reach, step, row, row[-1] - total), "accelerated"
+    return total, stride, abs(term), "max_terms" if plan or stride < DIVERGENCE_WINDOW else "divergent"
+
+
 def _lattice_walk(params: PqParams, regime: Regime, to_zero: bool) -> tuple[float, float, float]:
     """(prefactor per unit of a, first weight, step ratio) of one lattice direction."""
     p, q = params.as_floats()
@@ -459,7 +479,9 @@ def _one_sided(
     if a == 0:
         return 0.0, 0, 0.0, "small_terms"
     pre, w, step = _lattice_walk(params, regime, to_zero)
-    return _sum_walk(f.fn, a, pre, w, step, policy, step if extrapolate else None, f.components)
+    if f.components:
+        return _sum_counted(f.fn, a, pre, w, step, policy.max_terms, f.components)
+    return _sum_walk(f.fn, a, pre, w, step, policy, step if extrapolate else None)
 
 
 def _two_sided(
@@ -468,8 +490,8 @@ def _two_sided(
     """first + sign * second, each side an (a, to_zero) pair, each summed once.
 
     The second side is summed first, with extrapolation; the first side is
-    extrapolated only if the second converged, and the worse stop reason
-    stops the whole.
+    extrapolated only if the second converged.  The whole is ``accelerated``
+    only when both sides are, and otherwise stops for the worse stop reason.
     """
     y_value, y_terms, y_tail, y_reason = _one_sided(f, second, params, regime, policy)
     converged = _STOP_STATUS[y_reason] is IntegralStatus.CONVERGED
@@ -515,13 +537,15 @@ def integral(
 ) -> IntegralResult:
     """Integral over [a, b], 0 <= a < b <= infinity.
 
-    A finite b takes the difference of the two zero-based series; b = infinity
-    takes the [a, infinity) series, or the bilateral one when a = 0.
+    A finite b takes the [0, b] series, less the [0, a] one when a > 0; b =
+    infinity takes the [a, infinity) series, or the bilateral one when a = 0.
     """
     if not 0 <= a < b:
         raise InvalidIntervalError(f"need 0 <= a < b, got a={a}, b={b}")
     if math.isinf(b):
         return integral_to_infinity(f, a, params, policy) if a else integral_improper(f, params, policy)
+    if not a:
+        return integral_zero_to(f, b, params, policy)
     regime = _require_lattice(params)
     return _result(regime, _two_sided(f, params, regime, policy, (b, True), (a, True), -1.0))
 

@@ -254,9 +254,9 @@ class NumericFn(NamedTuple):
     integral lattices never sample x = 0, so it only matters when callers
     differentiate at the origin explicitly.
 
-    ``components`` is d + 1 for a polynomial of degree d, whose lattice
-    partial sums have d + 1 geometric components, and 0 for no count; the
-    lattice summer reads it (:mod:`.integration`).
+    ``components`` is d + 1 for a nonzero polynomial of degree d, whose
+    lattice partial sums have d + 1 geometric components; the lattice summer
+    sums by it alone, and 0, no count, is a black box (:mod:`.integration`).
     """
 
     fn: Callable[[float], float]
@@ -271,7 +271,7 @@ class NumericFn(NamedTuple):
         (:func:`_horner_maker`), so a call runs no loop.  Only a polynomial
         whose leading coefficient floats to 0.0 gets the wrapper that reads
         x = +-inf as the limit, so the others pay nothing per call.  The zero
-        polynomial floats to the constant 0.0 and counts 1 component.
+        polynomial floats to the constant 0.0 and counts none: a black box.
         """
         cs = [rat_float(c) for c in reversed(f.coeffs)] or [0.0]
         horner = _horner_maker(len(cs) - 1)(*cs)
@@ -281,7 +281,7 @@ class NumericFn(NamedTuple):
             def horner(x: float) -> float:
                 return _limit_at_inf(top, degree, x) if math.isinf(x) else plain(x)
 
-        return cls(fn=horner, deriv_at_zero=cs[-2] if len(cs) > 1 else 0.0, components=len(cs))
+        return cls(fn=horner, deriv_at_zero=cs[-2] if len(cs) > 1 else 0.0, components=len(f.coeffs))
 
     def __call__(self, x: float) -> float:
         return self.fn(x)

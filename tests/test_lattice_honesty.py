@@ -47,16 +47,19 @@ def pool(family, ratio):
 COUNTS = {
     ("poly-zero", "1/2"): (42, 42, 0, 42, 0, 0),
     ("poly-zero", "9/10"): (42, 42, 0, 42, 0, 0),
-    ("poly-zero", "99/100"): (29, 29, 0, 29, 0, 13),
-    ("poly-zero", "999/1000"): (30, 30, 0, 30, 0, 12),
+    ("poly-zero", "99/100"): (42, 42, 0, 42, 0, 0),
+    ("poly-zero", "999/1000"): (42, 42, 0, 42, 0, 0),
     ("poly-interval", "1/2"): (42, 42, 0, 42, 0, 0),
-    ("poly-interval", "9/10"): (41, 41, 0, 41, 0, 1),
-    ("poly-interval", "99/100"): (29, 29, 0, 29, 0, 13),
-    ("poly-interval", "999/1000"): (29, 27, 0, 27, 0, 15),
-    ("zero-run", "1/2"): (40, 38, 4, 38, 0, 0),
-    ("zero-run", "9/10"): (15, 15, 12, 15, 0, 15),
-    ("zero-run", "99/100"): (0, 0, 15, 0, 0, 27),
-    ("zero-run", "999/1000"): (0, 0, 14, 0, 0, 28),
+    ("poly-interval", "9/10"): (42, 42, 0, 42, 0, 0),
+    ("poly-interval", "99/100"): (42, 42, 0, 42, 0, 0),
+    ("poly-interval", "999/1000"): (42, 42, 0, 42, 0, 0),
+    # the miss: p = 3/2, q = 3/4 on [0, 4], degree 7 with roots at lattice points 0-4, error 5.5e-14
+    # against a tail of 1.1e-16; the tail carries no error of the float Horner itself (floated
+    # coefficients included), which at a root is relative to sum |c_i x^i|, not to |f(x)|
+    ("zero-run", "1/2"): (42, 41, 0, 42, 0, 0),
+    ("zero-run", "9/10"): (42, 42, 0, 42, 0, 0),
+    ("zero-run", "99/100"): (42, 42, 0, 42, 0, 0),
+    ("zero-run", "999/1000"): (42, 42, 0, 42, 0, 0),
     ("ln-zero", "1/2"): (42, 42, 0, 42, 0, 0),
     ("ln-zero", "9/10"): (12, 12, 0, 12, 0, 30),
     ("ln-zero", "99/100"): (5, 0, 5, 0, 0, 37),

@@ -86,8 +86,8 @@ class TestNumericFnValue:
         assert repr(f) == f"NumericFn(fn={abs!r}, deriv_at_zero=None, components=0)"
 
     def test_polynomial_counts_its_components(self):
-        # d + 1 for degree d; the zero polynomial floats to the constant 0.0
-        for coeffs, count in (([], 1), ([5], 1), ([4, 7, -2], 3), ([0, 0, 0, rat("1/3")], 4)):
+        # d + 1 for degree d; the zero polynomial counts none, so it stays a black box
+        for coeffs, count in (([], 0), ([5], 1), ([4, 7, -2], 3), ([0, 0, 0, rat("1/3")], 4)):
             assert NumericFn.from_polynomial(Polynomial(coeffs)).components == count
 
     def test_immutability(self):
