@@ -22,7 +22,6 @@ JSON output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -152,7 +151,10 @@ def _params(args: argparse.Namespace) -> PqParams:
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    print(json.dumps(payload, allow_nan=False) if args.json else human)  # NaN and Infinity are not JSON
+    if args.json:
+        import json  # here, so that a command printed for people never loads it
+        human = json.dumps(payload, allow_nan=False)  # NaN and Infinity are not JSON
+    print(human)
 
 
 def _log10(x) -> float:
@@ -301,6 +303,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
+    import json  # pq taylor prints JSON in both forms
     from .polynomials import Polynomial
     from .pqpower import Orientation
     from .taylor import PowerBasisExpansion, taylor_expand

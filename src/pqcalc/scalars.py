@@ -7,11 +7,12 @@ lowest terms with a positive denominator, parsed from and printed as
 
 The hot exact kernels (brackets, Horner, polynomial ``scale``,
 ``pq_derive_poly``, ``pqpower._power_rat``, the one integer pass behind
-every power-basis value at every n, ``expand_expr``, and the Taylor
-formulas, reconstruction and connection coefficients) work fraction-free:
-they read each value's integers, carry integer numerators over one common
-denominator, and normalise once per result instead of after every
-multiply.  Each result is built by :func:`rat_from_ints`, one gcd and a
+every power-basis value at every n, ``expand_expr``, the (p,q)-binomials,
+each one integer over a power of S (``binomial_row``), and the Taylor
+formulas, reconstruction, connection and Heine coefficients) work
+fraction-free: they read each value's integers, carry integer numerators
+over one common denominator, and normalise once per result instead of
+after every multiply.  Each result is built by :func:`rat_from_ints`, one gcd and a
 sign fix without ``Fraction``'s type dispatch, and the integers they start
 from come from the form (P, Q, S) that :meth:`PqParams.as_ints` computes
 each time it is asked, once per kernel call: a kernel hands it on to
@@ -244,10 +245,15 @@ def _bracket_ints(n: int, ints: tuple[int, int, int]) -> tuple[int, int]:
 def bracket_numerators(n: int, ints: tuple[int, int, int]) -> list[int]:
     """The table [B_0, ..., B_n] with [k] = B_k / S^(k-1) as in ``bracket``, from ``ints`` = (P, Q, S).
 
-    B_k = 0 only at p = -q.
+    B_k = (P^k - Q^k)/(P - Q) is built by B_{k+1} = P B_k + Q^k, with no
+    power and no division.  B_k = 0 only at p = -q.
     """
     big_p, big_q, _ = ints
-    return [(big_p**k - big_q**k) // (big_p - big_q) for k in range(n + 1)]
+    table, q_k = [0], 1
+    for _ in range(n):
+        table.append(big_p * table[-1] + q_k)
+        q_k *= big_q
+    return table[: n + 1]
 
 
 def bracket_alpha(alpha: float, params: PqParams) -> FloatScalar:
@@ -329,7 +335,19 @@ def pq_binomial(n: int, k: int, params: PqParams) -> Rat:
     """(p,q)-binomial coefficient [n]!/([k]![n-k]!), 0 <= k <= n."""
     if k < 0 or k > n:
         raise OutOfRangeError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if params.regime is Regime.DEGENERATE and n >= 2:
-        # [2] = p + q = 0 there, so the defining ratio is 0/0.
+    ints = params.as_ints()
+    return rat_from_ints(binomial_row(n, ints)[k], ints[2] ** (k * (n - k)))
+
+
+def binomial_row(n: int, ints: tuple[int, int, int]) -> list[int]:
+    """[G_0, ..., G_n] with [n k] = G_k / S^(k(n-k)), from ``ints`` = (P, Q, S), for n >= 0.
+
+    G_{k+1} = G_k B_{n-k} / B_{k+1} in the numerators of ``bracket_numerators``; the
+    division is exact, since the binomial is a polynomial in p and q with integer coefficients.
+    """
+    if ints[0] == -ints[1] and n >= 2:  # [2] = p + q = 0 there, so the defining ratio is 0/0
         raise DegenerateRegimeError("binomial coefficients are undefined at p = -q for n >= 2")
-    return bracket_falling(n, k, params) / pq_factorial(k, params)
+    table, row = bracket_numerators(n, ints), [1]
+    for k in range(n):
+        row.append(row[-1] * table[n - k] // table[k + 1])
+    return row

@@ -16,7 +16,11 @@ argument, as the connection formulas do, and ``taylor_expand_reversed`` is
 
 Both formulas divide by [k]!, which vanishes at p = -q; that degenerate
 parameter pair is rejected even though the expansion coefficients would
-still exist abstractly.
+still exist abstractly.  Every term of the k-th Horner value carries the
+numerator B_1...B_k of [k]!, which is divided out exactly before the one
+normalisation of c_k.  The connection and Heine coefficients read each
+(p,q)-binomial as one integer over a power of S (``binomial_row``),
+so every result here is normalised once, from the smallest integers found.
 
 The reciprocal-power series (Heine-type expansion) is included with its
 exact long-division oracle: coefficients of 1/(1 (-) x)^n as claimed,
@@ -30,13 +34,13 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import count
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import DegenerateRegimeError, DivergenceError, OutOfRangeError
 from .polynomials import Polynomial
 from .pqpower import Orientation, PqPowerExpr, expand_expr
 from .scalars import DEFAULT_POLICY, PqParams, Rat, TruncationPolicy, bracket, bracket_numerators
-from .scalars import pq_binomial, rat, rat_float, rat_from_ints, rat_str
+from .scalars import binomial_row, rat, rat_float, rat_from_ints, rat_str
 
 
 class PowerBasisExpansion(namedtuple("PowerBasisExpansion", "a orientation coeffs")):
@@ -95,14 +99,17 @@ def taylor_expand(
                 raise DegenerateRegimeError(f"[{k}] = 0 at p = -q; expansion formula divides by it")
             fact *= brackets[k]
             d = [c * br for c, br in zip(d[1:], brackets[1:])]
-        # Horner at y = a base^-k = yn / yd, carried over z = yd S^k
+        # Horner at y = a base^-k = yn / yd, carried over z = yd S^k in lowest terms
         yn, z = a._numerator * bd**k, a._denominator * (bn * s) ** k
-        num, scale = 0, 1
-        for c in reversed(d):
-            num = num * yn + c * scale
+        g = gcd(yn, z)
+        yn, z = yn // g, z // g
+        num, scale = d[-1], 1
+        for c in reversed(d[:-1]):
             scale *= z
+            num = num * yn + c * scale
+        # d[j] is f's coefficient of y^(j+k) times G(j+k, k) fact, so fact divides num exactly
         e = k * (k - 1) // 2
-        coeffs.append(rat_from_ints(sign**k * num * z * bd**e, den * scale * fact * bn**e))
+        coeffs.append(rat_from_ints(sign**k * (num // fact) * bd**e, den * scale * bn**e))
     return PowerBasisExpansion(a=a, orientation=orientation, coeffs=tuple(coeffs))
 
 
@@ -119,10 +126,9 @@ def connect_monomial(
     x^n = (x (-) 0)^n / p^{C(n,2)} = (-1)^n (0 (-) x)^n / q^{C(n,2)}, so these
     are the power-to-power coefficients from b = 0, scaled.
     """
-    coeffs = connect_power_to_power(0, a, n, params, orientation)
     base, sign = orientation.base_sign(params)
-    scale = sign**n / base ** (n * (n - 1) // 2)
-    return tuple([scale * c for c in coeffs])
+    e = n * (n - 1) // 2
+    return _connect(0, a, n, params, orientation, (sign**n * base._denominator**e, base._numerator**e))
 
 
 def connect_power_to_power(
@@ -135,28 +141,32 @@ def connect_power_to_power(
 
     Each scalar factor (a (-) b)^m is the first m factors of one integer product.
     """
+    return _connect(b, a, n, params, orientation, (1, 1))
+
+
+def _connect(
+    b: object, a: object, n: int, params: PqParams, orientation: Orientation, scale: tuple[int, int]
+) -> tuple[Rat, ...]:
+    """``connect_power_to_power`` with every coefficient times ``scale`` = (num, den), normalised once."""
     if n < 0:
         raise OutOfRangeError(f"need n >= 0, got {n}")
     a, b = rat(a), rat(b)
     first, second = (a, b) if orientation is Orientation.X_MINUS_A else (b, a)
     ints = params.as_ints()
     big_p, big_q, s = ints
-    # [m]! = fact[m] / S^C(m,2), (first (-) second)^m = prods[m] / (d^m S^C(m,2)), and
-    # binom(n,m) = fact[n] / (fact[m] fact[n-m] S^(m(n-m)))
+    # binom(n,m) = binoms[m] / S^(m(n-m)) and (first (-) second)^m = prods[m] / (d^m S^C(m,2))
+    binoms, (num_scale, den_scale) = binomial_row(n, ints), scale
     u, v = first._numerator * second._denominator, second._numerator * first._denominator
     d = first._denominator * second._denominator
-    fact, prods = [1], [1]
-    for br in bracket_numerators(n, ints)[1:]:
-        fact.append(fact[-1] * br)
+    prods = [num_scale]
+    for _ in range(n):
         prods.append(prods[-1] * (u - v))
         u *= big_p
         v *= big_q
-    if fact[n] == 0:  # [2] = p + q = 0, so every binomial of row n >= 2 is 0/0
-        raise DegenerateRegimeError("binomial coefficients are undefined at p = -q for n >= 2")
     # a list, not a generator: CPython builds tuple(<generator>) by resizing,
     # which parks one tuple per call on its free lists
     return tuple([
-        rat_from_ints(fact[n] * prods[m], fact[n - m] * fact[m] * d**m * s ** (m * (2 * n - m - 1) // 2))
+        rat_from_ints(binoms[m] * prods[m], den_scale * d**m * s ** (m * (2 * n - m - 1) // 2))
         for m in reversed(range(n + 1))
     ])
 
@@ -167,7 +177,11 @@ def heine_coeff(n: int, j: int, params: PqParams) -> Rat:
         raise OutOfRangeError(f"need n >= 1, got {n}")
     if j < 0:
         raise OutOfRangeError(f"need j >= 0, got {j}")
-    return pq_binomial(n + j - 1, j, params) * params.p ** (j - comb(j, 2))
+    ints, e = params.as_ints(), j - comb(j, 2)
+    # binom(n+j-1, j) = G / S^(j(n-1)) and p^e = P^e / S^e, so the value is G P^e / S^t, t = j(n-1) + e
+    big_p, s, t = ints[0], ints[2], j * (n - 1) + e
+    g = binomial_row(n + j - 1, ints)[j]
+    return rat_from_ints(g * big_p ** max(e, 0) * s ** max(-t, 0), big_p ** max(-e, 0) * s ** max(t, 0))
 
 
 def reciprocal_power_series(n: int, params: PqParams, num_terms: int) -> tuple[Rat, ...]:

@@ -115,6 +115,25 @@ class TestImportGraph:
         )
         assert done.stdout.split() == ["False", "False"]
 
+    def test_no_human_output_imports_json(self):
+        # only --json output and pq taylor, which prints JSON in both forms, need the module
+        commands = [
+            ["bracket", "3"], ["derive", "0,0,1"], ["derive", "pqpow(a=1, n=3)"],
+            ["integrate", "poly:0,1", "0", "1"], ["identities", "--only", "expand1", "--trials", "2"],
+        ]
+        script = (
+            "import contextlib, io, sys\nfrom pqcalc.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    for argv in {commands!r}:\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('json' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout.split() == ["False"]
+
 
 class TestLayering:
     def test_oracle_is_bound_only_by_the_laws(self):

@@ -773,6 +773,30 @@ class TestExtrapolation:
                     covered += 1
         assert covered >= 180
 
+    @pytest.mark.xfail(strict=True, reason="the tail of an accelerated sum of two powers can fall below its error")
+    def test_two_power_tails_cover_the_lattice_sum(self):
+        # x^-2 + 1e-8 x^-1.5 on [1, infinity) at q/p = 99/100 stops accelerated after 1,652 terms in
+        # both regimes, with an error 1.7 times its tail; a declared spectrum (ROADMAP item 16 step 2)
+        # would remove both components
+        uncovered = []
+        for lt1 in (True, False):
+            params = _lattice("99/100", lt1)
+            big, small = (params.p, params.q) if lt1 else (params.q, params.p)
+            result = integral_to_infinity(NumericFn(lambda x: x**-2.0 + 1e-8 * x**-1.5), 1.0, params)
+            assert result.stop_reason == "accelerated", result
+            # each power's terms are one geometric series, summed at 60 digits
+            with localcontext() as ctx:
+                ctx.prec = 60
+                hi, lo = (Decimal(x.numerator) / x.denominator for x in (big, small))
+                exact = sum(
+                    c * (hi - lo) * lo ** (s - 1) / (1 - (hi / lo) ** (1 - s))
+                    for c, s in ((1, Decimal(2)), (Decimal(1e-8), Decimal(1.5)))
+                )
+                error = abs(Decimal(result.value) - exact)
+            if error > Decimal(result.tail_estimate):
+                uncovered.append((lt1, float(error), result.tail_estimate))
+        assert uncovered == []
+
     @pytest.mark.parametrize("counted", [True, False], ids=["counted", "black-box"])
     def test_vanishing_checkpoint_sums_are_no_limit(self, counted):
         # on [0, 1] at p = 1, q = 1/2 (stride 2) this cubic has S_2 = S_4 = S_6 = 0 exactly in floats;

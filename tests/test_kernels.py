@@ -33,11 +33,12 @@ from pqcalc.pqpower import (
     expand_expr,
     pq_power_value,
 )
-from pqcalc.scalars import PqParams, Rat, bracket, rat, rat_from_ints
+from pqcalc.scalars import PqParams, Rat, bracket, pq_binomial, rat, rat_from_ints
 from pqcalc.taylor import (
     PowerBasisExpansion,
     connect_monomial,
     connect_power_to_power,
+    heine_coeff,
     taylor_expand,
     taylor_expand_reversed,
 )
@@ -783,7 +784,7 @@ class TestExpansionFormula:
         rng = random.Random(f"{p}/{q}/{orientation.value}/formula")
         params = PqParams(p, q)
         expand = taylor_expand if orientation is Orientation.X_MINUS_A else taylor_expand_reversed
-        for size in range(0, 13):
+        for size in range(0, 19):
             a = Fraction(0) if size % 4 == 0 else two_digit(rng)
             coeffs = [two_digit(rng) for _ in range(size)]
             got = expand(Polynomial(coeffs), a, params)
@@ -811,7 +812,7 @@ class TestConnection:
     def test_power_to_power(self, p, q, orientation):
         rng = random.Random(f"{p}/{q}/{orientation.value}/connect")
         params = PqParams(p, q)
-        for n in range(0, 12):
+        for n in range(0, 18):
             if p == -q and n >= 2:
                 continue
             a, b = two_digit(rng), two_digit(rng)
@@ -833,7 +834,7 @@ class TestConnection:
         rng = random.Random(f"{p}/{q}/{orientation.value}/monomial")
         params = PqParams(p, q)
         base, sign = (p, 1) if orientation is Orientation.X_MINUS_A else (q, -1)
-        for n in range(0, 12):
+        for n in range(0, 18):
             if p == -q and n >= 2:
                 continue
             a = Fraction(0) if n % 3 == 0 else two_digit(rng)
@@ -863,6 +864,25 @@ class TestConnection:
                     connect_power_to_power(b, a, n, params, orientation)
                 with pytest.raises(DegenerateRegimeError, match=message):
                     connect_monomial(n, a, params, orientation)
+
+
+class TestBinomial:
+    """pq_binomial, and heine_coeff's binomial times a power of p, against Fraction factorials."""
+
+    @pytest.mark.parametrize("p, q", param_cases(79, 10))
+    def test_matches_reference(self, p, q):
+        params = PqParams(p, q)
+        rows = 2 if p == -q else 21  # the binomials of row n >= 2 are 0/0 at p = -q
+        for n in range(rows):
+            for k in range(n + 1):
+                got = pq_binomial(n, k, params)
+                assert got == ref_binomial(n, k, p, q)
+                assert_lowest_rat(got)
+        for n in range(1, 5):
+            for j in range(rows - n + 1):
+                got = heine_coeff(n, j, params)
+                assert got == ref_binomial(n + j - 1, j, p, q) * p ** (j - j * (j - 1) // 2)
+                assert_lowest_rat(got)
 
 
 class TestRat:
@@ -980,6 +1000,9 @@ class TestOneIntegerFormPerCall:
         "to_polynomial": lambda p: PowerBasisExpansion("2/3", Orientation.X_MINUS_A, [1, 2, 3, 4]).to_polynomial(p),
         "to_polynomial reversed": lambda p: PowerBasisExpansion(2, Orientation.A_MINUS_X, [1, 2, 3]).to_polynomial(p),
         "connect_power_to_power": lambda p: connect_power_to_power("1/2", "-3", 5, p, Orientation.X_MINUS_A),
+        "connect_monomial": lambda p: connect_monomial(6, "-2/5", p, Orientation.A_MINUS_X),
+        "pq_binomial": lambda p: pq_binomial(7, 3, p),
+        "heine_coeff": lambda p: heine_coeff(2, 5, p),
         "pq_derive_poly": lambda p: pq_derive_poly(TestOneIntegerFormPerCall.F, p),
         "bracket": lambda p: bracket(-7, p),
         "pq_power_value": lambda p: pq_power_value("1/2", 3, 6, p),
