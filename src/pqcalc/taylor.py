@@ -19,8 +19,8 @@ parameter pair is rejected even though the expansion coefficients would
 still exist abstractly.  Every term of the k-th Horner value carries the
 numerator B_1...B_k of [k]!, which is divided out exactly before the one
 normalisation of c_k.  The connection and Heine coefficients read each
-(p,q)-binomial as one integer over a power of S (``binomial_row``),
-so every result here is normalised once, from the smallest integers found.
+(p,q)-binomial as one integer over a power of S (``binomial_row``), so
+each result here is normalised once.
 
 The reciprocal-power series (Heine-type expansion) is included with its
 exact long-division oracle: coefficients of 1/(1 (-) x)^n as claimed,
@@ -107,7 +107,7 @@ def taylor_expand(
         for c in reversed(d[:-1]):
             scale *= z
             num = num * yn + c * scale
-        # d[j] is f's coefficient of y^(j+k) times G(j+k, k) fact, so fact divides num exactly
+        # d[j] = den c_(j+k) G(j+k, k) fact for f's coefficients c, so fact divides num exactly
         e = k * (k - 1) // 2
         coeffs.append(rat_from_ints(sign**k * (num // fact) * bd**e, den * scale * bn**e))
     return PowerBasisExpansion(a=a, orientation=orientation, coeffs=tuple(coeffs))
